@@ -33,17 +33,12 @@ from .dataset import (
     write_dataset_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, TabmtlError
-from .network import (
-    HeadSpec,
-    LossWeights,
-    NetworkTopology,
-    load_model,
-    save_model,
-)
+from .network import LossWeights, load_model, save_model
 from .synth import SynthConfig, generate, save_truth
 from .train import (
     SearchSpace,
     TrainConfig,
+    _build_topology,
     cross_validate,
     evaluate,
     grid_search,
@@ -112,14 +107,6 @@ def _load_dataset(args) -> Dataset:
         mice_tol=args.mice_tol,
     )
     return dataset
-
-
-def _build_topology(dataset: Dataset, trunk: tuple[int, ...], head: tuple[int, ...]) -> NetworkTopology:
-    heads = tuple(
-        HeadSpec(head, o.kind, o.num_classes if o.num_classes else 1)
-        for o in dataset.outcomes
-    )
-    return NetworkTopology(dataset.n_features, trunk, heads)
 
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:

@@ -98,34 +98,61 @@ def validate_schema(schema: Sequence[ColumnDescriptor]) -> tuple[ColumnDescripto
     return cols
 
 
-@dataclass(frozen=True)
+def _column(cells) -> np.ndarray:
+    """Cells as float64 (None becomes NaN) unless one is a string, else as objects."""
+    if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
+        cells = list(cells)
+        is_text = any(issubclass(t, str) for t in set(map(type, cells)))
+        cells = np.array(cells, dtype=object if is_text else np.float64)
+    cells.setflags(write=False)
+    return cells
+
+
+def _missing(values: np.ndarray) -> np.ndarray:
+    return np.isnan(values) if values.dtype == np.float64 else np.equal(values, None)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class RawTable:
-    """Parsed rows in schema column order; a cell is None (missing), float, or str."""
+    """Parsed cells in schema column order, one read-only 1-D array per column.
+
+    A column whose cells are all numbers or missing is float64, and NaN marks
+    a missing cell; ``load_csv`` rejects non-finite input, so NaN never means
+    anything else. Any other column (categorical, identifier, or ordinal while
+    it still holds level labels) is an object array of str, float and None,
+    with None for missing.
+
+    ``RawTable(schema, rows)`` builds a table from row tuples of None, float
+    and str cells, and ``rows`` reads it back that way.
+    """
 
     schema: tuple[ColumnDescriptor, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "schema", validate_schema(self.schema))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        width = len(self.schema)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise DataError(f"row {i} has {len(row)} cells, expected {width}")
+    def __init__(self, schema: Sequence[ColumnDescriptor], rows: Sequence[Sequence]):
+        schema = validate_schema(schema)
+        rows = [tuple(r) for r in rows]
+        for i, row in enumerate(rows):
+            if len(row) != len(schema):
+                raise DataError(f"row {i} has {len(row)} cells, expected {len(schema)}")
+        self._fill(schema, [[row[j] for row in rows] for j in range(len(schema))])
+
+    @classmethod
+    def _from_columns(cls, schema: Sequence[ColumnDescriptor], columns) -> "RawTable":
+        return cls.__new__(cls)._fill(schema, columns)
+
+    def _fill(self, schema, columns) -> "RawTable":
+        object.__setattr__(self, "schema", validate_schema(schema))
+        object.__setattr__(self, "columns", tuple(_column(c) for c in columns))
+        return self
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
 
-    def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.schema):
-            if col.name == name:
-                return i
-        raise ConfigError(f"no column named {name!r}")
-
-    def column(self, name: str) -> tuple:
-        i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*(np.where(_missing(c), None, c).tolist() for c in self.columns)))
 
 
 def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
@@ -147,7 +174,7 @@ def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
-    """Parse a UTF-8 comma-separated file against the schema.
+    """Parse a UTF-8 comma-separated file, with or without a BOM, against the schema.
 
     The header must contain exactly the schema's column names, in any order.
     Empty cells and the literal "NA" are missing.
@@ -156,31 +183,33 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header_pos = {name: i for i, name in enumerate(header)}
-        if len(header_pos) != len(header):
-            raise DataError(f"{path}: duplicate header names")
-        missing = [c.name for c in cols if c.name not in header_pos]
-        if missing:
-            raise DataError(f"{path}: header lacks schema columns {missing}")
-        unknown = [name for name in header if all(c.name != name for c in cols)]
-        if unknown:
-            raise DataError(f"{path}: unknown columns {unknown}")
-        rows = []
-        for row_idx, record in enumerate(reader):
-            if len(record) != len(header):
-                raise DataError(
-                    f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
-                )
-            rows.append(
-                tuple(_parse_cell(record[header_pos[c.name]], c, row_idx) for c in cols)
-            )
-    return RawTable(cols, tuple(rows))
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            header_pos = {name: i for i, name in enumerate(header)}
+            if len(header_pos) != len(header):
+                raise DataError(f"{path}: duplicate header names")
+            missing = [c.name for c in cols if c.name not in header_pos]
+            if missing:
+                raise DataError(f"{path}: header lacks schema columns {missing}")
+            unknown = [name for name in header if all(c.name != name for c in cols)]
+            if unknown:
+                raise DataError(f"{path}: unknown columns {unknown}")
+            fields = [(header_pos[c.name], c, []) for c in cols]
+            for row_idx, record in enumerate(reader):
+                if len(record) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
+                    )
+                for pos, col, cells in fields:
+                    cells.append(_parse_cell(record[pos], col, row_idx))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+    return RawTable._from_columns(cols, [cells for _, _, cells in fields])
 
 
 @dataclass
@@ -208,7 +237,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     if not 0.0 <= max_missing_frac <= 1.0:
         raise ConfigError(f"max_missing_frac must be in [0, 1], got {max_missing_frac}")
     schema = list(table.schema)
-    rows = [list(r) for r in table.rows]
+    columns = list(table.columns)
     report = CleaningReport()
 
     def attribute_indices() -> list[int]:
@@ -220,69 +249,63 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     changed = True
     while changed:
         changed = False
-        # duplicate rows
-        key_idx = attribute_indices()
-        seen: set[tuple] = set()
-        kept = []
-        for row in rows:
-            key = tuple(row[i] for i in key_idx)
-            if key in seen:
-                report.duplicates_removed += 1
-                changed = True
-            else:
-                seen.add(key)
-                kept.append(row)
-        rows = kept
-        # constant columns
+        # duplicate rows: the first row of each distinct attribute key stays
+        key = np.column_stack([_codes(columns[i]) for i in attribute_indices()])
+        keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        if len(keep) < len(key):
+            report.duplicates_removed += len(key) - len(keep)
+            changed = True
+            columns = [c[keep] for c in columns]
+        # constant and over-missing columns
         drop: dict[int, str] = {}
         for i, col in enumerate(schema):
             if col.kind == OUTCOME:
                 continue
-            observed = {row[i] for row in rows if row[i] is not None}
-            if len(observed) <= 1:
+            missing = _missing(columns[i])
+            observed = len(np.unique(_codes(columns[i])[~missing]))
+            if observed <= 1:
                 drop[i] = "constant" if observed else "no observed values"
-        # over-missing columns
-        n = len(rows)
-        for i, col in enumerate(schema):
-            if col.kind == OUTCOME or i in drop or n == 0:
-                continue
-            frac = sum(1 for row in rows if row[i] is None) / n
-            if frac > max_missing_frac:
+            elif (frac := int(missing.sum()) / len(keep)) > max_missing_frac:
                 drop[i] = f"missing fraction {frac:.4f} > {max_missing_frac}"
         if drop:
             changed = True
-            for i in sorted(drop):
-                report.dropped_columns.append({"name": schema[i].name, "reason": drop[i]})
-            keep_idx = [i for i in range(len(schema)) if i not in drop]
-            schema = [schema[i] for i in keep_idx]
-            rows = [[row[i] for i in keep_idx] for row in rows]
+            for i, reason in drop.items():
+                report.dropped_columns.append({"name": schema[i].name, "reason": reason})
+            schema = [c for i, c in enumerate(schema) if i not in drop]
+            columns = [c for i, c in enumerate(columns) if i not in drop]
         if not attribute_indices():
             raise DataError("cleaning dropped every input-attribute column")
 
-    return RawTable(tuple(schema), tuple(tuple(r) for r in rows)), report
+    return RawTable._from_columns(schema, columns), report
+
+
+def _codes(values: np.ndarray) -> np.ndarray:
+    """Integer codes, equal exactly where the cells are equal; missing cells share one."""
+    if values.dtype == np.float64:
+        return np.unique(values, return_inverse=True)[1]
+    seen: dict = {}
+    return np.array([seen.setdefault(c, len(seen)) for c in values.tolist()], dtype=np.int64)
 
 
 def apply_ordinal(table: RawTable) -> RawTable:
-    """Map ordinal string cells to their numeric codes; other cells pass through."""
-    ordinal_idx = [i for i, c in enumerate(table.schema) if c.kind == ORDINAL]
-    if not ordinal_idx:
-        return table
-    rows = []
-    for r, row in enumerate(table.rows):
-        new_row = list(row)
-        for i in ordinal_idx:
-            cell = row[i]
-            if cell is None or isinstance(cell, float):
-                continue
-            mapping = table.schema[i].mapping
-            if cell not in mapping:
-                raise DataError(
-                    f"row {r}, column {table.schema[i].name!r}: "
-                    f"value {cell!r} not in ordinal mapping"
-                )
-            new_row[i] = mapping[cell]
-        rows.append(tuple(new_row))
-    return RawTable(table.schema, tuple(rows))
+    """Map ordinal level labels to their numeric codes; other cells pass through."""
+    columns = list(table.columns)
+    faults = []
+    for j, col in enumerate(table.schema):
+        if col.kind != ORDINAL or columns[j].dtype == np.float64:
+            continue
+        cells = columns[j].tolist()
+        bad = [r for r, c in enumerate(cells) if isinstance(c, str) and c not in col.mapping]
+        if bad:
+            faults.append((bad[0], j, cells[bad[0]]))
+        else:
+            columns[j] = np.array([col.mapping.get(c, c) for c in cells], dtype=np.float64)
+    if faults:
+        r, j, cell = min(faults)
+        raise DataError(
+            f"row {r}, column {table.schema[j].name!r}: value {cell!r} not in ordinal mapping"
+        )
+    return RawTable._from_columns(table.schema, columns)
 
 
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
@@ -302,20 +325,15 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     n, p = table.n_rows, len(table.schema)
     if n == 0:
         return table
-    x = np.empty((n, p), dtype=np.float64)
-    missing = np.zeros((n, p), dtype=bool)
-    for i, row in enumerate(table.rows):
-        for j, cell in enumerate(row):
-            if cell is None:
-                missing[i, j] = True
-                x[i, j] = np.nan
-            elif isinstance(cell, float):
-                x[i, j] = cell
-            else:
-                raise DataError(
-                    f"column {table.schema[j].name!r} holds non-numeric value {cell!r}; "
-                    "imputation requires numeric cells"
-                )
+    for col, values in zip(table.schema, table.columns):
+        if values.dtype != np.float64:
+            cell = next(c for c in values.tolist() if isinstance(c, str))
+            raise DataError(
+                f"column {col.name!r} holds non-numeric value {cell!r}; "
+                "imputation requires numeric cells"
+            )
+    x = np.column_stack(table.columns)
+    missing = np.isnan(x)
     observed_counts = n - missing.sum(axis=0)
     for j, count in enumerate(observed_counts):
         if count < 2:
@@ -325,7 +343,7 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     if not missing.any():
         return table
 
-    col_means = np.nanmean(np.where(missing, np.nan, x), axis=0)
+    col_means = np.nanmean(x, axis=0)
     for j in range(p):
         x[missing[:, j], j] = col_means[j]
 
@@ -349,12 +367,7 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
         if max_change < tol:
             break
 
-    rows = []
-    for i, row in enumerate(table.rows):
-        rows.append(
-            tuple(float(x[i, j]) if missing[i, j] else row[j] for j in range(p))
-        )
-    return RawTable(table.schema, tuple(rows))
+    return RawTable._from_columns(table.schema, x.T)
 
 
 @dataclass(frozen=True)
@@ -531,15 +544,27 @@ def apply_standardizer(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) - stats.mean) / stats.std
 
 
-def _require_complete_cell(cell, col: ColumnDescriptor, row_idx: int):
-    if cell is None:
-        raise DataError(
-            f"row {row_idx}, column {col.name!r}: missing value; impute before transforming"
-        )
-    return cell
+def _require_complete(col: ColumnDescriptor, values: np.ndarray, bad: np.ndarray | None = None):
+    """Raise for the first missing cell, or the first cell flagged in ``bad``."""
+    missing = _missing(values)
+    rows = np.flatnonzero(missing if bad is None else missing | bad)
+    if rows.size == 0:
+        return
+    i = int(rows[0])
+    if missing[i]:
+        raise DataError(f"row {i}, column {col.name!r}: missing value; impute before transforming")
+    raise DataError(
+        f"row {i}, column {col.name!r}: value {values.tolist()[i]!r} "
+        f"not in declared levels {list(col.levels)}"
+    )
 
 
-def transform(table: RawTable, schema: Sequence[ColumnDescriptor] | None = None) -> Dataset:
+def _numbers(table: RawTable, j: int) -> np.ndarray:
+    _require_complete(table.schema[j], table.columns[j])
+    return np.asarray(table.columns[j], dtype=np.float64)
+
+
+def transform(table: RawTable) -> Dataset:
     """Map a complete table to a z-scored numeric Dataset.
 
     Ordinal columns are mapped through their dictionaries (already-numeric
@@ -549,10 +574,6 @@ def transform(table: RawTable, schema: Sequence[ColumnDescriptor] | None = None)
     z-score normalized with population statistics. Features with std below
     1e-12 are set identically to 0 and recorded with std = 1.
     """
-    if schema is not None:
-        cols = validate_schema(schema)
-        if tuple(c.name for c in cols) != tuple(c.name for c in table.schema):
-            raise ConfigError("schema argument does not match the table's columns")
     table = apply_ordinal(table)
     n = table.n_rows
     if n == 0:
@@ -564,51 +585,31 @@ def transform(table: RawTable, schema: Sequence[ColumnDescriptor] | None = None)
     groups_done: set[str] = set()
 
     for idx, col in enumerate(table.schema):
-        cells = [row[idx] for row in table.rows]
-        if col.kind == IDENTIFIER:
-            continue
         if col.kind in (NUMERIC, ORDINAL):
-            values = np.array(
-                [float(_require_complete_cell(c, col, i)) for i, c in enumerate(cells)]
-            )
-            feature_cols.append(values)
+            feature_cols.append(_numbers(table, idx))
             feature_names.append(col.name)
         elif col.kind == TIMESERIES:
             if col.group in groups_done:
                 continue
             groups_done.add(col.group)
-            member_idx = [
-                i for i, c in enumerate(table.schema)
-                if c.kind == TIMESERIES and c.group == col.group
-            ]
             total = np.zeros(n)
-            for mi in member_idx:
-                mcol = table.schema[mi]
-                total += np.array(
-                    [float(_require_complete_cell(row[mi], mcol, i))
-                     for i, row in enumerate(table.rows)]
-                )
+            for mi, mcol in enumerate(table.schema):
+                if mcol.kind == TIMESERIES and mcol.group == col.group:
+                    total += _numbers(table, mi)
             feature_cols.append(total)
             feature_names.append(f"{col.group}_sum")
         elif col.kind == CATEGORICAL:
             level_pos = {lv: i for i, lv in enumerate(col.levels)}
+            values = table.columns[idx]
+            codes = np.array([level_pos.get(c, -1) for c in values.tolist()], dtype=np.int64)
+            _require_complete(col, values, codes < 0)
             indicators = np.zeros((n, len(col.levels)))
-            for i, cell in enumerate(cells):
-                cell = _require_complete_cell(cell, col, i)
-                if cell not in level_pos:
-                    raise DataError(
-                        f"row {i}, column {col.name!r}: value {cell!r} "
-                        f"not in declared levels {list(col.levels)}"
-                    )
-                indicators[i, level_pos[cell]] = 1.0
+            indicators[np.arange(n), codes] = 1.0
             for li, level in enumerate(col.levels):
                 feature_cols.append(indicators[:, li])
                 feature_names.append(f"{col.name}={level}")
         elif col.kind == OUTCOME:
-            values = np.array(
-                [float(_require_complete_cell(c, col, i)) for i, c in enumerate(cells)]
-            )
-            outcome_cols[col.task_index] = (col, values)
+            outcome_cols[col.task_index] = (col, _numbers(table, idx))
 
     if not feature_cols:
         raise DataError("transform produced no feature columns")
@@ -654,21 +655,14 @@ def preprocess_pipeline(
     """
     cleaned, report = clean(raw, max_missing_frac)
     mapped = apply_ordinal(cleaned)
-    numeric_idx = [i for i, c in enumerate(mapped.schema) if c.is_numeric_valued()]
-    has_missing = any(
-        row[i] is None for row in mapped.rows for i in numeric_idx
-    )
-    if has_missing:
-        sub_schema = tuple(mapped.schema[i] for i in numeric_idx)
-        sub_rows = tuple(tuple(row[i] for i in numeric_idx) for row in mapped.rows)
-        imputed = mice_impute(RawTable(sub_schema, sub_rows), mice_sweeps, mice_tol)
-        rows = []
-        for row, sub_row in zip(mapped.rows, imputed.rows):
-            merged = list(row)
-            for pos, i in enumerate(numeric_idx):
-                merged[i] = sub_row[pos]
-            rows.append(tuple(merged))
-        mapped = RawTable(mapped.schema, tuple(rows))
+    numeric = [j for j, c in enumerate(mapped.schema) if c.is_numeric_valued()]
+    if any(_missing(mapped.columns[j]).any() for j in numeric):
+        sub = RawTable._from_columns([mapped.schema[j] for j in numeric],
+                                     [mapped.columns[j] for j in numeric])
+        imputed = dict(zip(numeric, mice_impute(sub, mice_sweeps, mice_tol).columns))
+        mapped = RawTable._from_columns(
+            mapped.schema, [imputed.get(j, c) for j, c in enumerate(mapped.columns)]
+        )
     return transform(mapped), report
 
 
@@ -770,6 +764,8 @@ def save_schema(schema: Sequence[ColumnDescriptor], path: str | Path) -> None:
 def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:
     try:
         doc = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"schema file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return schema_from_json(doc)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,17 +111,3 @@ def classification_metrics(probs: np.ndarray, labels: np.ndarray, positive_class
         if 0 < bin_labels.sum() < len(bin_labels):
             aucs.append(roc_auc(p[:, c], bin_labels))
     return {"f1": float(np.mean(f1s)), "auc": float(np.mean(aucs)) if aucs else None}
-
-
-@dataclass
-class MetricsReport:
-    """Per-task metric values, optionally with a per-fold breakdown."""
-
-    tasks: dict[str, dict[str, float | None]]
-    folds: list[dict[str, dict[str, float | None]]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d: dict = {"tasks": self.tasks}
-        if self.folds:
-            d["folds"] = self.folds
-        return d

@@ -75,6 +75,14 @@ class TestPreprocess:
         )
         assert result.returncode == 2
 
+    def test_missing_schema_exits_2(self, synth_dir, tmp_path):
+        result = run_cli(
+            "preprocess", "--data", synth_dir / "data.csv",
+            "--schema", tmp_path / "nope.json", "--out", tmp_path / "o",
+        )
+        assert result.returncode == 2
+        assert "nope.json" in result.stderr
+
     def test_usage_error_exits_2(self):
         result = run_cli("preprocess", "--data", "x.csv")
         assert result.returncode == 2

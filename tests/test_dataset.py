@@ -80,6 +80,18 @@ class TestLoadCsv:
         table = load_csv(path, (cat, OUT_CLS))
         assert table.rows[0][0] == "red"
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("a,b,label\n1.0,2.0,1\n".encode("utf-8-sig"))
+        table = load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+        assert table.rows == ((1.0, 2.0, 1.0),)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b,label\n1.0,2.0,1\n".encode() + "caf\u00e9".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv.*UTF-8"):
+            load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
 
 class TestClean:
     def test_removes_duplicate_rows_on_attributes_only(self):
@@ -92,6 +104,16 @@ class TestClean:
         assert cleaned.n_rows == 2
         assert report.duplicates_removed == 1
         assert cleaned.rows == ((1.0, 2.0, 1.0), (4.0, 3.0, 1.0))
+
+    def test_rows_missing_the_same_cell_are_duplicates(self):
+        # rows 0 and 2 agree on every attribute, each missing 'a'
+        table = RawTable(
+            (NUM_A, NUM_B, OUT_CLS),
+            ((None, 2.0, 1.0), (1.0, 3.0, 0.0), (None, 2.0, 0.0), (4.0, 5.0, 1.0)),
+        )
+        cleaned, report = clean(table)
+        assert report.duplicates_removed == 1
+        assert cleaned.rows == ((None, 2.0, 1.0), (1.0, 3.0, 0.0), (4.0, 5.0, 1.0))
 
     def test_drops_constant_column(self):
         table = RawTable(
