@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError
 from .network import ModelState, _backprop_head, forward, input_gradients
+from .train import check_compatible
 
 INPUT_GRADIENT = "input_gradient"
 HIDDEN_ACTIVATION = "hidden_activation"
@@ -111,14 +112,7 @@ def grad_cam_features(
     projection.
     """
     topo = state.topology
-    if topo.num_tasks != dataset.n_tasks:
-        raise ConfigError(
-            f"model has {topo.num_tasks} heads, dataset has {dataset.n_tasks} tasks"
-        )
-    if topo.input_dim != dataset.n_features:
-        raise ConfigError(
-            f"model expects {topo.input_dim} features, dataset has {dataset.n_features}"
-        )
+    check_compatible(topo, dataset)
     if not 0 <= task_index < topo.num_tasks:
         raise ConfigError(f"task_index {task_index} out of range")
     dataset.require_complete()

@@ -24,6 +24,7 @@ from . import __version__
 from .attrib import HIDDEN_ACTIVATION, INPUT_GRADIENT, grad_cam_features, top_k
 from .dataset import (
     CLASSIFICATION,
+    CleaningReport,
     Dataset,
     dataset_schema,
     load_csv,
@@ -32,7 +33,7 @@ from .dataset import (
     save_schema,
     write_dataset_csv,
 )
-from .errors import ConfigError, DataError, NumericalError, TabmtlError
+from .errors import ConfigError, NumericalError, TabmtlError
 from .network import LossWeights, load_model, save_model
 from .synth import SynthConfig, generate, save_truth
 from .train import (
@@ -93,20 +94,22 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args) -> tuple[Dataset, CleaningReport]:
     schema = load_schema(args.schema)
     raw = load_csv(args.data, schema)
-    dataset, _ = preprocess_pipeline(
+    return preprocess_pipeline(
         raw,
         max_missing_frac=args.max_missing_frac,
         mice_sweeps=args.mice_sweeps,
         mice_tol=args.mice_tol,
     )
-    return dataset
 
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:
@@ -165,14 +168,7 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    schema = load_schema(args.schema)
-    raw = load_csv(args.data, schema)
-    dataset, report = preprocess_pipeline(
-        raw,
-        max_missing_frac=args.max_missing_frac,
-        mice_sweeps=args.mice_sweeps,
-        mice_tol=args.mice_tol,
-    )
+    dataset, report = _load_dataset(args)
     write_dataset_csv(dataset, out / "dataset.csv")
     save_schema(dataset_schema(dataset), out / "dataset_schema.json")
     _write_json(out / "cleaning_report.json", report.to_dict())
@@ -189,7 +185,7 @@ def cmd_preprocess(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     config = _train_config(dataset, args)
     result = train_model(dataset, config)
     save_model(result.state, out / "model.json", _stats_dict(dataset))
@@ -205,11 +201,10 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     config = _train_config(dataset, args)
     report = cross_validate(
-        dataset, config, k=args.k, seed=args.seed,
-        leaky_stats=args.leaky_stats, n_jobs=args.jobs,
+        dataset, config, k=args.k, seed=args.seed, leaky_stats=args.leaky_stats,
     )
     _write_json(out / "cv_report.json", report.to_dict())
     table = report.render_table()
@@ -223,7 +218,7 @@ def cmd_cv(args) -> int:
 def cmd_gridsearch(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     space = SearchSpace(
         trunk_depths=_parse_int_list(args.trunk_depths),
         trunk_widths=_parse_int_list(args.trunk_widths),
@@ -237,8 +232,7 @@ def cmd_gridsearch(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    result = grid_search(dataset, space, k=args.k,
-                         leaky_stats=args.leaky_stats, n_jobs=args.jobs)
+    result = grid_search(dataset, space, k=args.k, leaky_stats=args.leaky_stats)
     _write_json(out / "gridsearch.json", result.to_dict())
     (out / "best_cv_report.txt").write_text(result.best_report.render_table() + "\n")
     _write_manifest(out, "gridsearch", args,
@@ -253,7 +247,7 @@ def cmd_gridsearch(args) -> int:
 def cmd_attribute(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     state, stats = load_model(args.model)
     if stats is not None and stats.get("feature_names") != list(dataset.feature_names):
         raise ConfigError(
@@ -356,7 +350,7 @@ def _render_report(doc: dict) -> str:
 def cmd_report(args) -> int:
     started = time.time()
     out = _out_dir(args)
-    dataset = _load_dataset(args)
+    dataset, _ = _load_dataset(args)
     doc = _dataset_report(dataset)
     _write_json(out / "report.json", doc)
     text = _render_report(doc)
@@ -429,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--leaky-stats", action="store_true",
                    help="normalize with whole-table statistics instead of per-fold")
-    p.add_argument("--jobs", type=int, default=1, help="folds trained in parallel")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("gridsearch", help="grid search hyperparameters by cross-validation")
@@ -450,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--leaky-stats", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("attribute", help="rank features by gradient importance")
@@ -477,9 +469,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -425,10 +425,6 @@ class NormalizationStats:
     def identity(cls, d: int) -> "NormalizationStats":
         return cls(np.zeros(d), np.ones(d))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -168,21 +168,6 @@ class ModelState:
 
     topology: NetworkTopology
     params: dict[str, np.ndarray]
-
-    def validate(self) -> None:
-        layout = param_layout(self.topology)
-        expected = {name: shape for name, shape, _ in layout}
-        if set(self.params) != set(expected):
-            raise ConfigError("parameter names do not match topology layout")
-        for name, shape in expected.items():
-            arr = self.params[name]
-            if arr.shape != shape:
-                raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite values in parameter {name}")
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.topology, {k: v.copy() for k, v in self.params.items()})
 
 
 def init_params(topology: NetworkTopology, seed: int) -> ModelState:
@@ -483,19 +468,46 @@ def model_to_dict(state: ModelState, normalization_stats: dict | None = None) ->
 
 
 def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
-    if d.get("version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {d.get('version')!r}")
-    topo = NetworkTopology.from_dict(d["topology"])
+    """Model state and normalization stats from a model dict.
+
+    Parameters enter the program from outside only through here, so every
+    one is checked: no unknown names, no missing ones, the layout's shape,
+    and finite values.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError("model document must be a JSON object")
+    for key in ("version", "topology", "params"):
+        if key not in d:
+            raise ConfigError(f"model document has no {key!r} entry")
+    if d["version"] != MODEL_FORMAT_VERSION:
+        raise ConfigError(f"unsupported model format version {d['version']!r}")
+    try:
+        topo = NetworkTopology.from_dict(d["topology"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed topology: {exc!r}") from None
+    if not isinstance(d["params"], dict):
+        raise ConfigError("model params must be a JSON object")
+    layout = param_layout(topo)
+    unknown = sorted(set(d["params"]) - {name for name, _, _ in layout})
+    if unknown:
+        raise ConfigError(f"unknown parameter {unknown[0]}")
     params = {}
-    for name, shape, _ in param_layout(topo):
+    for name, shape, _ in layout:
         if name not in d["params"]:
-            raise ConfigError(f"model file is missing parameter {name}")
-        arr = np.asarray(d["params"][name], dtype=np.float64)
+            raise ConfigError(f"missing parameter {name}")
+        try:
+            arr = np.asarray(d["params"][name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError(f"parameter {name} is not an array of numbers") from None
         if arr.shape != shape:
             raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"parameter {name} has non-finite values")
         params[name] = arr
-    state = ModelState(topo, params)
-    return state, d.get("normalization_stats")
+    stats = d.get("normalization_stats")
+    if stats is not None and not isinstance(stats, dict):
+        raise ConfigError("model normalization_stats must be a JSON object")
+    return ModelState(topo, params), stats
 
 
 def save_model(state: ModelState, path: str | Path, normalization_stats: dict | None = None) -> None:
@@ -503,4 +515,14 @@ def save_model(state: ModelState, path: str | Path, normalization_stats: dict | 
 
 
 def load_model(path: str | Path) -> tuple[ModelState, dict | None]:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """Read a model file written by ``save_model``; any fault names the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read model file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
+    try:
+        return model_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"model file {path}: {exc}") from None

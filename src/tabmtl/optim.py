@@ -44,21 +44,13 @@ class AdamState:
     step_count: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
 
 
-def init_adam(params: ModelState, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              epsilon: float = ADAM_EPSILON) -> AdamState:
-    zeros = {name: np.zeros_like(arr) for name, arr in params.params.items()}
+def init_adam(params: ModelState) -> AdamState:
     return AdamState(
         step_count=0,
-        m=zeros,
+        m={name: np.zeros_like(arr) for name, arr in params.params.items()},
         v={name: np.zeros_like(arr) for name, arr in params.params.items()},
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -85,8 +77,8 @@ def adam_step(
     if set(grads) != set(params.params):
         raise DataError("gradient keys do not match parameter keys")
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
@@ -94,11 +86,11 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise DataError(f"gradient for {name} has shape {g.shape}, expected {p.shape}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        step = m_hat / (np.sqrt(v_hat) + state.epsilon)
+        step = m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         if weight_decay != 0.0 and not name.endswith(".b"):
             step = step + weight_decay * p
         new_params[name] = p - lr * step
@@ -106,5 +98,5 @@ def adam_step(
         new_v[name] = v
     return (
         ModelState(params.topology, new_params),
-        AdamState(t, new_m, new_v, state.beta1, state.beta2, state.epsilon),
+        AdamState(t, new_m, new_v),
     )

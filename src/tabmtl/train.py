@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +43,7 @@ from .optim import ScheduleConfig, adam_step, cosine_lr, init_adam
 # fold f of a run seeded s trains with this derived seed, so folds differ
 # from each other but stay reproducible across runs
 FOLD_SEED_STRIDE = 1000003
+SEARCH_BATCH_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -281,7 +281,6 @@ def cross_validate(
     k: int = 5,
     seed: int = 0,
     leaky_stats: bool = False,
-    n_jobs: int = 1,
 ) -> CvReport:
     """Seeded k-fold evaluation of one configuration.
 
@@ -292,21 +291,8 @@ def cross_validate(
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     plan = kfold_split(dataset.n_rows, k, seed)
-
-    if n_jobs == 1:
-        raw_folds = [
-            _run_fold(dataset, config, plan, f, seed, leaky_stats) for f in range(k)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_run_fold, dataset, config, plan, f, seed, leaky_stats)
-                for f in range(k)
-            ]
-            raw_folds = [f.result() for f in futures]
+    raw_folds = [_run_fold(dataset, config, plan, f, seed, leaky_stats) for f in range(k)]
 
     task_names = dataset.task_names()
     folds = []
@@ -350,7 +336,7 @@ class SearchSpace:
     head is ``head_depth`` hidden layers of ``head_width`` units (all heads
     alike). ``loss_weight_values`` are candidate weights applied to every
     non-primary task while the primary task stays at 1. Batch size is fixed
-    at 64 and the schedule always decays to lr_min = 0.
+    at ``SEARCH_BATCH_SIZE`` (64) and the schedule always decays to lr_min = 0.
     """
 
     trunk_depths: tuple[int, ...] = (1, 2)
@@ -364,7 +350,6 @@ class SearchSpace:
     primary_task: str = ""
     budget: int | None = None
     seed: int = 0
-    batch_size: int = 64
 
     def __post_init__(self):
         for name in (
@@ -416,7 +401,6 @@ def grid_search(
     space: SearchSpace,
     k: int = 5,
     leaky_stats: bool = False,
-    n_jobs: int = 1,
 ) -> GridSearchResult:
     """Exhaustive (or budget-capped) search over the grid, scored by CV.
 
@@ -461,11 +445,10 @@ def grid_search(
             lr0=lr0,
             weight_decay=wd,
             epochs=epochs,
-            batch_size=space.batch_size,
+            batch_size=SEARCH_BATCH_SIZE,
             seed=space.seed,
         )
-        report = cross_validate(dataset, config, k, seed=space.seed,
-                                leaky_stats=leaky_stats, n_jobs=n_jobs)
+        report = cross_validate(dataset, config, k, seed=space.seed, leaky_stats=leaky_stats)
         agg = report.aggregates[space.primary_task]
         if primary.kind == CLASSIFICATION:
             mean_auc = agg["auc"]["mean"]

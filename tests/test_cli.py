@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from tabmtl.cli import main
+from tabmtl.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -87,6 +88,17 @@ class TestPreprocess:
         result = run_cli("preprocess", "--data", "x.csv")
         assert result.returncode == 2
 
+    def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = run_cli(
+            "preprocess", "--data", synth_dir / "data.csv",
+            "--schema", synth_dir / "schema.json", "--out", out,
+        )
+        assert result.returncode == 2
+        assert str(out) in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 @pytest.fixture(scope="module")
 def trained_dir(synth_dir, tmp_path_factory):
@@ -140,18 +152,6 @@ class TestCv:
         assert len(doc["folds"]) == 3
         text = (out / "cv_report.txt").read_text()
         assert "task_a" in text and "pooled" in text
-
-    def test_jobs_flag_gives_same_report(self, synth_dir, tmp_path):
-        args = [
-            "cv", "--data", str(synth_dir / "data.csv"),
-            "--schema", str(synth_dir / "schema.json"),
-            "--trunk", "8", "--head", "", "--epochs", "2",
-            "--batch-size", "16", "--k", "3",
-        ]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--jobs", "3"]) == 0
-        assert (a / "cv_report.json").read_bytes() == (b / "cv_report.json").read_bytes()
 
 
 class TestGridsearch:
@@ -207,6 +207,29 @@ class TestAttribute:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("mutate", [
+        "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",
+    ])
+    def test_bad_model_file_exits_2(self, synth_dir, trained_dir, tmp_path, mutate):
+        text = (trained_dir / "model.json").read_text()
+        model = tmp_path / "model.json"
+        if mutate == "truncated":
+            model.write_text(text[: len(text) // 2])
+        elif mutate == "not_object":
+            model.write_text("[1, 2]")
+        elif mutate.startswith("no_"):
+            doc = json.loads(text)
+            del doc[mutate[3:]]
+            model.write_text(json.dumps(doc))
+        result = run_cli(
+            "attribute", "--data", synth_dir / "data.csv",
+            "--schema", synth_dir / "schema.json",
+            "--model", model, "--out", tmp_path / "o", "--task", "task_a",
+        )
+        assert result.returncode == 2
+        assert str(model) in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestReport:
     def test_summary_contents(self, synth_dir, tmp_path):
@@ -228,3 +251,36 @@ def test_version_flag():
     result = run_cli("--version")
     assert result.returncode == 0
     assert "tabmtl" in result.stdout
+
+
+DATA_OPTIONS = ["--data", "--schema", "--max-missing-frac", "--mice-sweeps", "--mice-tol"]
+TRAIN_OPTIONS = ["--trunk", "--head", "--loss-weights", "--lr0", "--lr-min",
+                 "--weight-decay", "--epochs", "--batch-size", "--seed"]
+OPTION_INVENTORY = {
+    "synth": ["--out", "--n-samples", "--n-features", "--n-informative", "--rho",
+              "--noise-std", "--class-balance", "--missing-frac", "--seed"],
+    "preprocess": DATA_OPTIONS + ["--out"],
+    "train": DATA_OPTIONS + TRAIN_OPTIONS + ["--out"],
+    "cv": DATA_OPTIONS + TRAIN_OPTIONS + ["--out", "--k", "--leaky-stats"],
+    "gridsearch": DATA_OPTIONS + [
+        "--out", "--trunk-depths", "--trunk-widths", "--head-depths", "--head-widths",
+        "--lr0-values", "--weight-decay-values", "--epochs-values", "--loss-weight-values",
+        "--primary-task", "--budget", "--k", "--seed", "--leaky-stats",
+    ],
+    "attribute": DATA_OPTIONS + ["--model", "--out", "--task", "--target-class", "--mode",
+                                 "--top-k"],
+    "report": DATA_OPTIONS + ["--out"],
+}
+
+
+def test_option_inventory():
+    """Every option is listed here, so adding one is a deliberate change."""
+    def options(parser):
+        return sorted(s for a in parser._actions for s in a.option_strings
+                      if s not in ("-h", "--help"))
+
+    parser = build_parser()
+    assert options(parser) == ["--version"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: options(p) for name, p in sub.choices.items()}
+    assert found == {name: sorted(opts) for name, opts in OPTION_INVENTORY.items()}

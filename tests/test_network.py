@@ -325,3 +325,34 @@ class TestSerialization:
         doc["version"] = 99
         with pytest.raises(ConfigError):
             model_from_dict(doc)
+
+    def test_unknown_parameter_rejected(self):
+        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc["params"]["extra.W"] = [[0.0]]
+        with pytest.raises(ConfigError, match="extra.W"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc["params"]["head.0.0.W"][1][0] = bad
+        with pytest.raises(ConfigError, match="head.0.0.W"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("topology", [1]),
+        ("topology", {"input_dim": 2}),
+        ("params", [1.0]),
+        ("normalization_stats", [1.0]),
+    ])
+    def test_malformed_entry_rejected(self, key, value):
+        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc[key] = value
+        with pytest.raises(ConfigError):
+            model_from_dict(doc)
+
+    def test_non_numeric_parameter_rejected(self):
+        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc["params"]["head.0.0.b"] = ["x"]
+        with pytest.raises(ConfigError, match="head.0.0.b"):
+            model_from_dict(doc)

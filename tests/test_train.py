@@ -167,12 +167,10 @@ class TestCrossValidate:
         fold_mse = [f["tasks"]["task_c"]["mse"] for f in report.folds]
         assert report.pooled["task_c"]["mse"] == pytest.approx(np.mean(fold_mse), rel=1e-12)
 
-    def test_deterministic_and_parallel_identical(self):
+    def test_deterministic_rerun(self):
         _, a = self.cv()
         _, b = self.cv()
-        _, c = self.cv(n_jobs=3)
         assert a.to_dict() == b.to_dict()
-        assert a.to_dict() == c.to_dict()
 
     def test_heldout_row_does_not_touch_fold_stats(self):
         rng = np.random.default_rng(4)
