@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError
-from .network import ModelState, _backprop_head, forward, input_gradients
+from .network import ModelState, forward, input_gradients, output_gradient
 from .train import check_compatible
 
 INPUT_GRADIENT = "input_gradient"
@@ -73,27 +73,18 @@ def top_k(report: AttributionReport, k: int) -> list[tuple[str, float]]:
 def _hidden_activation_scores(
     state: ModelState, features: np.ndarray, task_index: int, target_class: int | None
 ) -> np.ndarray:
-    """Experimental: first-shared-layer relevance projected back to features.
+    """First-shared-layer relevance projected back to features.
 
     Relevance of hidden unit h on row i is |activation * gradient of the task
     output w.r.t. that activation|; feature d inherits it in proportion to
     |W1[d, h]|. Coarser than input gradients but cheap to aggregate per layer.
     """
-    topo = state.topology
-    if not topo.shared_layers:
+    if not state.topology.shared_layers:
         raise ConfigError("hidden_activation mode needs at least one shared layer")
     _, cache = forward(state, features)
-    head = topo.heads[task_index]
-    d_out = np.zeros_like(cache.head_out[task_index])
-    if head.kind == CLASSIFICATION:
-        d_out[:, target_class] = 1.0
-    else:
-        d_out[:, 0] = 1.0
-    da = _backprop_head(state, cache, task_index, d_out, None)
-    for i in range(len(topo.shared_layers) - 1, 0, -1):
-        dz = da * (cache.trunk_pre[i] > 0)
-        da = dz @ state.params[f"trunk.{i}.W"].T
-    relevance = np.abs(cache.trunk_act[0] * da)
+    # trunk layer 1's input is the activation of the first shared layer
+    grad = output_gradient(state, cache, task_index, target_class, layer=1)
+    relevance = np.abs(cache.trunk_acts[1] * grad)
     return (relevance @ np.abs(state.params["trunk.0.W"]).T).mean(axis=0)
 
 
@@ -108,7 +99,7 @@ def grad_cam_features(
 
     For classification heads ``target_class`` defaults to the positive class
     (index 1); regression heads take no target. ``mode`` selects the default
-    mean-|input gradient| scores or the experimental hidden-activation
+    mean-|input gradient| scores or the first-shared-layer hidden-activation
     projection.
     """
     topo = state.topology

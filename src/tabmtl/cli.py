@@ -39,7 +39,7 @@ from .synth import SynthConfig, generate, save_truth
 from .train import (
     SearchSpace,
     TrainConfig,
-    _build_topology,
+    build_topology,
     cross_validate,
     evaluate,
     grid_search,
@@ -113,7 +113,7 @@ def _load_dataset(args) -> tuple[Dataset, CleaningReport]:
 
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:
-    topology = _build_topology(
+    topology = build_topology(
         dataset, _parse_int_list(args.trunk), _parse_int_list(args.head)
     )
     weights = None

@@ -647,8 +647,11 @@ def preprocess_pipeline(
 
     Imputation runs on the numeric-valued columns (numeric, mapped ordinal,
     timeseries, outcome) before one-hot expansion; categorical and identifier
-    cells pass through and must already be complete.
+    cells pass through and must already be complete. ``mice_sweeps`` is
+    checked even when no cell is missing.
     """
+    if mice_sweeps < 1:
+        raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")
     cleaned, report = clean(raw, max_missing_frac)
     mapped = apply_ordinal(cleaned)
     numeric = [j for j, c in enumerate(mapped.schema) if c.is_numeric_valued()]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +23,8 @@ CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 LOG_FLOOR = 1e-12
+
+Layer = tuple[str, str]  # the names of one affine layer's weight and bias
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,21 @@ class NetworkTopology:
     def trunk_output_dim(self) -> int:
         return self.shared_layers[-1] if self.shared_layers else self.input_dim
 
+    @cached_property
+    def layers(self) -> tuple[tuple[Layer, ...], tuple[tuple[Layer, ...], ...]]:
+        """The (weight, bias) parameter names of the trunk's layers and of each head's.
+
+        Layer (W, b) computes ``a @ params[W] + params[b]``. Each is followed
+        by a ReLU except a head's last layer, its output affine.
+        """
+        def layer(prefix: str) -> Layer:
+            return f"{prefix}.W", f"{prefix}.b"
+
+        trunk = tuple(layer(f"trunk.{i}") for i in range(len(self.shared_layers)))
+        heads = tuple(tuple(layer(f"head.{j}.{l}") for l in range(len(h.hidden_layers) + 1))
+                      for j, h in enumerate(self.heads))
+        return trunk, heads
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -137,19 +155,16 @@ def as_loss_weights(weights: LossWeights | Sequence[float]) -> LossWeights:
 
 def param_layout(topology: NetworkTopology) -> list[tuple[str, tuple[int, ...], bool]]:
     """Deterministic (name, shape, is_bias) listing of every parameter array."""
+    trunk, heads = topology.layers
+    stacks = [(trunk, topology.input_dim, topology.shared_layers)] + [
+        (layers, topology.trunk_output_dim, (*head.hidden_layers, head.output_dim))
+        for layers, head in zip(heads, topology.heads)
+    ]
     layout: list[tuple[str, tuple[int, ...], bool]] = []
-    fan_in = topology.input_dim
-    for i, width in enumerate(topology.shared_layers):
-        layout.append((f"trunk.{i}.W", (fan_in, width), False))
-        layout.append((f"trunk.{i}.b", (width,), True))
-        fan_in = width
-    trunk_out = fan_in
-    for j, head in enumerate(topology.heads):
-        fan_in = trunk_out
-        widths = list(head.hidden_layers) + [head.output_dim]
-        for l, width in enumerate(widths):
-            layout.append((f"head.{j}.{l}.W", (fan_in, width), False))
-            layout.append((f"head.{j}.{l}.b", (width,), True))
+    for layers, fan_in, widths in stacks:
+        for (w, b), width in zip(layers, widths):
+            layout.append((w, (fan_in, width), False))
+            layout.append((b, (width,), True))
             fan_in = width
     return layout
 
@@ -190,20 +205,24 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations for one batch."""
+    """Each layer's input and affine output for one batch.
 
-    batch: np.ndarray
+    ``trunk_acts[i]`` and ``trunk_pre[i]`` are trunk layer i's input and
+    affine output; ``trunk_acts`` starts at the batch and ends at the trunk
+    output. ``head_acts[j][l]`` is the input of layer l of head j,
+    ``head_pre[j]`` holds its hidden layers and ``head_out[j]`` its output.
+    """
+
+    trunk_acts: list[np.ndarray]
     trunk_pre: list[np.ndarray]
-    trunk_act: list[np.ndarray]
-    trunk_out: np.ndarray
+    head_acts: list[list[np.ndarray]]
     head_pre: list[list[np.ndarray]]
-    head_act: list[list[np.ndarray]]
     head_out: list[np.ndarray]
     probs: list[np.ndarray | None]
 
     @property
     def batch_size(self) -> int:
-        return self.batch.shape[0]
+        return self.trunk_acts[0].shape[0]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -216,6 +235,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _affine(state: ModelState, layer: Layer, a: np.ndarray) -> np.ndarray:
+    w, b = layer
+    return a @ state.params[w] + state.params[b]
+
+
+def _relu_layers(state: ModelState, layers: Sequence[Layer], a: np.ndarray) -> tuple[list, list]:
+    """Run ReLU layers forward from ``a``: the activations from ``a`` on, and pre-activations."""
+    acts = [a]
+    pre: list[np.ndarray] = []
+    for layer in layers:
+        z = _affine(state, layer, acts[-1])
+        pre.append(z)
+        acts.append(relu(z))
+    return acts, pre
 
 
 def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], ForwardCache]:
@@ -233,44 +268,15 @@ def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], For
     if not np.all(np.isfinite(x)):
         raise DataError("batch contains non-finite values")
 
-    trunk_pre: list[np.ndarray] = []
-    trunk_act: list[np.ndarray] = []
-    h = x
-    for i in range(len(topo.shared_layers)):
-        z = h @ state.params[f"trunk.{i}.W"] + state.params[f"trunk.{i}.b"]
-        trunk_pre.append(z)
-        h = relu(z)
-        trunk_act.append(h)
-    trunk_out = h
-
-    predictions: list[np.ndarray] = []
-    head_pre: list[list[np.ndarray]] = []
-    head_act: list[list[np.ndarray]] = []
-    head_out: list[np.ndarray] = []
-    probs: list[np.ndarray | None] = []
-    for j, head in enumerate(topo.heads):
-        a = trunk_out
-        pre_j: list[np.ndarray] = []
-        act_j: list[np.ndarray] = []
-        for l in range(len(head.hidden_layers)):
-            z = a @ state.params[f"head.{j}.{l}.W"] + state.params[f"head.{j}.{l}.b"]
-            pre_j.append(z)
-            a = relu(z)
-            act_j.append(a)
-        l_out = len(head.hidden_layers)
-        out = a @ state.params[f"head.{j}.{l_out}.W"] + state.params[f"head.{j}.{l_out}.b"]
-        head_pre.append(pre_j)
-        head_act.append(act_j)
-        head_out.append(out)
-        if head.kind == CLASSIFICATION:
-            p = softmax(out)
-            probs.append(p)
-            predictions.append(p)
-        else:
-            probs.append(None)
-            predictions.append(out[:, 0])
-
-    cache = ForwardCache(x, trunk_pre, trunk_act, trunk_out, head_pre, head_act, head_out, probs)
+    trunk, heads = topo.layers
+    trunk_acts, trunk_pre = _relu_layers(state, trunk, x)
+    hidden = [_relu_layers(state, layers[:-1], trunk_acts[-1]) for layers in heads]
+    head_out = [_affine(state, layers[-1], acts[-1]) for layers, (acts, _) in zip(heads, hidden)]
+    probs = [softmax(out) if head.kind == CLASSIFICATION else None
+             for head, out in zip(topo.heads, head_out)]
+    predictions = [out[:, 0] if p is None else p for out, p in zip(head_out, probs)]
+    head_acts, head_pre = [acts for acts, _ in hidden], [pre for _, pre in hidden]
+    cache = ForwardCache(trunk_acts, trunk_pre, head_acts, head_pre, head_out, probs)
     return predictions, cache
 
 
@@ -325,7 +331,7 @@ def _check_cache(state: ModelState, cache: ForwardCache) -> None:
     topo = state.topology
     if len(cache.trunk_pre) != len(topo.shared_layers) or len(cache.head_out) != topo.num_tasks:
         raise DataError("cache does not match model topology")
-    if cache.batch.shape[1] != topo.input_dim:
+    if cache.trunk_acts[0].shape[1] != topo.input_dim:
         raise DataError("cache batch width does not match model input_dim")
     for j, head in enumerate(topo.heads):
         if cache.head_out[j].shape[1] != head.output_dim:
@@ -354,46 +360,26 @@ def _head_output_grad(
     return (cache.head_out[j] - y[:, None]) * (2.0 * lam / n)
 
 
-def _backprop_head(
-    state: ModelState,
-    cache: ForwardCache,
-    j: int,
-    d_out: np.ndarray,
-    grads: dict[str, np.ndarray] | None,
+def _backprop(
+    state: ModelState, layers: Sequence[Layer], acts: Sequence[np.ndarray],
+    pre: Sequence[np.ndarray], grad: np.ndarray, grads: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Backpropagate d_out through head j; returns gradient w.r.t. the trunk output."""
-    head = state.topology.heads[j]
-    acts = [cache.trunk_out] + cache.head_act[j]
-    dz = d_out
-    for l in range(len(head.hidden_layers), -1, -1):
-        w = state.params[f"head.{j}.{l}.W"]
-        if grads is not None:
-            grads[f"head.{j}.{l}.W"] = acts[l].T @ dz
-            grads[f"head.{j}.{l}.b"] = dz.sum(axis=0)
-        da = dz @ w.T
-        if l > 0:
-            dz = da * (cache.head_pre[j][l - 1] > 0)
-    return da
+    """Carry ``grad`` from the output of ``layers`` back to the first one's input.
 
-
-def _backprop_trunk(
-    state: ModelState,
-    cache: ForwardCache,
-    d_trunk_out: np.ndarray,
-    grads: dict[str, np.ndarray] | None,
-) -> np.ndarray:
-    """Backpropagate through the trunk; returns gradient w.r.t. the input batch."""
-    topo = state.topology
-    acts = [cache.batch] + cache.trunk_act
-    da = d_trunk_out
-    for i in range(len(topo.shared_layers) - 1, -1, -1):
-        dz = da * (cache.trunk_pre[i] > 0)
-        w = state.params[f"trunk.{i}.W"]
+    ``acts[i]`` and ``pre[i]`` are layer i's input and affine output. A
+    layer with a ``pre`` entry is ReLU and ``grad`` arrives at its
+    activation; a last layer past the end of ``pre`` is a head's output
+    affine. Given a dict, ``grads`` receives every layer's W and b gradients.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        w, b = layers[i]
+        if i < len(pre):
+            grad = grad * (pre[i] > 0)
         if grads is not None:
-            grads[f"trunk.{i}.W"] = acts[i].T @ dz
-            grads[f"trunk.{i}.b"] = dz.sum(axis=0)
-        da = dz @ w.T
-    return da
+            grads[w] = acts[i].T @ grad
+            grads[b] = grad.sum(axis=0)
+        grad = grad @ state.params[w].T
+    return grad
 
 
 def backward(
@@ -414,12 +400,13 @@ def backward(
     if len(targets) != topo.num_tasks or len(w) != topo.num_tasks:
         raise DataError(f"expected {topo.num_tasks} targets and weights")
 
+    trunk, heads = topo.layers
     grads: dict[str, np.ndarray] = {}
-    d_trunk_out = np.zeros_like(cache.trunk_out)
+    d_trunk = np.zeros_like(cache.trunk_acts[-1])
     for j, head in enumerate(topo.heads):
         d_out = _head_output_grad(head, cache, j, targets[j], w.values[j])
-        d_trunk_out += _backprop_head(state, cache, j, d_out, grads)
-    _backprop_trunk(state, cache, d_trunk_out, grads)
+        d_trunk += _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+    _backprop(state, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads)
     # layout order, so downstream consumers see a deterministic key order
     return {name: grads[name] for name, _, _ in param_layout(topo)}
 
@@ -443,13 +430,26 @@ def input_gradients(
         if not 0 <= target_class < head.num_classes:
             raise ConfigError(f"target_class {target_class} out of range [0, {head.num_classes})")
     _, cache = forward(state, batch)
+    return output_gradient(state, cache, task_index, target_class)
+
+
+def output_gradient(
+    state: ModelState, cache: ForwardCache, task_index: int,
+    target_class: int | None = None, layer: int = 0,
+) -> np.ndarray:
+    """Per-sample gradient of one head's raw output w.r.t. trunk layer ``layer``'s input.
+
+    Layer 0's input is the batch, and ``layer`` equal to the trunk depth
+    means the trunk output. The output is the logit of ``target_class`` for
+    a classification head and the scalar output for a regression head.
+    """
+    trunk, heads = state.topology.layers
+    head = state.topology.heads[task_index]
     d_out = np.zeros_like(cache.head_out[task_index])
-    if head.kind == CLASSIFICATION:
-        d_out[:, target_class] = 1.0
-    else:
-        d_out[:, 0] = 1.0
-    d_trunk_out = _backprop_head(state, cache, task_index, d_out, None)
-    return _backprop_trunk(state, cache, d_trunk_out, None)
+    d_out[:, target_class if head.kind == CLASSIFICATION else 0] = 1.0
+    j, below = task_index, slice(layer, None)
+    grad = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out)
+    return _backprop(state, trunk[below], cache.trunk_acts[below], cache.trunk_pre[below], grad)
 
 
 MODEL_FORMAT_VERSION = 1

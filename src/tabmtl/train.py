@@ -17,6 +17,7 @@ from .dataset import (
     CLASSIFICATION,
     Dataset,
     FoldPlan,
+    OutcomeVector,
     apply_standardizer,
     fit_standardizer,
     kfold_split,
@@ -44,6 +45,8 @@ from .optim import ScheduleConfig, adam_step, cosine_lr, init_adam
 # from each other but stay reproducible across runs
 FOLD_SEED_STRIDE = 1000003
 SEARCH_BATCH_SIZE = 64
+# an epoch whose mean loss exceeds this multiple of the first step's loss has diverged
+DIVERGENCE_FACTOR = 1e6
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,12 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
     Rows are reshuffled every epoch with the config seed's PRNG; the final
     partial batch of an epoch is kept at its true size. History records one
     entry per epoch with the sample-weighted mean total loss and per-task
-    losses. Raises NumericalError if the loss goes non-finite.
+    losses.
+
+    Raises NumericalError naming the step if a batch loss is non-finite, and
+    naming the epoch if at its end any parameter is non-finite or the
+    epoch's mean total loss exceeds ``DIVERGENCE_FACTOR`` (1e6) times the
+    loss of the first step.
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
@@ -154,34 +162,48 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 raise NumericalError(
                     f"non-finite training loss at step {step} (epoch {epoch})"
                 )
+            if step == 0:
+                first_loss = total
             grads = backward(state, cache, batch_targets, weights)
             lr = cosine_lr(step, schedule)
             state, adam = adam_step(state, grads, adam, lr, config.weight_decay)
             step += 1
             loss_sum += total * len(idx)
             task_sums += np.array(task_losses) * len(idx)
+        mean_loss = loss_sum / n
+        if not all(np.all(np.isfinite(p)) for p in state.params.values()):
+            raise NumericalError(f"training diverged: non-finite parameters after epoch {epoch}")
+        if mean_loss > DIVERGENCE_FACTOR * first_loss:
+            raise NumericalError(
+                f"training diverged: epoch {epoch} mean loss {mean_loss:.6g} exceeds "
+                f"{DIVERGENCE_FACTOR:g} x the first step's loss {first_loss:.6g}"
+            )
         history.append(
             {
                 "epoch": epoch,
-                "total_loss": loss_sum / n,
+                "total_loss": mean_loss,
                 "task_losses": (task_sums / n).tolist(),
             }
         )
     return TrainResult(state, history)
 
 
+def _task_metrics(
+    predictions: list[np.ndarray], outcomes: tuple[OutcomeVector, ...]
+) -> dict[str, dict]:
+    """Per-task metrics: f1/auc for classification heads, mse for regression."""
+    return {
+        o.task_name: classification_metrics(pred, o.values) if o.kind == CLASSIFICATION
+        else {"mse": mse_metric(pred, o.values)}
+        for pred, o in zip(predictions, outcomes)
+    }
+
+
 def evaluate(state: ModelState, dataset: Dataset) -> dict:
     """Per-task metrics: f1/auc for classification heads, mse for regression."""
     dataset.require_complete()
     check_compatible(state.topology, dataset)
-    predictions = predict(state, dataset.features)
-    tasks: dict[str, dict] = {}
-    for pred, outcome in zip(predictions, dataset.outcomes):
-        if outcome.kind == CLASSIFICATION:
-            tasks[outcome.task_name] = classification_metrics(pred, outcome.values)
-        else:
-            tasks[outcome.task_name] = {"mse": mse_metric(pred, outcome.values)}
-    return {"tasks": tasks}
+    return {"tasks": _task_metrics(predict(state, dataset.features), dataset.outcomes)}
 
 
 def _mean_std(values: list[float]) -> dict:
@@ -263,13 +285,12 @@ def _run_fold(
     fold_config = replace(config, seed=seed * FOLD_SEED_STRIDE + fold)
     result = train_model(subset_rows(fold_dataset, train_idx), fold_config)
     test_set = subset_rows(fold_dataset, test_idx)
-    metrics = evaluate(result.state, test_set)
     predictions = predict(result.state, test_set.features)
     return {
         "fold": fold,
         "test_indices": test_idx,
         "stats": stats,
-        "tasks": metrics["tasks"],
+        "tasks": _task_metrics(predictions, test_set.outcomes),
         "predictions": predictions,
         "final_loss": result.final_loss,
     }
@@ -315,15 +336,13 @@ def cross_validate(
         }
 
     # pooled: every row scored exactly once by the model that did not see it
-    pooled: dict[str, dict] = {}
     order = np.concatenate([rf["test_indices"] for rf in raw_folds])
     inverse = np.argsort(order)
-    for j, outcome in enumerate(dataset.outcomes):
-        stacked = np.concatenate([rf["predictions"][j] for rf in raw_folds])[inverse]
-        if outcome.kind == CLASSIFICATION:
-            pooled[outcome.task_name] = classification_metrics(stacked, outcome.values)
-        else:
-            pooled[outcome.task_name] = {"mse": mse_metric(stacked, outcome.values)}
+    pooled = _task_metrics(
+        [np.concatenate([rf["predictions"][j] for rf in raw_folds])[inverse]
+         for j in range(dataset.n_tasks)],
+        dataset.outcomes,
+    )
 
     return CvReport(k, seed, task_names, folds, aggregates, pooled)
 
@@ -388,7 +407,10 @@ class GridSearchResult:
         }
 
 
-def _build_topology(dataset: Dataset, trunk: tuple[int, ...], head_hidden: tuple[int, ...]) -> NetworkTopology:
+def build_topology(
+    dataset: Dataset, trunk: tuple[int, ...], head_hidden: tuple[int, ...]
+) -> NetworkTopology:
+    """A shared ``trunk``, then one head per outcome with hidden widths ``head_hidden``."""
     heads = tuple(
         HeadSpec(head_hidden, o.kind, o.num_classes if o.num_classes else 1)
         for o in dataset.outcomes
@@ -435,7 +457,7 @@ def grid_search(
     best = None  # (score, n_params, enum_index, report, params)
     for enum_index in indices:
         td, tw, hd, hw, lr0, wd, epochs, lam = combos[enum_index]
-        topology = _build_topology(dataset, (tw,) * td, (hw,) * hd)
+        topology = build_topology(dataset, (tw,) * td, (hw,) * hd)
         weights = tuple(
             1.0 if j == primary_index else lam for j in range(dataset.n_tasks)
         )

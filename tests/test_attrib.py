@@ -132,8 +132,33 @@ class TestTrainedModel:
         config = TrainConfig(topo, lr0=0.01, epochs=40, batch_size=64, seed=0)
         result = train_model(ds, config)
         assert evaluate(result.state, ds)["tasks"]["task_a"]["auc"] > 0.9
-        report = grad_cam_features(result.state, ds, task_index=0)
-        assert set(report.ranking()[:3]) == set(truth.informative_indices)
+        for mode in (INPUT_GRADIENT, HIDDEN_ACTIVATION):
+            for task_index in range(3):
+                report = grad_cam_features(result.state, ds, task_index=task_index, mode=mode)
+                assert set(report.ranking()[:3]) == set(truth.informative_indices), (
+                    mode, task_index)
+
+    def test_permutation_layer_leaves_scores_unchanged(self):
+        # relu(relu(z) @ P) = relu(z) @ P, and (h @ P) @ (P.T @ W) = h @ W: a
+        # permutation layer on top of the trunk changes neither the outputs
+        # nor any attribution, so every trunk layer must be walked back
+        ds, _ = generate(SynthConfig(n_samples=50, n_features=6, n_informative=3, seed=8))
+        heads = (
+            HeadSpec((4,), "classification", 2),
+            HeadSpec((), "classification", 2),
+            HeadSpec((3,), "regression"),
+        )
+        state = init_params(NetworkTopology(6, (5,), heads), 3)
+        perm = np.eye(5)[[3, 0, 4, 1, 2]]
+        params = dict(state.params, **{"trunk.1.W": perm, "trunk.1.b": np.zeros(5)})
+        for j in range(3):
+            params[f"head.{j}.0.W"] = perm.T @ state.params[f"head.{j}.0.W"]
+        permuted = ModelState(NetworkTopology(6, (5, 5), heads), params)
+        for mode in (INPUT_GRADIENT, HIDDEN_ACTIVATION):
+            for task_index in range(3):
+                base = grad_cam_features(state, ds, task_index=task_index, mode=mode)
+                other = grad_cam_features(permuted, ds, task_index=task_index, mode=mode)
+                np.testing.assert_allclose(other.scores, base.scores, rtol=0, atol=1e-12)
 
     def test_hidden_activation_mode_runs(self):
         ds, _ = generate(SynthConfig(n_samples=100, n_features=6,

@@ -88,6 +88,21 @@ class TestPreprocess:
         result = run_cli("preprocess", "--data", "x.csv")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("missing_frac", ["0", "0.1"])
+    def test_mice_sweeps_below_1_exits_2(self, tmp_path, missing_frac):
+        # rejected whether or not the table has a cell to impute
+        code = main(["synth", "--out", str(tmp_path / "s"), "--n-samples", "60",
+                     "--missing-frac", missing_frac, "--seed", "1"])
+        assert code == 0
+        result = run_cli(
+            "preprocess", "--data", tmp_path / "s" / "data.csv",
+            "--schema", tmp_path / "s" / "schema.json", "--out", tmp_path / "o",
+            "--mice-sweeps", "0",
+        )
+        assert result.returncode == 2
+        assert "mice_sweeps" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")
@@ -135,6 +150,17 @@ class TestTrain:
         )
         assert result.returncode == 3
         assert "numerical" in result.stderr
+
+    def test_finite_blowup_exits_3(self, synth_dir, tmp_path):
+        # the loss stays finite (about 1e41) but far above the first step's
+        result = run_cli(
+            "train", "--data", synth_dir / "data.csv",
+            "--schema", synth_dir / "schema.json", "--out", tmp_path / "o",
+            "--lr0", "1e6", "--epochs", "5",
+        )
+        assert result.returncode == 3
+        assert "diverged" in result.stderr and "epoch" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestCv:

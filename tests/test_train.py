@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector
+from tabmtl import train
 from tabmtl.errors import ConfigError, NumericalError
-from tabmtl.network import HeadSpec, LossWeights, NetworkTopology, init_params
+from tabmtl.network import HeadSpec, LossWeights, NetworkTopology, init_params, predict
 from tabmtl.synth import SynthConfig, generate
 from tabmtl.train import (
     SearchSpace,
@@ -121,6 +122,17 @@ class TestTrainModel:
         with pytest.raises(NumericalError):
             train_model(ds, config)
 
+    def test_finite_loss_blowup_is_divergence(self):
+        ds = synth_dataset(n=60)
+        config = TrainConfig(small_topology(), lr0=1e6, epochs=5, batch_size=16)
+        with pytest.raises(NumericalError, match="epoch"):
+            train_model(ds, config)
+        # a large but recovering step size stays under the bound
+        ds = synth_dataset(n=400, d=15)
+        result = train_model(ds, TrainConfig(small_topology(d=15, trunk=(64,), head=(32,)),
+                                             lr0=1.0, epochs=5))
+        assert np.isfinite(result.final_loss)
+
     def test_rejects_missing_features(self):
         ds, _ = generate(SynthConfig(n_samples=30, missing_frac=0.1, seed=0))
         config = TrainConfig(small_topology(d=30, trunk=(4,)), epochs=1)
@@ -166,6 +178,12 @@ class TestCrossValidate:
         _, report = self.cv()
         fold_mse = [f["tasks"]["task_c"]["mse"] for f in report.folds]
         assert report.pooled["task_c"]["mse"] == pytest.approx(np.mean(fold_mse), rel=1e-12)
+
+    def test_one_prediction_per_fold(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train, "predict", lambda *a: calls.append(1) or predict(*a))
+        self.cv()
+        assert len(calls) == 4
 
     def test_deterministic_rerun(self):
         _, a = self.cv()
