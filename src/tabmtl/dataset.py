@@ -68,8 +68,8 @@ class ColumnDescriptor:
                 raise ConfigError(f"ordinal column {self.name!r} needs a mapping")
             object.__setattr__(self, "mapping", {str(k): float(v) for k, v in self.mapping.items()})
         elif self.kind == TIMESERIES:
-            if not self.group:
-                raise ConfigError(f"timeseries column {self.name!r} needs a group")
+            if not self.group or not isinstance(self.group, str):
+                raise ConfigError(f"timeseries column {self.name!r} needs a group name")
         elif self.kind == OUTCOME:
             if self.task_index is None or self.task_index < 0:
                 raise ConfigError(f"outcome column {self.name!r} needs task_index >= 0")
@@ -112,47 +112,34 @@ def _missing(values: np.ndarray) -> np.ndarray:
     return np.isnan(values) if values.dtype == np.float64 else np.equal(values, None)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class RawTable:
     """Parsed cells in schema column order, one read-only 1-D array per column.
 
-    A column whose cells are all numbers or missing is float64, and NaN marks
-    a missing cell; ``load_csv`` rejects non-finite input, so NaN never means
-    anything else. Any other column (categorical, identifier, or ordinal while
-    it still holds level labels) is an object array of str, float and None,
-    with None for missing.
-
-    ``RawTable(schema, rows)`` builds a table from row tuples of None, float
-    and str cells, and ``rows`` reads it back that way.
+    ``columns`` holds one sequence of None, float and str cells per schema
+    entry, all of one length. A column whose cells are all numbers or missing
+    is stored as float64, and NaN marks a missing cell; ``load_csv`` rejects
+    non-finite input, so NaN never means anything else. Any other column
+    (categorical, identifier, or ordinal while it still holds level labels)
+    is an object array of str, float and None, with None for missing.
     """
 
     schema: tuple[ColumnDescriptor, ...]
     columns: tuple[np.ndarray, ...]
 
-    def __init__(self, schema: Sequence[ColumnDescriptor], rows: Sequence[Sequence]):
-        schema = validate_schema(schema)
-        rows = [tuple(r) for r in rows]
-        for i, row in enumerate(rows):
-            if len(row) != len(schema):
-                raise DataError(f"row {i} has {len(row)} cells, expected {len(schema)}")
-        self._fill(schema, [[row[j] for row in rows] for j in range(len(schema))])
-
-    @classmethod
-    def _from_columns(cls, schema: Sequence[ColumnDescriptor], columns) -> "RawTable":
-        return cls.__new__(cls)._fill(schema, columns)
-
-    def _fill(self, schema, columns) -> "RawTable":
-        object.__setattr__(self, "schema", validate_schema(schema))
-        object.__setattr__(self, "columns", tuple(_column(c) for c in columns))
-        return self
+    def __post_init__(self):
+        schema, columns = validate_schema(self.schema), tuple(self.columns)
+        if len(columns) != len(schema):
+            raise DataError(f"{len(columns)} columns for {len(schema)} schema entries")
+        columns = tuple(_column(c) for c in columns)
+        if len({len(c) for c in columns}) > 1:
+            raise DataError(f"columns have unequal lengths {[len(c) for c in columns]}")
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n_rows(self) -> int:
         return len(self.columns[0]) if self.columns else 0
-
-    @property
-    def rows(self) -> tuple[tuple, ...]:
-        return tuple(zip(*(np.where(_missing(c), None, c).tolist() for c in self.columns)))
 
 
 def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
@@ -181,8 +168,6 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     """
     cols = validate_schema(schema)
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -209,7 +194,11 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
                     cells.append(_parse_cell(record[pos], col, row_idx))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from None
-    return RawTable._from_columns(cols, [cells for _, _, cells in fields])
+    except OSError as exc:  # missing, a directory, unreadable
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    return RawTable(cols, [cells for _, _, cells in fields])
 
 
 @dataclass
@@ -276,7 +265,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
         if not attribute_indices():
             raise DataError("cleaning dropped every input-attribute column")
 
-    return RawTable._from_columns(schema, columns), report
+    return RawTable(schema, columns), report
 
 
 def _codes(values: np.ndarray) -> np.ndarray:
@@ -305,15 +294,18 @@ def apply_ordinal(table: RawTable) -> RawTable:
         raise DataError(
             f"row {r}, column {table.schema[j].name!r}: value {cell!r} not in ordinal mapping"
         )
-    return RawTable._from_columns(table.schema, columns)
+    return RawTable(table.schema, columns)
 
 
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
-    """Fill missing cells by chained least-squares regressions.
+    """Fill the missing cells of the numeric-valued columns by chained regressions.
 
-    Missing cells start at their column means. Incomplete columns are then
-    swept in ascending order of missing count (ties by schema order); each is
-    regressed on all other columns over its observed rows, with ridge damping
+    Numeric, ordinal (mapped to codes), timeseries and outcome columns are
+    imputed; categorical and identifier columns pass through unchanged and
+    are not used as predictors. Missing cells start at their column means.
+    Incomplete columns are then swept in ascending order of missing count
+    (ties by schema order); each is regressed, with an intercept, on the
+    other numeric-valued columns over its observed rows, with ridge damping
     1e-8*I on the normal equations, and its missing cells are overwritten by
     the fit's predictions. Sweeps stop when the largest absolute change of
     any imputed cell drops below ``tol`` or after ``max_sweeps`` sweeps.
@@ -322,20 +314,23 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     """
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    n, p = table.n_rows, len(table.schema)
-    if n == 0:
+    numeric = [j for j, c in enumerate(table.schema) if c.is_numeric_valued()]
+    n, p = table.n_rows, len(numeric)
+    if n == 0 or p == 0:
         return table
-    for col, values in zip(table.schema, table.columns):
-        if values.dtype != np.float64:
-            cell = next(c for c in values.tolist() if isinstance(c, str))
+    for j in numeric:
+        if table.columns[j].dtype != np.float64:
+            cell = next(c for c in table.columns[j].tolist() if isinstance(c, str))
             raise DataError(
-                f"column {col.name!r} holds non-numeric value {cell!r}; "
+                f"column {table.schema[j].name!r} holds non-numeric value {cell!r}; "
                 "imputation requires numeric cells"
             )
-    x = np.column_stack(table.columns)
+    # one [1, X] design matrix: numeric column k is x's column k, design's k + 1
+    design = np.column_stack([np.ones(n), *(table.columns[j] for j in numeric)])
+    x = design[:, 1:]
     missing = np.isnan(x)
     observed_counts = n - missing.sum(axis=0)
-    for j, count in enumerate(observed_counts):
+    for j, count in zip(numeric, observed_counts):
         if count < 2:
             raise DataError(
                 f"column {table.schema[j].name!r} has {count} observed values; need at least 2"
@@ -344,30 +339,35 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
         return table
 
     col_means = np.nanmean(x, axis=0)
-    for j in range(p):
-        x[missing[:, j], j] = col_means[j]
+    for k in range(p):
+        x[missing[:, k], k] = col_means[k]
 
-    incomplete = [j for j in range(p) if missing[:, j].any()]
-    incomplete.sort(key=lambda j: (int(missing[:, j].sum()), j))
+    # each link of the chain fixes a column's observed and missing rows and its
+    # predictors (the intercept and the other columns), so a sweep only gathers cells
+    ridge = MICE_RIDGE * np.eye(p)
+    chain = []
+    incomplete = np.flatnonzero(missing.any(axis=0))
+    for k in sorted(incomplete, key=lambda k: (int(missing[:, k].sum()), k)):
+        predictors = [0] + [c + 1 for c in range(p) if c != k]
+        miss_rows, obs_rows = missing[:, k], ~missing[:, k]
+        chain.append((k + 1, obs_rows, miss_rows,
+                      np.ix_(obs_rows, predictors), np.ix_(miss_rows, predictors)))
 
     for _ in range(max_sweeps):
         max_change = 0.0
-        for j in incomplete:
-            miss_rows = missing[:, j]
-            obs_rows = ~miss_rows
-            others = [c for c in range(p) if c != j]
-            a_obs = np.column_stack([np.ones(int(obs_rows.sum())), x[np.ix_(obs_rows, others)]])
-            b_obs = x[obs_rows, j]
-            gram = a_obs.T @ a_obs + MICE_RIDGE * np.eye(a_obs.shape[1])
-            beta = np.linalg.solve(gram, a_obs.T @ b_obs)
-            a_miss = np.column_stack([np.ones(int(miss_rows.sum())), x[np.ix_(miss_rows, others)]])
-            preds = a_miss @ beta
-            max_change = max(max_change, float(np.max(np.abs(preds - x[miss_rows, j]))))
-            x[miss_rows, j] = preds
+        for c, obs_rows, miss_rows, obs_cells, miss_cells in chain:
+            a_obs = design[obs_cells]
+            beta = np.linalg.solve(a_obs.T @ a_obs + ridge, a_obs.T @ design[obs_rows, c])
+            preds = design[miss_cells] @ beta
+            max_change = max(max_change, float(np.max(np.abs(preds - design[miss_rows, c]))))
+            design[miss_rows, c] = preds
         if max_change < tol:
             break
 
-    return RawTable._from_columns(table.schema, x.T)
+    columns = list(table.columns)
+    for k, j in enumerate(numeric):
+        columns[j] = design[:, k + 1]
+    return RawTable(table.schema, columns)
 
 
 @dataclass(frozen=True)
@@ -654,14 +654,9 @@ def preprocess_pipeline(
         raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")
     cleaned, report = clean(raw, max_missing_frac)
     mapped = apply_ordinal(cleaned)
-    numeric = [j for j, c in enumerate(mapped.schema) if c.is_numeric_valued()]
-    if any(_missing(mapped.columns[j]).any() for j in numeric):
-        sub = RawTable._from_columns([mapped.schema[j] for j in numeric],
-                                     [mapped.columns[j] for j in numeric])
-        imputed = dict(zip(numeric, mice_impute(sub, mice_sweeps, mice_tol).columns))
-        mapped = RawTable._from_columns(
-            mapped.schema, [imputed.get(j, c) for j, c in enumerate(mapped.columns)]
-        )
+    if any(_missing(v).any() for c, v in zip(mapped.schema, mapped.columns)
+           if c.is_numeric_valued()):
+        mapped = mice_impute(mapped, mice_sweeps, mice_tol)
     return transform(mapped), report
 
 
@@ -735,24 +730,27 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
         raise ConfigError("schema document must be a JSON array")
     cols = []
     for entry in doc:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and "kind" in entry):
+            raise ConfigError(f"schema entry {entry!r} needs a string 'name' and a 'kind'")
+        params = entry.get("params") or {}
+        if not isinstance(params, dict):
+            raise ConfigError(f"schema entry {entry['name']!r}: params must be a JSON object")
         try:
-            name = entry["name"]
-            kind = entry["kind"]
-        except (TypeError, KeyError):
-            raise ConfigError(f"schema entry {entry!r} needs 'name' and 'kind'") from None
-        params = entry.get("params", {}) or {}
-        cols.append(
-            ColumnDescriptor(
-                name=name,
-                kind=kind,
-                levels=tuple(params["levels"]) if "levels" in params else None,
-                mapping=params.get("mapping"),
-                group=params.get("group"),
-                task_index=params.get("task_index"),
-                task=params.get("task"),
-                num_classes=params.get("num_classes"),
+            cols.append(
+                ColumnDescriptor(
+                    name=entry["name"],
+                    kind=entry["kind"],
+                    levels=tuple(params["levels"]) if "levels" in params else None,
+                    mapping=params.get("mapping"),
+                    group=params.get("group"),
+                    task_index=params.get("task_index"),
+                    task=params.get("task"),
+                    num_classes=params.get("num_classes"),
+                )
             )
-        )
+        except (TypeError, ValueError, AttributeError) as exc:  # e.g. levels given as a number
+            raise ConfigError(f"schema entry {entry['name']!r}: malformed params: {exc}") from None
     return validate_schema(cols)
 
 
@@ -761,23 +759,17 @@ def save_schema(schema: Sequence[ColumnDescriptor], path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:
+    """Read a schema file written by ``save_schema``; any fault names the file."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"schema file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read schema file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return schema_from_json(doc)
-
-
-def format_cell(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, str):
-        return value
-    if float(value) != float(value):  # NaN
-        return "NA"
-    return repr(float(value))
+    try:
+        return schema_from_json(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def dataset_schema(dataset: Dataset) -> tuple[ColumnDescriptor, ...]:
@@ -796,17 +788,21 @@ def dataset_schema(dataset: Dataset) -> tuple[ColumnDescriptor, ...]:
     return validate_schema(cols)
 
 
+_CSV_BLOCK_ROWS = 64  # rows formatted at once, so the table's text is never held whole
+
+
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write features and outcomes as CSV; NaN cells become "NA"."""
+    """Write features and outcomes as CSV; NaN cells become "NA".
+
+    Cells are formatted a column at a time, one block of rows after another,
+    as the ``repr`` of a float or of an integer class label.
+    """
     header = list(dataset.feature_names) + list(dataset.task_names())
+    columns = [*dataset.features.T, *(o.values for o in dataset.outcomes)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(dataset.n_rows):
-            row = [format_cell(v) for v in dataset.features[i]]
-            for out in dataset.outcomes:
-                if out.kind == CLASSIFICATION:
-                    row.append(str(int(out.values[i])))
-                else:
-                    row.append(repr(float(out.values[i])))
-            writer.writerow(row)
+        for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
+            # v != v only for NaN
+            writer.writerows(zip(*(["NA" if v != v else repr(v) for v in b] for b in block)))

@@ -369,7 +369,9 @@ def _backprop(
     ``acts[i]`` and ``pre[i]`` are layer i's input and affine output. A
     layer with a ``pre`` entry is ReLU and ``grad`` arrives at its
     activation; a last layer past the end of ``pre`` is a head's output
-    affine. Given a dict, ``grads`` receives every layer's W and b gradients.
+    affine. Given a dict, ``grads`` receives every layer's W and b gradients
+    and the pass ends with layer 0's: it returns the gradient at layer 0's
+    affine output, since training needs none at the batch.
     """
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
@@ -378,6 +380,8 @@ def _backprop(
         if grads is not None:
             grads[w] = acts[i].T @ grad
             grads[b] = grad.sum(axis=0)
+            if i == 0:
+                break
         grad = grad @ state.params[w].T
     return grad
 
@@ -405,7 +409,9 @@ def backward(
     d_trunk = np.zeros_like(cache.trunk_acts[-1])
     for j, head in enumerate(topo.heads):
         d_out = _head_output_grad(head, cache, j, targets[j], w.values[j])
-        d_trunk += _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+        d_head = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+        if trunk:  # else the head's input is the batch
+            d_trunk += d_head @ state.params[heads[j][0][0]].T
     _backprop(state, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads)
     # layout order, so downstream consumers see a deterministic key order
     return {name: grads[name] for name, _, _ in param_layout(topo)}

@@ -270,11 +270,7 @@ def _mcar_mask(rng, n: int, p: int, frac: float) -> np.ndarray:
 
 def _as_table(x: np.ndarray, mask: np.ndarray) -> RawTable:
     cols = tuple(ColumnDescriptor(f"c{j}", "numeric") for j in range(x.shape[1]))
-    rows = tuple(
-        tuple(None if mask[i, j] else float(x[i, j]) for j in range(x.shape[1]))
-        for i in range(x.shape[0])
-    )
-    return RawTable(cols, rows)
+    return RawTable(cols, tuple(np.where(mask, np.nan, x).T))
 
 
 def test_05_imputation_beats_column_means():
@@ -284,7 +280,7 @@ def test_05_imputation_beats_column_means():
         rng = np.random.default_rng(seed + 77)
         mask = _mcar_mask(rng, *x.shape, 0.2)
         imputed = mice_impute(_as_table(x, mask))
-        imp = np.array(imputed.rows, dtype=float)
+        imp = np.column_stack(imputed.columns)
         rmse_mice = float(np.sqrt(np.mean((imp[mask] - x[mask]) ** 2)))
         col_means = np.array([x[~mask[:, j], j].mean() for j in range(x.shape[1])])
         filled = np.broadcast_to(col_means, x.shape)
@@ -299,7 +295,7 @@ def test_05_imputation_beats_column_means():
     mask = np.zeros_like(x, dtype=bool)
     mask[rng.choice(80, size=20, replace=False), 3] = True
     imputed = mice_impute(_as_table(x, mask))
-    imp = np.array(imputed.rows, dtype=float)
+    imp = np.column_stack(imputed.columns)
     exact_err = float(np.max(np.abs(imp[mask] - x[mask])))
 
     ok = wins >= 9 and exact_err <= 1e-6

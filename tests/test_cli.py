@@ -103,6 +103,48 @@ class TestPreprocess:
         assert "mice_sweeps" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("fault", [
+        "params_list", "levels_int", "mapping_list", "name_list", "group_list",
+        "schema_not_utf8", "schema_is_dir", "data_is_dir", "field_too_long",
+    ])
+    def test_malformed_schema_or_csv_exits_2(self, tmp_path, fault):
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        data.write_text("a,c,y\n1.0,x,0\n2.0,y,1\n3.0,x,1\n")
+        entries = [
+            {"name": "a", "kind": "numeric"},
+            {"name": "c", "kind": "categorical", "params": {"levels": ["x", "y"]}},
+            {"name": "y", "kind": "outcome",
+             "params": {"task_index": 0, "task": "classification"}},
+        ]
+        bad = schema
+        if fault == "params_list":
+            entries[0]["params"] = ["levels"]
+        elif fault == "levels_int":
+            entries[1]["params"]["levels"] = 2
+        elif fault == "mapping_list":
+            entries[1] = {"name": "c", "kind": "ordinal", "params": {"mapping": ["x", "y"]}}
+        elif fault == "name_list":
+            entries[0]["name"] = ["a"]
+        elif fault == "group_list":
+            entries[0] = {"name": "a", "kind": "timeseries", "params": {"group": ["g"]}}
+        schema.write_text(json.dumps(entries))
+        if fault == "schema_not_utf8":
+            schema.write_bytes(json.dumps(entries).replace("a", "é", 1).encode("latin-1"))
+        elif fault == "schema_is_dir":
+            bad = schema = tmp_path / "schema_dir"
+            schema.mkdir()
+        elif fault == "data_is_dir":
+            bad = data = tmp_path / "data_dir"
+            data.mkdir()
+        elif fault == "field_too_long":  # over the csv module's 131072-character field limit
+            bad = data
+            data.write_text("a,c,y\n1.0,x,0\n2.0," + "y" * 131073 + ",1\n")
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert str(bad) in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")

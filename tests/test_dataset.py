@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tabmtl.dataset import (
     ColumnDescriptor,
@@ -43,11 +44,33 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def cells(table):
+    """Each column of the table as a list, None for a missing cell."""
+    return [[None if v is None or v != v else v for v in c.tolist()] for c in table.columns]
+
+
+class TestRawTable:
+    def test_numbers_stored_as_float64_and_text_as_objects(self):
+        cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
+        table = RawTable((NUM_A, cat), ([1.0, None], ["r", None]))
+        assert table.columns[0].dtype == np.float64 and np.isnan(table.columns[0][1])
+        assert table.columns[1].tolist() == ["r", None]
+        assert table.n_rows == 2
+
+    def test_one_column_per_schema_entry(self):
+        with pytest.raises(DataError, match="2 columns for 3 schema entries"):
+            RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0], [2.0]))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(DataError, match="unequal lengths"):
+            RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0, 2.0], [3.0], [0.0, 1.0]))
+
+
 class TestLoadCsv:
     def test_happy_path_with_reordered_header(self, tmp_path):
         path = write(tmp_path, "label,b,a\n1,2.5,1.0\n0,NA,\n")
         table = load_csv(path, (NUM_A, NUM_B, OUT_CLS))
-        assert table.rows == ((1.0, 2.5, 1.0), (None, None, 0.0))
+        assert cells(table) == [[1.0, None], [2.5, None], [1.0, 0.0]]
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1.0,oops,1\n")
@@ -78,13 +101,13 @@ class TestLoadCsv:
         cat = ColumnDescriptor("color", "categorical", levels=("red", "green"))
         path = write(tmp_path, "color,label\nred,0\ngreen,1\n")
         table = load_csv(path, (cat, OUT_CLS))
-        assert table.rows[0][0] == "red"
+        assert table.columns[0][0] == "red"
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes("a,b,label\n1.0,2.0,1\n".encode("utf-8-sig"))
         table = load_csv(path, (NUM_A, NUM_B, OUT_CLS))
-        assert table.rows == ((1.0, 2.0, 1.0),)
+        assert cells(table) == [[1.0], [2.0], [1.0]]
 
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -96,75 +119,62 @@ class TestLoadCsv:
 class TestClean:
     def test_removes_duplicate_rows_on_attributes_only(self):
         # rows 0 and 2 agree on every input attribute, outcome differs
-        table = RawTable(
-            (NUM_A, NUM_B, OUT_CLS),
-            ((1.0, 2.0, 1.0), (4.0, 3.0, 1.0), (1.0, 2.0, 0.0)),
-        )
+        table = RawTable((NUM_A, NUM_B, OUT_CLS),
+                         ([1.0, 4.0, 1.0], [2.0, 3.0, 2.0], [1.0, 1.0, 0.0]))
         cleaned, report = clean(table)
         assert cleaned.n_rows == 2
         assert report.duplicates_removed == 1
-        assert cleaned.rows == ((1.0, 2.0, 1.0), (4.0, 3.0, 1.0))
+        assert cells(cleaned) == [[1.0, 4.0], [2.0, 3.0], [1.0, 1.0]]
 
     def test_rows_missing_the_same_cell_are_duplicates(self):
         # rows 0 and 2 agree on every attribute, each missing 'a'
         table = RawTable(
             (NUM_A, NUM_B, OUT_CLS),
-            ((None, 2.0, 1.0), (1.0, 3.0, 0.0), (None, 2.0, 0.0), (4.0, 5.0, 1.0)),
+            ([None, 1.0, None, 4.0], [2.0, 3.0, 2.0, 5.0], [1.0, 0.0, 0.0, 1.0]),
         )
         cleaned, report = clean(table)
         assert report.duplicates_removed == 1
-        assert cleaned.rows == ((None, 2.0, 1.0), (1.0, 3.0, 0.0), (4.0, 5.0, 1.0))
+        assert cells(cleaned) == [[None, 1.0, 4.0], [2.0, 3.0, 5.0], [1.0, 0.0, 1.0]]
 
     def test_drops_constant_column(self):
-        table = RawTable(
-            (NUM_A, NUM_B, OUT_CLS),
-            ((5.0, 1.0, 0.0), (5.0, 2.0, 1.0), (5.0, 3.0, 0.0)),
-        )
+        table = RawTable((NUM_A, NUM_B, OUT_CLS),
+                         ([5.0, 5.0, 5.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]))
         cleaned, report = clean(table)
         assert [c.name for c in cleaned.schema] == ["b", "label"]
         assert report.dropped_columns == [{"name": "a", "reason": "constant"}]
 
     def test_missing_fraction_strictly_greater(self):
         # 'a' missing 8/10 = 0.8 exactly: kept at threshold 0.8, dropped below it
-        rows = [(None, float(i), float(i % 2)) for i in range(8)]
-        rows.append((1.0, 98.0, 1.0))
-        rows.append((2.0, 99.0, 0.0))
-        kept, _ = clean(RawTable((NUM_A, NUM_B, OUT_CLS), tuple(rows)), 0.8)
+        columns = ([None] * 8 + [1.0, 2.0], [*map(float, range(8)), 98.0, 99.0],
+                   [float(i % 2) for i in range(8)] + [1.0, 0.0])
+        kept, _ = clean(RawTable((NUM_A, NUM_B, OUT_CLS), columns), 0.8)
         assert any(c.name == "a" for c in kept.schema)
-        dropped, report = clean(RawTable((NUM_A, NUM_B, OUT_CLS), tuple(rows)), 0.75)
+        dropped, report = clean(RawTable((NUM_A, NUM_B, OUT_CLS), columns), 0.75)
         assert all(c.name != "a" for c in dropped.schema)
         assert "missing fraction" in report.dropped_columns[0]["reason"]
 
     def test_outcome_never_dropped(self):
-        table = RawTable(
-            (NUM_A, OUT_CLS),
-            ((1.0, 1.0), (2.0, 1.0), (3.0, 1.0)),  # outcome constant
-        )
+        table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))  # outcome constant
         cleaned, _ = clean(table)
         assert any(c.kind == "outcome" for c in cleaned.schema)
 
     def test_column_drop_exposes_new_duplicates(self):
         # unique only through column b; b is constant and gets dropped,
         # after which the two rows collide and one must go
-        table = RawTable(
-            (NUM_A, NUM_B, OUT_CLS),
-            ((1.0, 7.0, 0.0), (1.0, 7.0, 1.0), (2.0, 7.0, 0.0)),
-        )
+        table = RawTable((NUM_A, NUM_B, OUT_CLS),
+                         ([1.0, 1.0, 2.0], [7.0, 7.0, 7.0], [0.0, 1.0, 0.0]))
         cleaned, report = clean(table)
         assert report.duplicates_removed == 1
         assert report.dropped_columns[0]["name"] == "b"
         assert cleaned.n_rows == 2
 
     def test_error_when_all_attributes_dropped(self):
-        table = RawTable(
-            (NUM_A, OUT_CLS),
-            ((3.0, 0.0), (3.0, 1.0)),
-        )
+        table = RawTable((NUM_A, OUT_CLS), ([3.0, 3.0], [0.0, 1.0]))
         with pytest.raises(DataError, match="dropped every"):
             clean(table)
 
     def test_bad_fraction_rejected(self):
-        table = RawTable((NUM_A, OUT_CLS), ((1.0, 0.0), (2.0, 1.0)))
+        table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0], [0.0, 1.0]))
         with pytest.raises(ConfigError):
             clean(table, max_missing_frac=1.5)
 
@@ -188,13 +198,13 @@ class TestClean:
             ColumnDescriptor("c2", "numeric"),
             ColumnDescriptor("y", "outcome", task_index=0, task="regression"),
         )
-        table = RawTable(schema, tuple(rows))
+        table = RawTable(schema, tuple(zip(*rows)))
         try:
             once, _ = clean(table, 0.6)
         except DataError:
             assume(False)
         twice, report = clean(once, 0.6)
-        assert twice.rows == once.rows
+        assert cells(twice) == cells(once)
         assert twice.schema == once.schema
         assert report.duplicates_removed == 0
         assert report.dropped_columns == []
@@ -207,27 +217,23 @@ class TestOrdinal:
     )
 
     def test_maps_strings(self):
-        table = RawTable(self.SCHEMA, (("low", 1.0), ("high", 2.0), (None, 3.0)))
+        table = RawTable(self.SCHEMA, (["low", "high", None], [1.0, 2.0, 3.0]))
         mapped = apply_ordinal(table)
-        assert mapped.rows == ((0.0, 1.0), (2.0, 2.0), (None, 3.0))
+        assert cells(mapped) == [[0.0, 2.0, None], [1.0, 2.0, 3.0]]
 
     def test_unknown_value_rejected(self):
-        table = RawTable(self.SCHEMA, (("nope", 1.0),))
+        table = RawTable(self.SCHEMA, (["nope"], [1.0]))
         with pytest.raises(DataError, match="'nope'"):
             apply_ordinal(table)
 
 
 def numeric_table(arrays, missing):
-    """Columns c0.. from float arrays, with ``missing`` (row, col) pairs as None."""
-    data = np.column_stack(arrays)
-    schema = tuple(ColumnDescriptor(f"c{j}", "numeric") for j in range(data.shape[1]))
-    rows = []
-    for i in range(data.shape[0]):
-        rows.append(tuple(
-            None if (i, j) in missing else float(data[i, j])
-            for j in range(data.shape[1])
-        ))
-    return RawTable(schema, tuple(rows))
+    """Columns c0.. from float arrays, with the ``missing`` (row, col) cells blanked."""
+    columns = [np.array(a, dtype=np.float64) for a in arrays]
+    for i, j in missing:
+        columns[j][i] = np.nan
+    return RawTable(tuple(ColumnDescriptor(f"c{j}", "numeric") for j in range(len(columns))),
+                    columns)
 
 
 class TestMice:
@@ -237,12 +243,12 @@ class TestMice:
         miss = {(3, 0), (7, 1), (11, 0)}
         table = numeric_table([a, b], miss)
         imputed = mice_impute(table)
-        for i, (orig, new) in enumerate(zip(table.rows, imputed.rows)):
-            for j in range(2):
+        for j, (orig, new) in enumerate(zip(table.columns, imputed.columns)):
+            for i in range(20):
                 if (i, j) not in miss:
-                    assert new[j] == orig[j]
+                    assert new[i] == orig[i]
                 else:
-                    assert new[j] is not None
+                    assert np.isfinite(new[i])
 
     def test_single_column_matches_independent_least_squares(self):
         rng = np.random.default_rng(2)
@@ -258,7 +264,7 @@ class TestMice:
         beta = np.linalg.lstsq(design, y[obs], rcond=None)[0]
         for i in miss_rows:
             expected = beta[0] + beta[1] * x1[i] + beta[2] * x2[i]
-            assert imputed.rows[i][2] == pytest.approx(expected, abs=1e-6)
+            assert imputed.columns[2][i] == pytest.approx(expected, abs=1e-6)
 
     def test_exact_linear_relation_recovered(self):
         x = np.linspace(-2, 2, 30)
@@ -267,7 +273,7 @@ class TestMice:
         table = numeric_table([x, y], {(i, 1) for i in miss_rows})
         imputed = mice_impute(table)
         for i in miss_rows:
-            assert imputed.rows[i][1] == pytest.approx(2.0 * x[i] + 1.0, abs=1e-6)
+            assert imputed.columns[1][i] == pytest.approx(2.0 * x[i] + 1.0, abs=1e-6)
 
     def test_no_missing_is_identity(self):
         table = numeric_table([np.arange(5.0), np.arange(5.0) ** 2], set())
@@ -280,7 +286,7 @@ class TestMice:
         table = numeric_table([a, b, c], miss)
         first = mice_impute(table)
         second = mice_impute(table)
-        assert first.rows == second.rows
+        assert cells(first) == cells(second)
 
     def test_too_few_observed_rejected(self):
         table = numeric_table([np.arange(3.0), np.arange(3.0)], {(0, 1), (1, 1)})
@@ -288,15 +294,49 @@ class TestMice:
             mice_impute(table)
 
     def test_non_numeric_column_rejected(self):
-        cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
-        table = RawTable((NUM_A, cat), ((1.0, "r"), (None, "g"), (3.0, "r")))
-        with pytest.raises(DataError, match="non-numeric"):
+        # a numeric-kind column holding text, as only a hand-built table can
+        table = RawTable((NUM_A, NUM_B), ([1.0, None, 3.0], [1.0, "x", 2.0]))
+        with pytest.raises(DataError, match="non-numeric value 'x'"):
             mice_impute(table)
+
+    def test_categorical_and_identifier_columns_pass_through(self):
+        cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
+        ident = ColumnDescriptor("pid", "identifier")
+        a, b = [1.0, None, 3.0, 4.0, 5.5], [2.0, 4.1, None, 8.2, 9.0]
+        table = RawTable((ident, NUM_A, cat, NUM_B),
+                         (["p1", "p2", "p3", "p4", None], a, ["r", "g", None, "r", "g"], b))
+        imputed = mice_impute(table)
+        assert imputed.columns[0].tolist() == ["p1", "p2", "p3", "p4", None]
+        assert imputed.columns[2].tolist() == ["r", "g", None, "r", "g"]
+        # they take no part in the regressions either
+        alone = mice_impute(RawTable((NUM_A, NUM_B), (a, b)))
+        assert cells(imputed)[1::2] == cells(alone)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_property_observed_kept_missing_filled_deterministic(self, data):
+        n, p = data.draw(st.integers(4, 12)), data.draw(st.integers(1, 4))
+        x = data.draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-1e3, 1e3)))
+        mask = data.draw(hnp.arrays(np.bool_, (n, p)))
+        assume(np.all((~mask).sum(axis=0) >= 2))
+        levels = ("r", "g", "b")
+        cat = data.draw(st.lists(st.sampled_from((*levels, None)), min_size=n, max_size=n))
+        schema = (*(ColumnDescriptor(f"c{j}", "numeric") for j in range(p)),
+                  ColumnDescriptor("color", "categorical", levels=levels))
+        table = RawTable(schema, (*np.where(mask, np.nan, x).T, cat))
+
+        imputed = mice_impute(table)
+        out = np.column_stack(imputed.columns[:p])
+        assert np.array_equal(out[~mask].view(np.uint64), x[~mask].view(np.uint64))
+        assert np.all(np.isfinite(out[mask]))
+        assert cells(imputed)[p] == cat
+        again = np.column_stack(mice_impute(table).columns[:p])
+        assert np.array_equal(again.view(np.uint64), out.view(np.uint64))
 
 
 class TestTransform:
     def test_zscore_hand_values(self):
-        table = RawTable((NUM_A, OUT_REG), ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0)))
+        table = RawTable((NUM_A, OUT_REG), ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]))
         ds = transform(table)
         expected = (3.0 - 2.0) / math.sqrt(2.0 / 3.0)
         assert expected == pytest.approx(1.224744871391589, abs=1e-15)
@@ -306,7 +346,7 @@ class TestTransform:
 
     def test_constant_feature_zeroed_with_unit_std(self):
         schema = (NUM_A, NUM_B, OUT_REG)
-        table = RawTable(schema, ((7.0, 1.0, 0.0), (7.0, 2.0, 1.0), (7.0, 5.0, 2.0)))
+        table = RawTable(schema, ([7.0, 7.0, 7.0], [1.0, 2.0, 5.0], [0.0, 1.0, 2.0]))
         ds = transform(table)
         assert np.all(ds.features[:, 0] == 0.0)
         assert ds.normalization_stats.std[0] == 1.0
@@ -320,9 +360,11 @@ class TestTransform:
             OUT_REG,
         )
         table = RawTable(schema, (
-            (1.0, 1.0, 2.0, 10.0, 0.0),
-            (2.0, 3.0, 4.0, 20.0, 1.0),
-            (3.0, 5.0, 7.0, 30.0, 2.0),
+            [1.0, 2.0, 3.0],
+            [1.0, 3.0, 5.0],
+            [2.0, 4.0, 7.0],
+            [10.0, 20.0, 30.0],
+            [0.0, 1.0, 2.0],
         ))
         ds = transform(table)
         assert ds.feature_names == ("a", "dose_sum", "b")
@@ -331,7 +373,7 @@ class TestTransform:
 
     def test_one_hot_names_and_indicators(self):
         cat = ColumnDescriptor("color", "categorical", levels=("red", "green", "blue"))
-        table = RawTable((cat, OUT_REG), (("red", 0.0), ("blue", 1.0), ("green", 2.0)))
+        table = RawTable((cat, OUT_REG), (["red", "blue", "green"], [0.0, 1.0, 2.0]))
         ds = transform(table)
         assert ds.feature_names == ("color=red", "color=green", "color=blue")
         raw = ds.raw_features()
@@ -340,14 +382,13 @@ class TestTransform:
 
     def test_undeclared_level_rejected(self):
         cat = ColumnDescriptor("color", "categorical", levels=("red",))
-        table = RawTable((cat, OUT_REG), (("purple", 0.0),))
+        table = RawTable((cat, OUT_REG), (["purple"], [0.0]))
         with pytest.raises(DataError, match="'purple'"):
             transform(table)
 
     def test_identifier_dropped(self):
         ident = ColumnDescriptor("patient_id", "identifier")
-        table = RawTable((ident, NUM_A, OUT_REG),
-                         (("p1", 1.0, 0.0), ("p2", 2.0, 1.0)))
+        table = RawTable((ident, NUM_A, OUT_REG), (["p1", "p2"], [1.0, 2.0], [0.0, 1.0]))
         ds = transform(table)
         assert ds.feature_names == ("a",)
 
@@ -358,18 +399,18 @@ class TestTransform:
             ColumnDescriptor("first", "outcome", task_index=0, task="classification",
                              num_classes=2),
         )
-        table = RawTable(schema, ((1.0, 0.5, 1.0), (2.0, 1.5, 0.0)))
+        table = RawTable(schema, ([1.0, 2.0], [0.5, 1.5], [1.0, 0.0]))
         ds = transform(table)
         assert ds.task_names() == ("first", "second")
         assert ds.outcomes[0].values.dtype == np.int64
 
     def test_non_integer_labels_rejected(self):
-        table = RawTable((NUM_A, OUT_CLS), ((1.0, 0.5), (2.0, 1.0)))
+        table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0], [0.5, 1.0]))
         with pytest.raises(DataError, match="integer"):
             transform(table)
 
     def test_missing_cell_rejected(self):
-        table = RawTable((NUM_A, OUT_REG), ((None, 0.0), (2.0, 1.0)))
+        table = RawTable((NUM_A, OUT_REG), ([None, 2.0], [0.0, 1.0]))
         with pytest.raises(DataError, match="missing"):
             transform(table)
 
@@ -385,8 +426,8 @@ class TestTransform:
         )
     )
     def test_output_standardized(self, pairs):
-        rows = tuple((a, b, float(i % 2)) for i, (a, b) in enumerate(pairs))
-        ds = transform(RawTable((NUM_A, NUM_B, OUT_CLS), rows))
+        a, b = zip(*pairs)
+        ds = transform(RawTable((NUM_A, NUM_B, OUT_CLS), (a, b, [i % 2 for i in range(len(a))])))
         assert np.all(np.isfinite(ds.features))
         for j in range(2):
             col = ds.features[:, j]
@@ -543,10 +584,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "round.csv"
         write_dataset_csv(ds, path)
         back = load_csv(path, dataset_schema(ds))
-        again = np.array([row[:3] for row in back.rows])
-        assert np.array_equal(again, x)
-        labels = np.array([row[3] for row in back.rows])
-        assert np.array_equal(labels.astype(np.int64), outs[0].values)
+        assert np.array_equal(np.column_stack(back.columns[:3]), x)
+        assert np.array_equal(back.columns[3].astype(np.int64), outs[0].values)
 
     def test_nan_written_as_na(self, tmp_path):
         x = np.array([[1.0], [np.nan]])
@@ -557,7 +596,7 @@ class TestCsvRoundTrip:
         write_dataset_csv(ds, path)
         assert "NA" in path.read_text()
         back = load_csv(path, dataset_schema(ds))
-        assert back.rows[1][0] is None
+        assert np.isnan(back.columns[0][1])
 
 
 class TestPipeline:
@@ -567,11 +606,8 @@ class TestPipeline:
         x1 = rng.normal(size=n)
         x2 = 0.5 * x1 + 0.1 * rng.normal(size=n)
         y = (x1 > 0).astype(float)
-        rows = []
-        for i in range(n):
-            a = None if i % 7 == 0 else float(x1[i])
-            rows.append((a, float(x2[i]), float(y[i])))
-        table = RawTable((NUM_A, NUM_B, OUT_CLS), tuple(rows))
+        a = np.where(np.arange(n) % 7 == 0, np.nan, x1)
+        table = RawTable((NUM_A, NUM_B, OUT_CLS), (a, x2, y))
         ds, report = preprocess_pipeline(table)
         assert ds.is_complete()
         assert ds.n_rows == n
@@ -579,9 +615,7 @@ class TestPipeline:
 
     def test_missing_categorical_rejected(self):
         cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
-        table = RawTable(
-            (cat, NUM_A, OUT_REG),
-            (("r", 1.0, 0.0), (None, 2.0, 1.0), ("g", 3.0, 2.0)),
-        )
+        table = RawTable((cat, NUM_A, OUT_REG),
+                         (["r", None, "g"], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]))
         with pytest.raises(DataError, match="missing"):
             preprocess_pipeline(table)
