@@ -66,7 +66,14 @@ class ColumnDescriptor:
         elif self.kind == ORDINAL:
             if not self.mapping:
                 raise ConfigError(f"ordinal column {self.name!r} needs a mapping")
-            object.__setattr__(self, "mapping", {str(k): float(v) for k, v in self.mapping.items()})
+            mapping = {str(k): float(v) for k, v in self.mapping.items()}
+            for key, value in mapping.items():
+                if not np.isfinite(value):
+                    raise ConfigError(
+                        f"ordinal column {self.name!r}: mapping value for {key!r} "
+                        f"is {value}, not a finite number"
+                    )
+            object.__setattr__(self, "mapping", mapping)
         elif self.kind == TIMESERIES:
             if not self.group or not isinstance(self.group, str):
                 raise ConfigError(f"timeseries column {self.name!r} needs a group name")
@@ -736,12 +743,17 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
         params = entry.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError(f"schema entry {entry['name']!r}: params must be a JSON object")
+        levels = params.get("levels")
+        if levels is not None and not (
+            isinstance(levels, list) and all(isinstance(v, str) for v in levels)
+        ):
+            raise ConfigError(f"schema entry {entry['name']!r}: levels must be a list of strings")
         try:
             cols.append(
                 ColumnDescriptor(
                     name=entry["name"],
                     kind=entry["kind"],
-                    levels=tuple(params["levels"]) if "levels" in params else None,
+                    levels=None if levels is None else tuple(levels),
                     mapping=params.get("mapping"),
                     group=params.get("group"),
                     task_index=params.get("task_index"),

@@ -10,6 +10,8 @@ at zero taken as zero. All arithmetic is float64.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -98,6 +100,21 @@ class NetworkTopology:
                       for j, h in enumerate(self.heads))
         return trunk, heads
 
+    @cached_property
+    def param_layout(self) -> "ParamLayout":
+        """Every parameter array's (name, shape, is_bias) and place in the flat vector."""
+        trunk, heads = self.layers
+        stacks = [(trunk, self.input_dim, self.shared_layers)] + [
+            (layers, self.trunk_output_dim, (*head.hidden_layers, head.output_dim))
+            for layers, head in zip(heads, self.heads)
+        ]
+        entries = []
+        for layers, fan_in, widths in stacks:
+            for (w, b), width in zip(layers, widths):
+                entries += [(w, (fan_in, width), False), (b, (width,), True)]
+                fan_in = width
+        return ParamLayout(entries)
+
     def to_dict(self) -> dict:
         return {
             "input_dim": self.input_dim,
@@ -153,36 +170,105 @@ def as_loss_weights(weights: LossWeights | Sequence[float]) -> LossWeights:
     return LossWeights(tuple(weights))
 
 
-def param_layout(topology: NetworkTopology) -> list[tuple[str, tuple[int, ...], bool]]:
-    """Deterministic (name, shape, is_bias) listing of every parameter array."""
-    trunk, heads = topology.layers
-    stacks = [(trunk, topology.input_dim, topology.shared_layers)] + [
-        (layers, topology.trunk_output_dim, (*head.hidden_layers, head.output_dim))
-        for layers, head in zip(heads, topology.heads)
-    ]
-    layout: list[tuple[str, tuple[int, ...], bool]] = []
-    for layers, fan_in, widths in stacks:
-        for (w, b), width in zip(layers, widths):
-            layout.append((w, (fan_in, width), False))
-            layout.append((b, (width,), True))
-            fan_in = width
-    return layout
+class ParamLayout:
+    """Where each parameter array of one topology sits in the flat parameter vector.
+
+    Iterating yields ``(name, shape, is_bias)`` in layout order: the trunk,
+    then each head, each layer's weight before its bias. In the vector all
+    weights come first, in that order, then all biases, so the weights are
+    the one leading slice ``[:n_weights]``.
+    """
+
+    def __init__(self, entries: Sequence[tuple[str, tuple[int, ...], bool]]):
+        self.entries = tuple(entries)
+        self.names = tuple(name for name, _, _ in self.entries)
+        self.n_weights = sum(math.prod(shape) for _, shape, is_bias in self.entries if not is_bias)
+        offsets = {False: 0, True: self.n_weights}
+        self._matrices: list[tuple[str, slice, tuple[int, ...]]] = []
+        self._vectors: list[tuple[str, slice]] = []
+        for name, shape, is_bias in self.entries:
+            span = slice(offsets[is_bias], offsets[is_bias] + math.prod(shape))
+            offsets[is_bias] = span.stop
+            if is_bias:
+                self._vectors.append((name, span))
+            else:
+                self._matrices.append((name, span, shape))
+        self.size = offsets[True]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter array as a view into ``flat``."""
+        views = {name: flat[s].reshape(shape) for name, s, shape in self._matrices}
+        views.update({name: flat[s] for name, s in self._vectors})
+        return views
+
+    def as_vector(self, named: Mapping[str, np.ndarray]) -> "ParamVector":
+        """``named`` itself if it is a vector of this layout, else a checked copy of it."""
+        if isinstance(named, ParamVector) and named.layout is self:
+            return named
+        if set(named) != set(self.names):
+            raise DataError(
+                f"parameter names {sorted(named)} do not match the layout's {sorted(self.names)}"
+            )
+        vector = ParamVector(self, np.empty(self.size))
+        for name, view in vector.items():
+            arr = np.asarray(named[name], dtype=np.float64)
+            if arr.shape != view.shape:
+                raise DataError(f"parameter {name} has shape {arr.shape}, expected {view.shape}")
+            view[...] = arr
+        return vector
+
+
+class ParamVector(Mapping):
+    """One contiguous float64 vector, ``flat``, read by name as arrays of the layout.
+
+    Each named array is a view: writing into it writes into ``flat``.
+    """
+
+    def __init__(self, layout: ParamLayout, flat: np.ndarray):
+        self.layout = layout
+        self.flat = flat
+
+    @cached_property
+    def arrays(self) -> dict[str, np.ndarray]:
+        return self.layout.views(self.flat)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+    def __iter__(self):
+        return iter(self.layout.names)
+
+    def __len__(self) -> int:
+        return len(self.layout.names)
+
+
+def param_layout(topology: NetworkTopology) -> ParamLayout:
+    """The topology's parameter layout, built on first use and kept on the topology."""
+    return topology.param_layout
 
 
 def n_parameters(topology: NetworkTopology) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in param_layout(topology))
+    return param_layout(topology).size
 
 
 @dataclass
 class ModelState:
-    """All weight matrices and bias vectors, keyed by layer name.
+    """All weight matrices and bias vectors: one flat vector, read by layer name.
 
     Weight ``trunk.i.W`` has shape (fan_in, fan_out) and acts as ``x @ W + b``.
+    ``params`` may be given as any mapping from name to array; it is then
+    checked against the topology's layout and copied into a new vector.
     Treated as immutable: optimizers return fresh states instead of mutating.
     """
 
     topology: NetworkTopology
-    params: dict[str, np.ndarray]
+    params: ParamVector
+
+    def __post_init__(self):
+        self.params = param_layout(self.topology).as_vector(self.params)
 
 
 def init_params(topology: NetworkTopology, seed: int) -> ModelState:
@@ -192,14 +278,13 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
     in layout order, from one seeded generator.
     """
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape, is_bias in param_layout(topology):
-        if is_bias:
-            params[name] = np.zeros(shape, dtype=np.float64)
-        else:
+    layout = param_layout(topology)
+    params = ParamVector(layout, np.zeros(layout.size))
+    for name, shape, is_bias in layout:
+        if not is_bias:
             fan_in, fan_out = shape
             a = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-a, a, size=shape)
+            params[name][...] = rng.uniform(-a, a, size=shape)
     return ModelState(topology, params)
 
 
@@ -378,8 +463,8 @@ def _backprop(
         if i < len(pre):
             grad = grad * (pre[i] > 0)
         if grads is not None:
-            grads[w] = acts[i].T @ grad
-            grads[b] = grad.sum(axis=0)
+            np.matmul(acts[i].T, grad, out=grads[w])
+            grad.sum(axis=0, out=grads[b])
             if i == 0:
                 break
         grad = grad @ state.params[w].T
@@ -391,7 +476,7 @@ def backward(
     cache: ForwardCache,
     targets: Sequence[np.ndarray],
     weights: LossWeights | Sequence[float],
-) -> dict[str, np.ndarray]:
+) -> ParamVector:
     """Exact gradients of the weighted multi-task loss for every parameter.
 
     ``targets`` holds one array per head: integer labels for classification,
@@ -405,16 +490,18 @@ def backward(
         raise DataError(f"expected {topo.num_tasks} targets and weights")
 
     trunk, heads = topo.layers
-    grads: dict[str, np.ndarray] = {}
+    layout = param_layout(topo)
+    # every entry is written below: each layer's W and b exactly once
+    grads = ParamVector(layout, np.empty(layout.size))
     d_trunk = np.zeros_like(cache.trunk_acts[-1])
     for j, head in enumerate(topo.heads):
         d_out = _head_output_grad(head, cache, j, targets[j], w.values[j])
-        d_head = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+        d_head = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out,
+                           grads.arrays)
         if trunk:  # else the head's input is the batch
             d_trunk += d_head @ state.params[heads[j][0][0]].T
-    _backprop(state, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads)
-    # layout order, so downstream consumers see a deterministic key order
-    return {name: grads[name] for name, _, _ in param_layout(topo)}
+    _backprop(state, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads.arrays)
+    return grads
 
 
 def input_gradients(
@@ -466,7 +553,7 @@ def model_to_dict(state: ModelState, normalization_stats: dict | None = None) ->
     d = {
         "version": MODEL_FORMAT_VERSION,
         "topology": state.topology.to_dict(),
-        "params": {name: state.params[name].tolist() for name, _, _ in param_layout(state.topology)},
+        "params": {name: arr.tolist() for name, arr in state.params.items()},
     }
     if normalization_stats is not None:
         d["normalization_stats"] = normalization_stats
@@ -494,22 +581,22 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
     if not isinstance(d["params"], dict):
         raise ConfigError("model params must be a JSON object")
     layout = param_layout(topo)
-    unknown = sorted(set(d["params"]) - {name for name, _, _ in layout})
+    unknown = sorted(set(d["params"]) - set(layout.names))
     if unknown:
         raise ConfigError(f"unknown parameter {unknown[0]}")
-    params = {}
-    for name, shape, _ in layout:
+    params = ParamVector(layout, np.empty(layout.size))
+    for name, view in params.items():
         if name not in d["params"]:
             raise ConfigError(f"missing parameter {name}")
         try:
             arr = np.asarray(d["params"][name], dtype=np.float64)
         except (TypeError, ValueError):
             raise ConfigError(f"parameter {name} is not an array of numbers") from None
-        if arr.shape != shape:
-            raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+        if arr.shape != view.shape:
+            raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {view.shape}")
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"parameter {name} has non-finite values")
-        params[name] = arr
+        view[...] = arr
     stats = d.get("normalization_stats")
     if stats is not None and not isinstance(stats, dict):
         raise ConfigError("model normalization_stats must be a JSON object")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .network import ModelState
+from .errors import ConfigError
+from .network import ModelState, ParamVector
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -39,24 +40,25 @@ def cosine_lr(t: int, cfg: ScheduleConfig) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates, shaped exactly like the model parameters."""
+    """First/second moment estimates: flat vectors in the parameters' layout."""
 
     step_count: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ParamVector
+    v: ParamVector
 
 
 def init_adam(params: ModelState) -> AdamState:
+    layout = params.params.layout
     return AdamState(
         step_count=0,
-        m={name: np.zeros_like(arr) for name, arr in params.params.items()},
-        v={name: np.zeros_like(arr) for name, arr in params.params.items()},
+        m=ParamVector(layout, np.zeros(layout.size)),
+        v=ParamVector(layout, np.zeros(layout.size)),
     )
 
 
 def adam_step(
     params: ModelState,
-    grads: dict[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
@@ -64,8 +66,11 @@ def adam_step(
     """One Adam update with decoupled weight decay; biases are not decayed.
 
     Returns fresh parameter and optimizer states; inputs are left untouched.
-    lr = 0 is accepted and produces a pure moment update with no parameter
-    motion (used by zero-learning-rate training runs).
+    The update runs once over the whole flat vector; ``grads`` from
+    ``backward`` is already one, and any other name-to-array mapping is
+    checked against the layout and copied into one. lr = 0 is accepted and
+    produces a pure moment update with no parameter motion (used by
+    zero-learning-rate training runs).
 
     Worked example (fresh state, w = 0.3, g = 0.5, lr = 0.1, no decay):
     m = 0.1 * 0.5 = 0.05 and v = 0.001 * 0.25 = 0.00025, so after bias
@@ -74,29 +79,20 @@ def adam_step(
     """
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
-    if set(grads) != set(params.params):
-        raise DataError("gradient keys do not match parameter keys")
+    layout = params.params.layout
+    g = layout.as_vector(grads).flat
+    p = params.params.flat
     t = state.step_count + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name, p in params.params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise DataError(f"gradient for {name} has shape {g.shape}, expected {p.shape}")
-        m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        step = m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        if weight_decay != 0.0 and not name.endswith(".b"):
-            step = step + weight_decay * p
-        new_params[name] = p - lr * step
-        new_m[name] = m
-        new_v[name] = v
+    m = ADAM_BETA1 * state.m.flat + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v.flat + (1.0 - ADAM_BETA2) * g * g
+    step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+    if weight_decay != 0.0:
+        # the weights are the vector's leading slice; biases are not decayed
+        weights = slice(0, layout.n_weights)
+        step[weights] += weight_decay * p[weights]
     return (
-        ModelState(params.topology, new_params),
-        AdamState(t, new_m, new_v),
+        ModelState(params.topology, ParamVector(layout, p - lr * step)),
+        AdamState(t, ParamVector(layout, m), ParamVector(layout, v)),
     )

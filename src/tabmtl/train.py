@@ -171,7 +171,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
             loss_sum += total * len(idx)
             task_sums += np.array(task_losses) * len(idx)
         mean_loss = loss_sum / n
-        if not all(np.all(np.isfinite(p)) for p in state.params.values()):
+        if not np.all(np.isfinite(state.params.flat)):
             raise NumericalError(f"training diverged: non-finite parameters after epoch {epoch}")
         if mean_loss > DIVERGENCE_FACTOR * first_loss:
             raise NumericalError(

@@ -145,6 +145,33 @@ class TestPreprocess:
         assert str(bad) in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("column, params", [
+        ("grade", {"mapping": {"low": 0, "high": "nan"}}),
+        ("grade", {"mapping": {"low": 0, "high": "inf"}}),
+        ("grade", {"mapping": {"low": "-Infinity", "high": 1}}),
+        ("site", {"levels": "xy"}),
+        ("site", {"levels": {"x": 0, "y": 1}}),
+        ("site", {"levels": ["x", 1]}),
+    ])
+    def test_bad_levels_or_mapping_exits_2_naming_the_column(self, tmp_path, column, params):
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        data.write_text("age,grade,site,y\n1.0,low,x,0\n2.0,high,y,1\n3.0,low,x,1\n")
+        kinds = {"grade": "ordinal", "site": "categorical"}
+        entries = [{"name": "age", "kind": "numeric"},
+                   {"name": "grade", "kind": "ordinal", "params": {"mapping": {"low": 0, "high": 1}}},
+                   {"name": "site", "kind": "categorical", "params": {"levels": ["x", "y"]}},
+                   {"name": "y", "kind": "outcome",
+                    "params": {"task_index": 0, "task": "classification"}}]
+        entries[[e["name"] for e in entries].index(column)] = {
+            "name": column, "kind": kinds[column], "params": params}
+        schema.write_text(json.dumps(entries))
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert str(schema) in result.stderr
+        assert repr(column) in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")

@@ -27,6 +27,7 @@ from tabmtl.network import (
     softmax,
     task_loss,
 )
+from tabmtl.optim import adam_step, init_adam
 
 CLS2 = HeadSpec((), CLASSIFICATION, 2)
 REG = HeadSpec((), REGRESSION)
@@ -108,6 +109,50 @@ class TestTopology:
             HeadSpec((), CLASSIFICATION, 1)
         with pytest.raises(ConfigError):
             HeadSpec((-1,), REGRESSION)
+
+
+class TestFlatParameters:
+    TOPO = NetworkTopology(3, (4,), (HeadSpec((2,), CLASSIFICATION, 2), REG))
+
+    def test_named_arrays_are_views_of_one_vector_weights_first(self):
+        state = init_params(self.TOPO, seed=0)
+        flat = state.params.flat
+        assert param_layout(self.TOPO) is param_layout(self.TOPO)
+        assert flat.shape == (n_parameters(self.TOPO),)
+        offset = 0
+        # a stable sort by is_bias: the weights in layout order, then the biases
+        for name, shape, _ in sorted(param_layout(self.TOPO), key=lambda e: e[2]):
+            arr = state.params[name]
+            assert arr.shape == shape and np.shares_memory(arr, flat)
+            assert np.array_equal(arr.reshape(-1), flat[offset:offset + arr.size])
+            offset += arr.size
+        assert offset == flat.size
+
+    def test_state_from_a_mapping_is_checked_and_copied(self):
+        state = init_params(self.TOPO, seed=0)
+        named = {name: arr.copy() for name, arr in state.params.items()}
+        copy = ModelState(self.TOPO, named)
+        assert np.array_equal(copy.params.flat, state.params.flat)
+        named["trunk.0.W"][0, 0] += 1.0
+        assert copy.params["trunk.0.W"][0, 0] == state.params["trunk.0.W"][0, 0]
+        with pytest.raises(DataError, match="head.1.0.b"):
+            ModelState(self.TOPO, dict(named, **{"head.1.0.b": np.zeros(2)}))
+        del named["trunk.0.b"]
+        with pytest.raises(DataError, match="names"):
+            ModelState(self.TOPO, named)
+
+    def test_adam_steps_a_plain_dict_of_gradients_identically(self):
+        rng = np.random.default_rng(6)
+        state = init_params(self.TOPO, seed=2)
+        batch = rng.normal(size=(9, 3))
+        _, cache = forward(state, batch)
+        grads = backward(state, cache, make_targets(rng, self.TOPO, 9), (1.0, 0.5))
+        adam = init_adam(state)
+        by_vector, moments = adam_step(state, grads, adam, lr=0.1, weight_decay=0.01)
+        by_dict, _ = adam_step(state, {n: g.copy() for n, g in grads.items()}, adam,
+                               lr=0.1, weight_decay=0.01)
+        assert by_vector.params.flat.tobytes() == by_dict.params.flat.tobytes()
+        assert np.shares_memory(moments.m["trunk.0.W"], moments.m.flat)
 
 
 class TestInit:
