@@ -199,9 +199,15 @@ class ParamLayout:
         return iter(self.entries)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter array as a view into ``flat``."""
-        views = {name: flat[s].reshape(shape) for name, s, shape in self._matrices}
-        views.update({name: flat[s] for name, s in self._vectors})
+        """Each parameter array as a view into ``flat``.
+
+        ``flat`` is one model's ``(size,)`` vector, or a stack of M models'
+        vectors as the rows of an ``(M, size)`` array; then every view has
+        the leading model axis too, ``(M, fan_in, fan_out)`` or ``(M, width)``.
+        """
+        lead = flat.shape[:-1]
+        views = {name: flat[..., s].reshape(lead + shape) for name, s, shape in self._matrices}
+        views.update({name: flat[..., s] for name, s in self._vectors})
         return views
 
     def as_vector(self, named: Mapping[str, np.ndarray]) -> "ParamVector":
@@ -224,7 +230,9 @@ class ParamLayout:
 class ParamVector(Mapping):
     """One contiguous float64 vector, ``flat``, read by name as arrays of the layout.
 
-    Each named array is a view: writing into it writes into ``flat``.
+    Each named array is a view: writing into it writes into ``flat``. A
+    stack of models is an ``(M, size)`` ``flat`` whose arrays have a leading
+    model axis (see ``ParamLayout.views``).
     """
 
     def __init__(self, layout: ParamLayout, flat: np.ndarray):
@@ -296,6 +304,8 @@ class ForwardCache:
     affine output; ``trunk_acts`` starts at the batch and ends at the trunk
     output. ``head_acts[j][l]`` is the input of layer l of head j,
     ``head_pre[j]`` holds its hidden layers and ``head_out[j]`` its output.
+    Every array is ``(B, width)`` for one model, or ``(M, B, width)`` for a
+    stack of M models run on M batches of B rows.
     """
 
     trunk_acts: list[np.ndarray]
@@ -307,11 +317,7 @@ class ForwardCache:
 
     @property
     def batch_size(self) -> int:
-        return self.trunk_acts[0].shape[0]
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+        return self.trunk_acts[0].shape[-2]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -322,20 +328,64 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _affine(state: ModelState, layer: Layer, a: np.ndarray) -> np.ndarray:
+# The passes below take ``params``, the name-to-array views of one model's
+# vector or of a stack's (see ``ParamLayout.views``), and work on (..., B, D)
+# arrays. ``np.matmul`` runs a stack as one gemm per model, the very call it
+# makes for that model alone, so a stacked model's numbers equal its own.
+
+
+def _affine(
+    params: Mapping[str, np.ndarray], layer: Layer, a: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     w, b = layer
-    return a @ state.params[w] + state.params[b]
+    z = np.matmul(a, params[w], out=out)
+    z += params[b][..., None, :]
+    return z
 
 
-def _relu_layers(state: ModelState, layers: Sequence[Layer], a: np.ndarray) -> tuple[list, list]:
-    """Run ReLU layers forward from ``a``: the activations from ``a`` on, and pre-activations."""
+def _relu_layers(
+    params: Mapping[str, np.ndarray], layers: Sequence[Layer], a: np.ndarray,
+    reuse: tuple[list, list] | None = None,
+) -> tuple[list, list]:
+    """Run ReLU layers forward from ``a``: the activations from ``a`` on, and pre-activations.
+
+    ``reuse`` is an earlier run's activations and pre-activations, of the
+    same shapes, to write over in place of new arrays.
+    """
     acts = [a]
     pre: list[np.ndarray] = []
-    for layer in layers:
-        z = _affine(state, layer, acts[-1])
+    acts_out, pre_out = reuse or ([None] * (len(layers) + 1), [None] * len(layers))
+    for layer, z_out, a_out in zip(layers, pre_out, acts_out[1:]):
+        z = _affine(params, layer, acts[-1], z_out)
         pre.append(z)
-        acts.append(relu(z))
+        acts.append(np.maximum(z, 0.0, out=a_out))
     return acts, pre
+
+
+def forward_pass(
+    topology: NetworkTopology, params: Mapping[str, np.ndarray], x: np.ndarray,
+    reuse: ForwardCache | None = None,
+) -> ForwardCache:
+    """The forward pass on a batch ``(B, D)``, or on a stack's batches ``(M, B, D)``.
+
+    No check is made: ``forward`` checks a caller's batch, and training
+    checks its data once, where the ``Dataset`` is built. A ``reuse`` cache
+    of a batch shaped like ``x`` is written over, in place of new arrays, so
+    a training loop keeps one set of activations from step to step.
+    """
+    trunk, heads = topology.layers
+    old = reuse if reuse is not None and reuse.trunk_acts[0].shape == x.shape else None
+    trunk_acts, trunk_pre = _relu_layers(
+        params, trunk, x, old and (old.trunk_acts, old.trunk_pre))
+    hidden = [_relu_layers(params, layers[:-1], trunk_acts[-1],
+                           old and (old.head_acts[j], old.head_pre[j]))
+              for j, layers in enumerate(heads)]
+    head_out = [_affine(params, layers[-1], acts[-1], old and old.head_out[j])
+                for j, (layers, (acts, _)) in enumerate(zip(heads, hidden))]
+    probs = [softmax(out) if head.kind == CLASSIFICATION else None
+             for head, out in zip(topology.heads, head_out)]
+    head_acts, head_pre = [acts for acts, _ in hidden], [pre for _, pre in hidden]
+    return ForwardCache(trunk_acts, trunk_pre, head_acts, head_pre, head_out, probs)
 
 
 def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], ForwardCache]:
@@ -352,21 +402,26 @@ def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], For
         raise DataError(f"batch has {x.shape[1]} columns, model expects {topo.input_dim}")
     if not np.all(np.isfinite(x)):
         raise DataError("batch contains non-finite values")
-
-    trunk, heads = topo.layers
-    trunk_acts, trunk_pre = _relu_layers(state, trunk, x)
-    hidden = [_relu_layers(state, layers[:-1], trunk_acts[-1]) for layers in heads]
-    head_out = [_affine(state, layers[-1], acts[-1]) for layers, (acts, _) in zip(heads, hidden)]
-    probs = [softmax(out) if head.kind == CLASSIFICATION else None
-             for head, out in zip(topo.heads, head_out)]
-    predictions = [out[:, 0] if p is None else p for out, p in zip(head_out, probs)]
-    head_acts, head_pre = [acts for acts, _ in hidden], [pre for _, pre in hidden]
-    cache = ForwardCache(trunk_acts, trunk_pre, head_acts, head_pre, head_out, probs)
-    return predictions, cache
+    cache = forward_pass(topo, state.params.arrays, x)
+    return [out[:, 0] if p is None else p for out, p in zip(cache.head_out, cache.probs)], cache
 
 
 def predict(state: ModelState, batch: np.ndarray) -> list[np.ndarray]:
     return forward(state, batch)[0]
+
+
+def _true_class(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``probs[..., i, labels[..., i]]``: each row's entry at its label, shaped like ``labels``."""
+    rows = probs.reshape(-1, probs.shape[-1])
+    return rows[np.arange(rows.shape[0]), labels.reshape(-1)].reshape(labels.shape)
+
+
+def _nll(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return -np.mean(np.log(np.maximum(_true_class(probs, labels), LOG_FLOOR)), axis=-1)
+
+
+def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    return np.mean((targets - preds) ** 2, axis=-1)
 
 
 def loss_cls(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -382,8 +437,7 @@ def loss_cls(probs: np.ndarray, labels: np.ndarray) -> float:
     y = y.astype(np.int64)
     if y.min() < 0 or y.max() >= p.shape[1]:
         raise DataError(f"label out of range [0, {p.shape[1]})")
-    picked = p[np.arange(p.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
+    return float(_nll(p, y))
 
 
 def loss_reg(preds: np.ndarray, targets: np.ndarray) -> float:
@@ -394,7 +448,22 @@ def loss_reg(preds: np.ndarray, targets: np.ndarray) -> float:
         raise DataError(f"length mismatch: {a.shape[0]} predictions vs {b.shape[0]} targets")
     if a.size == 0:
         raise DataError("empty batch")
-    return float(np.mean((b - a) ** 2))
+    return float(_mse(a, b))
+
+
+def batch_losses(
+    topology: NetworkTopology, cache: ForwardCache, targets: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Every task's mean loss on the batch: shape (T,), or (M, T) for a stack.
+
+    ``targets[j]`` holds head j's labels or targets, shaped (..., B). They
+    are not checked; ``loss_cls`` and ``loss_reg`` check a caller's.
+    """
+    return np.stack([
+        _nll(cache.probs[j], y) if head.kind == CLASSIFICATION
+        else _mse(cache.head_out[j][..., 0], y)
+        for j, (head, y) in enumerate(zip(topology.heads, targets))
+    ], axis=-1)
 
 
 def loss_mtl(task_losses: Sequence[float], weights: LossWeights | Sequence[float]) -> float:
@@ -423,31 +492,44 @@ def _check_cache(state: ModelState, cache: ForwardCache) -> None:
             raise DataError(f"cache output width mismatch for head {j}")
 
 
-def _head_output_grad(
-    head: HeadSpec, cache: ForwardCache, j: int, target: np.ndarray, lam: float
-) -> np.ndarray:
-    """Gradient of the weighted task loss w.r.t. the head's final affine output."""
-    n = cache.batch_size
+def _check_targets(head: HeadSpec, j: int, target: np.ndarray, n: int) -> np.ndarray:
+    y = np.asarray(target)
     if head.kind == CLASSIFICATION:
-        probs = cache.probs[j]
-        y = np.asarray(target).astype(np.int64)
+        y = y.astype(np.int64)
         if y.shape != (n,):
             raise DataError(f"labels for head {j} have shape {y.shape}, expected ({n},)")
         if y.min() < 0 or y.max() >= head.num_classes:
             raise DataError(f"label out of range [0, {head.num_classes}) for head {j}")
-        # fused softmax + cross-entropy gradient
-        grad = probs.copy()
-        grad[np.arange(n), y] -= 1.0
-        return grad * (lam / n)
-    y = np.asarray(target, dtype=np.float64).reshape(-1)
+        return y
+    y = y.astype(np.float64).reshape(-1)
     if y.shape != (n,):
         raise DataError(f"targets for head {j} have shape {y.shape}, expected ({n},)")
-    return (cache.head_out[j] - y[:, None]) * (2.0 * lam / n)
+    return y
+
+
+def _head_output_grad(
+    head: HeadSpec, cache: ForwardCache, j: int, y: np.ndarray, lam: np.ndarray
+) -> np.ndarray:
+    """Gradient of the weighted task loss w.r.t. the head's final affine output.
+
+    ``lam`` is the task's weight, one per model of a stack.
+    """
+    n = cache.batch_size
+    if head.kind == CLASSIFICATION:
+        # fused softmax + cross-entropy gradient
+        grad = cache.probs[j].copy()
+        rows = grad.reshape(-1, head.num_classes)
+        rows[np.arange(rows.shape[0]), y.reshape(-1)] -= 1.0
+        grad *= (lam / n)[..., None, None]
+        return grad
+    grad = cache.head_out[j] - y[..., None]
+    grad *= (2.0 * lam / n)[..., None, None]
+    return grad
 
 
 def _backprop(
-    state: ModelState, layers: Sequence[Layer], acts: Sequence[np.ndarray],
-    pre: Sequence[np.ndarray], grad: np.ndarray, grads: dict[str, np.ndarray] | None = None,
+    params: Mapping[str, np.ndarray], layers: Sequence[Layer], acts: Sequence[np.ndarray],
+    pre: Sequence[np.ndarray], grad: np.ndarray, grads: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Carry ``grad`` from the output of ``layers`` back to the first one's input.
 
@@ -461,14 +543,36 @@ def _backprop(
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
         if i < len(pre):
-            grad = grad * (pre[i] > 0)
+            grad *= pre[i] > 0  # every grad here is the pass's own array
         if grads is not None:
-            np.matmul(acts[i].T, grad, out=grads[w])
-            grad.sum(axis=0, out=grads[b])
+            np.matmul(acts[i].swapaxes(-1, -2), grad, out=grads[w])
+            grad.sum(axis=-2, out=grads[b])
             if i == 0:
                 break
-        grad = grad @ state.params[w].T
+        grad = grad @ params[w].swapaxes(-1, -2)
     return grad
+
+
+def backward_pass(
+    topology: NetworkTopology, params: Mapping[str, np.ndarray], cache: ForwardCache,
+    targets: Sequence[np.ndarray], lam: np.ndarray, grads: Mapping[str, np.ndarray],
+) -> None:
+    """Write the weighted loss's gradient for every parameter into ``grads``.
+
+    The backward pass of ``forward_pass``, for one model or a stack.
+    ``grads`` holds views of the same shapes as ``params`` and every one is
+    written, each layer's W and b exactly once. ``lam`` is the task weights,
+    (T,) or (M, T). Nothing is checked; ``backward`` checks a caller's cache
+    and targets.
+    """
+    trunk, heads = topology.layers
+    d_trunk = np.zeros_like(cache.trunk_acts[-1])
+    for j, head in enumerate(topology.heads):
+        d_out = _head_output_grad(head, cache, j, targets[j], lam[..., j])
+        d_head = _backprop(params, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+        if trunk:  # else the head's input is the batch
+            d_trunk += d_head @ params[heads[j][0][0]].swapaxes(-1, -2)
+    _backprop(params, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads)
 
 
 def backward(
@@ -488,19 +592,11 @@ def backward(
     _check_cache(state, cache)
     if len(targets) != topo.num_tasks or len(w) != topo.num_tasks:
         raise DataError(f"expected {topo.num_tasks} targets and weights")
-
-    trunk, heads = topo.layers
+    targets = [_check_targets(head, j, y, cache.batch_size)
+               for j, (head, y) in enumerate(zip(topo.heads, targets))]
     layout = param_layout(topo)
-    # every entry is written below: each layer's W and b exactly once
     grads = ParamVector(layout, np.empty(layout.size))
-    d_trunk = np.zeros_like(cache.trunk_acts[-1])
-    for j, head in enumerate(topo.heads):
-        d_out = _head_output_grad(head, cache, j, targets[j], w.values[j])
-        d_head = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out,
-                           grads.arrays)
-        if trunk:  # else the head's input is the batch
-            d_trunk += d_head @ state.params[heads[j][0][0]].T
-    _backprop(state, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads.arrays)
+    backward_pass(topo, state.params.arrays, cache, targets, np.array(w.values), grads.arrays)
     return grads
 
 
@@ -541,8 +637,9 @@ def output_gradient(
     d_out = np.zeros_like(cache.head_out[task_index])
     d_out[:, target_class if head.kind == CLASSIFICATION else 0] = 1.0
     j, below = task_index, slice(layer, None)
-    grad = _backprop(state, heads[j], cache.head_acts[j], cache.head_pre[j], d_out)
-    return _backprop(state, trunk[below], cache.trunk_acts[below], cache.trunk_pre[below], grad)
+    params = state.params.arrays
+    grad = _backprop(params, heads[j], cache.head_acts[j], cache.head_pre[j], d_out)
+    return _backprop(params, trunk[below], cache.trunk_acts[below], cache.trunk_pre[below], grad)
 
 
 MODEL_FORMAT_VERSION = 1

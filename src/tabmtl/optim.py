@@ -40,7 +40,10 @@ def cosine_lr(t: int, cfg: ScheduleConfig) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates: flat vectors in the parameters' layout."""
+    """First/second moment estimates: flat vectors in the parameters' layout.
+
+    For a stack of models ``m`` and ``v`` hold ``(M, size)`` rows.
+    """
 
     step_count: int
     m: ParamVector
@@ -56,6 +59,51 @@ def init_adam(params: ModelState) -> AdamState:
     )
 
 
+def adam_update(
+    params: np.ndarray,
+    grads: np.ndarray,
+    state: AdamState,
+    lr: float | np.ndarray,
+    weight_decay: float | np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """One Adam step with decoupled weight decay, in place.
+
+    ``params``, ``grads`` and ``scratch`` are one model's flat vector or a
+    stack's ``(M, size)`` rows, in the layout of ``state``'s moments.
+    ``params``, ``state.m``, ``state.v`` and ``state.step_count`` advance;
+    ``grads`` and ``scratch`` are overwritten. ``lr`` and ``weight_decay``
+    are numbers or one per model. Nothing is checked and nothing of the
+    vector's size is allocated, so a training loop can own the storage.
+    """
+    t = state.step_count + 1
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m, v, g, s = state.m.flat, state.v.flat, grads, scratch
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    s *= g
+    v += s
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPSILON
+    np.divide(m, bc1, out=g)
+    g /= s  # the step
+    decay = np.asarray(weight_decay)[..., None]
+    if np.any(decay != 0.0):
+        # the weights are the vector's leading slice; biases are not decayed,
+        # nor is a model whose decay is 0 (adding 0 * w could flip a zero's sign)
+        weights = slice(0, state.m.layout.n_weights)
+        np.multiply(params[..., weights], decay, out=s[..., weights])
+        np.add(g[..., weights], s[..., weights], out=g[..., weights], where=decay != 0.0)
+    g *= np.asarray(lr)[..., None]
+    params -= g
+    state.step_count = t
+
+
 def adam_step(
     params: ModelState,
     grads: Mapping[str, np.ndarray],
@@ -65,12 +113,12 @@ def adam_step(
 ) -> tuple[ModelState, AdamState]:
     """One Adam update with decoupled weight decay; biases are not decayed.
 
-    Returns fresh parameter and optimizer states; inputs are left untouched.
-    The update runs once over the whole flat vector; ``grads`` from
-    ``backward`` is already one, and any other name-to-array mapping is
-    checked against the layout and copied into one. lr = 0 is accepted and
-    produces a pure moment update with no parameter motion (used by
-    zero-learning-rate training runs).
+    Returns fresh parameter and optimizer states; inputs are left untouched:
+    the update is ``adam_update`` on copies of them. ``grads`` from
+    ``backward`` is one flat vector already, and any other name-to-array
+    mapping is checked against the layout and copied into one. lr = 0 is
+    accepted and produces a pure moment update with no parameter motion
+    (used by zero-learning-rate training runs).
 
     Worked example (fresh state, w = 0.3, g = 0.5, lr = 0.1, no decay):
     m = 0.1 * 0.5 = 0.05 and v = 0.001 * 0.25 = 0.00025, so after bias
@@ -80,19 +128,9 @@ def adam_step(
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
     layout = params.params.layout
-    g = layout.as_vector(grads).flat
-    p = params.params.flat
-    t = state.step_count + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * state.m.flat + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v.flat + (1.0 - ADAM_BETA2) * g * g
-    step = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
-    if weight_decay != 0.0:
-        # the weights are the vector's leading slice; biases are not decayed
-        weights = slice(0, layout.n_weights)
-        step[weights] += weight_decay * p[weights]
-    return (
-        ModelState(params.topology, ParamVector(layout, p - lr * step)),
-        AdamState(t, ParamVector(layout, m), ParamVector(layout, v)),
-    )
+    p = params.params.flat.copy()
+    g = layout.as_vector(grads).flat.copy()
+    moments = AdamState(state.step_count, ParamVector(layout, state.m.flat.copy()),
+                        ParamVector(layout, state.v.flat.copy()))
+    adam_update(p, g, moments, lr, weight_decay, np.empty_like(p))
+    return ModelState(params.topology, ParamVector(layout, p)), moments

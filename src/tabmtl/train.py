@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .dataset import (
     CLASSIFICATION,
     Dataset,
-    FoldPlan,
+    NormalizationStats,
     OutcomeVector,
     apply_standardizer,
     fit_standardizer,
@@ -30,16 +31,17 @@ from .network import (
     LossWeights,
     ModelState,
     NetworkTopology,
+    ParamVector,
     as_loss_weights,
-    backward,
-    forward,
+    backward_pass,
+    batch_losses,
+    forward_pass,
     init_params,
-    loss_mtl,
     n_parameters,
+    param_layout,
     predict,
-    task_loss,
 )
-from .optim import ScheduleConfig, adam_step, cosine_lr, init_adam
+from .optim import AdamState, ScheduleConfig, adam_update, cosine_lr
 
 # fold f of a run seeded s trains with this derived seed, so folds differ
 # from each other but stay reproducible across runs
@@ -47,6 +49,18 @@ FOLD_SEED_STRIDE = 1000003
 SEARCH_BATCH_SIZE = 64
 # an epoch whose mean loss exceeds this multiple of the first step's loss has diverged
 DIVERGENCE_FACTOR = 1e6
+# a training stack holds at most STACK_MODELS models and STACK_PARAMS
+# parameters summed over them (measured with one BLAS thread, batches of 64
+# rows and 15 inputs). Models of 1-2k parameters ran 1.9-2.8x faster per
+# model-step in stacks of 4 and 2.5-4.8x in stacks of 10, but every model
+# of a stack adds its activations to the working set: the tune benchmark's
+# peak RSS rose about 0.4 MB with stacks of 5 and 1 MB with stacks of 10.
+# Models of 14k-27k parameters (three of the default SearchSpace's four
+# topologies) ran 1.1-1.5x faster in stacks of up to 65k parameters; at 44k
+# parameters a stack of 2 ran 0.97-1.01x and larger ones 0.82-0.93x, so
+# models of more than 32k parameters train alone.
+STACK_MODELS = 5
+STACK_PARAMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,60 +146,93 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    weights = config.resolved_weights()
-    n = dataset.n_rows
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    schedule = ScheduleConfig(config.lr0, config.lr_min, config.epochs * steps_per_epoch)
+    (result,) = _train_stack([(dataset, config)])
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
-    state = init_params(config.topology, config.seed)
-    adam = init_adam(state)
-    shuffle_rng = np.random.default_rng(config.seed)
-    targets = [o.values for o in dataset.outcomes]
 
-    history = []
-    step = 0
-    for epoch in range(config.epochs):
-        perm = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        task_sums = np.zeros(dataset.n_tasks)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = dataset.features[idx]
-            batch_targets = [t[idx] for t in targets]
-            predictions, cache = forward(state, batch)
-            task_losses = [
-                task_loss(head, pred, tgt)
-                for head, pred, tgt in zip(config.topology.heads, predictions, batch_targets)
-            ]
-            total = loss_mtl(task_losses, weights)
-            if not np.isfinite(total):
-                raise NumericalError(
-                    f"non-finite training loss at step {step} (epoch {epoch})"
-                )
+def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | NumericalError]:
+    """Train the jobs' models in lockstep, as one stack, exactly as ``train_model`` would alone.
+
+    The jobs share a topology, a row count, a batch size and epochs, so every
+    step takes a batch of the same size from each. Each model keeps its own
+    seed (initial weights and shuffle stream), schedule, weight decay and
+    loss weights, and its result is bitwise the one it gets alone. A model
+    that diverges gets, in place of a result, the NumericalError it would
+    raise alone; its parameters are then zeroed and its learning rate set to
+    0, so it runs on without overflow while the others finish.
+    """
+    datasets, configs = zip(*jobs)
+    topology, batch_size, epochs = configs[0].topology, configs[0].batch_size, configs[0].epochs
+    n, n_models, n_tasks = datasets[0].n_rows, len(jobs), datasets[0].n_tasks
+    steps_per_epoch = math.ceil(n / batch_size)
+    lr = np.array([
+        [cosine_lr(t, schedule) for t in range(epochs * steps_per_epoch)]
+        for schedule in (ScheduleConfig(c.lr0, c.lr_min, epochs * steps_per_epoch)
+                         for c in configs)
+    ])
+    weight_decay = np.array([c.weight_decay for c in configs])
+    lam = np.array([c.resolved_weights().values for c in configs])
+
+    # the loop owns all its storage: each row of these is one model's flat vector
+    layout = param_layout(topology)
+    params = np.stack([init_params(topology, c.seed).params.flat for c in configs])
+    grads, scratch = np.empty_like(params), np.empty_like(params)
+    adam = AdamState(0, ParamVector(layout, np.zeros_like(params)),
+                     ParamVector(layout, np.zeros_like(params)))
+    param_views, grad_views = layout.views(params), layout.views(grads)
+    shuffle_rngs = [np.random.default_rng(c.seed) for c in configs]
+    features = [d.features for d in datasets]
+    targets = [[d.outcomes[j].values for d in datasets] for j in range(n_tasks)]
+
+    errors: list[NumericalError | None] = [None] * n_models
+    histories: list[list[dict]] = [[] for _ in range(n_models)]
+
+    def fail(i: int, message: str) -> None:
+        if errors[i] is None:
+            errors[i] = NumericalError(message)
+            params[i] = adam.m.flat[i] = adam.v.flat[i] = lr[i] = 0.0
+
+    step, cache = 0, None
+    for epoch in range(epochs):
+        perm = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        loss_sum = np.zeros(n_models)
+        task_sums = np.zeros((n_models, n_tasks))
+        for start in range(0, n, batch_size):
+            idx = perm[:, start : start + batch_size]
+            # each model's batch from its own rows: a stacked copy of every
+            # model's table would only add memory
+            batch_targets = [np.stack([y[i] for y, i in zip(t, idx)]) for t in targets]
+            cache = forward_pass(topology, param_views,
+                                 np.stack([x[i] for x, i in zip(features, idx)]), cache)
+            task_losses = batch_losses(topology, cache, batch_targets)
+            total = sum(lam[:, j] * task_losses[:, j] for j in range(n_tasks))
             if step == 0:
                 first_loss = total
-            grads = backward(state, cache, batch_targets, weights)
-            lr = cosine_lr(step, schedule)
-            state, adam = adam_step(state, grads, adam, lr, config.weight_decay)
+            backward_pass(topology, param_views, cache, batch_targets, lam, grad_views)
+            adam_update(params, grads, adam, lr[:, step], weight_decay, scratch)
+            for i in np.flatnonzero(~np.isfinite(total)):
+                fail(i, f"non-finite training loss at step {step} (epoch {epoch})")
             step += 1
-            loss_sum += total * len(idx)
-            task_sums += np.array(task_losses) * len(idx)
+            loss_sum += total * idx.shape[1]
+            task_sums += task_losses * idx.shape[1]
         mean_loss = loss_sum / n
-        if not np.all(np.isfinite(state.params.flat)):
-            raise NumericalError(f"training diverged: non-finite parameters after epoch {epoch}")
-        if mean_loss > DIVERGENCE_FACTOR * first_loss:
-            raise NumericalError(
-                f"training diverged: epoch {epoch} mean loss {mean_loss:.6g} exceeds "
-                f"{DIVERGENCE_FACTOR:g} x the first step's loss {first_loss:.6g}"
-            )
-        history.append(
-            {
-                "epoch": epoch,
-                "total_loss": mean_loss,
-                "task_losses": (task_sums / n).tolist(),
-            }
-        )
-    return TrainResult(state, history)
+        finite = np.isfinite(params).all(axis=1)
+        for i in range(n_models):
+            if not finite[i]:
+                fail(i, f"training diverged: non-finite parameters after epoch {epoch}")
+            if mean_loss[i] > DIVERGENCE_FACTOR * first_loss[i]:
+                fail(i, f"training diverged: epoch {epoch} mean loss {mean_loss[i]:.6g} exceeds "
+                        f"{DIVERGENCE_FACTOR:g} x the first step's loss {first_loss[i]:.6g}")
+            histories[i].append({"epoch": epoch, "total_loss": float(mean_loss[i]),
+                                 "task_losses": (task_sums[i] / n).tolist()})
+        if all(errors):
+            break
+    return [
+        error or TrainResult(ModelState(topology, ParamVector(layout, params[i].copy())), history)
+        for i, (error, history) in enumerate(zip(errors, histories))
+    ]
 
 
 def _task_metrics(
@@ -262,38 +309,123 @@ class CvReport:
         return "\n".join(lines)
 
 
-def _run_fold(
-    dataset: Dataset,
-    config: TrainConfig,
-    plan: FoldPlan,
-    fold: int,
-    seed: int,
-    leaky_stats: bool,
-) -> dict:
-    train_idx = plan.train_indices(fold)
-    test_idx = plan.test_indices(fold)
-    if leaky_stats:
-        stats = dataset.normalization_stats
-        features = dataset.features
-    else:
-        # refit normalization on the training rows only, so nothing about the
-        # held-out rows leaks into the transform
-        raw = dataset.raw_features()
-        stats = fit_standardizer(raw[train_idx])
-        features = apply_standardizer(raw, stats)
-    fold_dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
-    fold_config = replace(config, seed=seed * FOLD_SEED_STRIDE + fold)
-    result = train_model(subset_rows(fold_dataset, train_idx), fold_config)
-    test_set = subset_rows(fold_dataset, test_idx)
-    predictions = predict(result.state, test_set.features)
-    return {
-        "fold": fold,
-        "test_indices": test_idx,
-        "stats": stats,
-        "tasks": _task_metrics(predictions, test_set.outcomes),
-        "predictions": predictions,
-        "final_loss": result.final_loss,
-    }
+@dataclass(frozen=True)
+class _Fold:
+    train: Dataset
+    test: Dataset
+    test_indices: np.ndarray
+    stats: NormalizationStats
+
+
+def _folds(dataset: Dataset, k: int, seed: int, leaky_stats: bool) -> list[_Fold]:
+    """The k folds' training and test sets, built once for every configuration."""
+    plan = kfold_split(dataset.n_rows, k, seed)
+    folds = []
+    for fold in range(k):
+        train_idx = plan.train_indices(fold)
+        test_idx = plan.test_indices(fold)
+        if leaky_stats:
+            stats = dataset.normalization_stats
+            features = dataset.features
+        else:
+            # refit normalization on the training rows only, so nothing about the
+            # held-out rows leaks into the transform
+            raw = dataset.raw_features()
+            stats = fit_standardizer(raw[train_idx])
+            features = apply_standardizer(raw, stats)
+        fold_dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
+        folds.append(_Fold(subset_rows(fold_dataset, train_idx),
+                           subset_rows(fold_dataset, test_idx), test_idx, stats))
+    return folds
+
+
+def _train_jobs(
+    jobs: list[tuple[Dataset, TrainConfig]]
+) -> Iterator[tuple[int, TrainResult | NumericalError]]:
+    """Train every job, yielding ``(job index, result)`` one stack at a time.
+
+    Jobs share a stack when they share a topology, a row count, a batch
+    size and epochs, up to ``STACK_MODELS`` models and ``STACK_PARAMS``
+    parameters a stack, in job order.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (data, config) in enumerate(jobs):
+        key = (config.topology, data.n_rows, config.batch_size, config.epochs)
+        groups.setdefault(key, []).append(i)
+    for (topology, *_), members in groups.items():
+        # as few stacks as the cap allows, of even sizes
+        per_stack = min(STACK_MODELS, max(1, STACK_PARAMS // n_parameters(topology)))
+        n_stacks = math.ceil(len(members) / per_stack)
+        size = math.ceil(len(members) / n_stacks)
+        for chunk in range(0, len(members), size):
+            stack = members[chunk : chunk + size]
+            yield from zip(stack, _train_stack([jobs[i] for i in stack]))
+
+
+@dataclass(frozen=True)
+class _FoldOutcome:
+    """What a fold's report needs of its trained model."""
+
+    final_loss: float
+    predictions: list[np.ndarray]
+
+
+def _cross_validate_configs(
+    dataset: Dataset, folds: list[_Fold], configs: list[TrainConfig], seed: int
+) -> list[CvReport | NumericalError]:
+    """``cross_validate`` of each config on the same folds, training them all as stacks.
+
+    A config whose training diverges gets, in place of a report, the
+    NumericalError its first diverging fold raises alone. Each model is
+    dropped once its test fold is predicted, so no more than one stack's
+    models are alive at a time.
+    """
+    k = len(folds)
+    jobs = [(fold.train, replace(config, seed=seed * FOLD_SEED_STRIDE + f))
+            for config in configs for f, fold in enumerate(folds)]
+    outcomes: list = [None] * len(jobs)
+    for i, result in _train_jobs(jobs):
+        outcomes[i] = result if isinstance(result, NumericalError) else _FoldOutcome(
+            result.final_loss, predict(result.state, folds[i % k].test.features))
+    reports = []
+    for c in range(len(configs)):
+        fold_outcomes = outcomes[c * k : (c + 1) * k]
+        error = next((o for o in fold_outcomes if isinstance(o, NumericalError)), None)
+        reports.append(error or _cv_report(dataset, folds, fold_outcomes, seed))
+    return reports
+
+
+def _cv_report(
+    dataset: Dataset, folds: list[_Fold], outcomes: list[_FoldOutcome], seed: int
+) -> CvReport:
+    task_names = dataset.task_names()
+    fold_dicts = [
+        {
+            "fold": f,
+            "test_indices": fold.test_indices.tolist(),
+            "normalization_stats": fold.stats.to_dict(),
+            "final_train_loss": outcome.final_loss,
+            "tasks": _task_metrics(outcome.predictions, fold.test.outcomes),
+        }
+        for f, (fold, outcome) in enumerate(zip(folds, outcomes))
+    ]
+
+    aggregates: dict[str, dict] = {}
+    for name in task_names:
+        metric_names = fold_dicts[0]["tasks"][name].keys()
+        aggregates[name] = {
+            m: _mean_std([f["tasks"][name][m] for f in fold_dicts]) for m in metric_names
+        }
+
+    # pooled: every row scored exactly once by the model that did not see it
+    order = np.concatenate([fold.test_indices for fold in folds])
+    inverse = np.argsort(order)
+    pooled = _task_metrics(
+        [np.concatenate([o.predictions[j] for o in outcomes])[inverse]
+         for j in range(dataset.n_tasks)],
+        dataset.outcomes,
+    )
+    return CvReport(len(folds), seed, task_names, fold_dicts, aggregates, pooled)
 
 
 def cross_validate(
@@ -308,43 +440,17 @@ def cross_validate(
     Fold f trains with seed ``seed * 1000003 + f`` on the other folds'
     rows. By default per-fold normalization statistics are refit on the
     training rows only; ``leaky_stats=True`` keeps the dataset's whole-table
-    statistics (the shortcut a leakage audit should flag).
+    statistics (the shortcut a leakage audit should flag). The folds train
+    together as stacks (see ``_train_stack``), with the results each gets
+    alone.
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    plan = kfold_split(dataset.n_rows, k, seed)
-    raw_folds = [_run_fold(dataset, config, plan, f, seed, leaky_stats) for f in range(k)]
-
-    task_names = dataset.task_names()
-    folds = []
-    for rf in raw_folds:
-        folds.append(
-            {
-                "fold": rf["fold"],
-                "test_indices": rf["test_indices"].tolist(),
-                "normalization_stats": rf["stats"].to_dict(),
-                "final_train_loss": rf["final_loss"],
-                "tasks": rf["tasks"],
-            }
-        )
-
-    aggregates: dict[str, dict] = {}
-    for name in task_names:
-        metric_names = folds[0]["tasks"][name].keys()
-        aggregates[name] = {
-            m: _mean_std([f["tasks"][name][m] for f in folds]) for m in metric_names
-        }
-
-    # pooled: every row scored exactly once by the model that did not see it
-    order = np.concatenate([rf["test_indices"] for rf in raw_folds])
-    inverse = np.argsort(order)
-    pooled = _task_metrics(
-        [np.concatenate([rf["predictions"][j] for rf in raw_folds])[inverse]
-         for j in range(dataset.n_tasks)],
-        dataset.outcomes,
-    )
-
-    return CvReport(k, seed, task_names, folds, aggregates, pooled)
+    folds = _folds(dataset, k, seed, leaky_stats)
+    (report,) = _cross_validate_configs(dataset, folds, [config], seed)
+    if isinstance(report, NumericalError):
+        raise report
+    return report
 
 
 @dataclass(frozen=True)
@@ -432,7 +538,9 @@ def grid_search(
     replacement using the space's seed, keeping enumeration order. The
     selection metric is the primary task's fold-averaged AUC (classification)
     or negated MSE (regression); ties prefer fewer parameters, then the
-    earlier combination.
+    earlier combination. Trials that share a topology and epochs train
+    together as stacks, with the results each gets alone; if any diverges,
+    the error raised is the one running the trials in order meets first.
     """
     if not space.primary_task:
         raise ConfigError("search space needs a primary_task name")
@@ -453,8 +561,8 @@ def grid_search(
         chosen = rng.choice(len(combos), size=space.budget, replace=False)
         indices = sorted(int(i) for i in chosen)
 
+    dataset.require_complete()
     trials = []
-    best = None  # (score, n_params, enum_index, report, params)
     for enum_index in indices:
         td, tw, hd, hw, lr0, wd, epochs, lam = combos[enum_index]
         topology = build_topology(dataset, (tw,) * td, (hw,) * hd)
@@ -470,15 +578,6 @@ def grid_search(
             batch_size=SEARCH_BATCH_SIZE,
             seed=space.seed,
         )
-        report = cross_validate(dataset, config, k, seed=space.seed, leaky_stats=leaky_stats)
-        agg = report.aggregates[space.primary_task]
-        if primary.kind == CLASSIFICATION:
-            mean_auc = agg["auc"]["mean"]
-            score = -math.inf if mean_auc is None else mean_auc
-        else:
-            score = -agg["mse"]["mean"]
-        if not np.isfinite(score):
-            score = -math.inf
         params = {
             "trunk_layers": [tw] * td,
             "head_layers": [hw] * hd,
@@ -488,17 +587,34 @@ def grid_search(
             "secondary_loss_weight": lam,
             "loss_weights": list(weights),
         }
-        trials.append({
+        trials.append((enum_index, params, config))
+
+    folds = _folds(dataset, k, space.seed, leaky_stats)
+    reports = _cross_validate_configs(dataset, folds, [c for _, _, c in trials], space.seed)
+    records = []
+    best = None  # (key, params, report)
+    for (enum_index, params, config), report in zip(trials, reports):
+        if isinstance(report, NumericalError):
+            raise report  # the first failing trial, as running them in order meets it
+        agg = report.aggregates[space.primary_task]
+        if primary.kind == CLASSIFICATION:
+            mean_auc = agg["auc"]["mean"]
+            score = -math.inf if mean_auc is None else mean_auc
+        else:
+            score = -agg["mse"]["mean"]
+        if not np.isfinite(score):
+            score = -math.inf
+        records.append({
             "trial": enum_index,
             "params": params,
             "score": score if math.isfinite(score) else None,
             "aggregates": report.aggregates,
         })
-        key = (score, -n_parameters(topology), -enum_index)
+        key = (score, -n_parameters(config.topology), -enum_index)
         if best is None or key > best[0]:
             best = (key, params, report)
 
     (best_score, _, _), best_params, best_report = best
     if not math.isfinite(best_score):
         best_score = None
-    return GridSearchResult(best_params, best_score, best_report, trials)
+    return GridSearchResult(best_params, best_score, best_report, records)

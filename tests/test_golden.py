@@ -198,23 +198,23 @@ OUTCOMES = {
 }
 
 
-def _write_shape_input(directory, outcomes):
+def _write_shape_input(directory, outcomes, rows=SHAPE_ROWS):
     """Five numeric features and the named outcomes, in task order."""
     rng = np.random.default_rng(11)
-    x = rng.normal(0.0, 1.0, (SHAPE_ROWS, 5))
-    signal = x[:, 0] - 0.5 * x[:, 1] + rng.normal(0.0, 0.5, SHAPE_ROWS)
+    x = rng.normal(0.0, 1.0, (rows, 5))
+    signal = x[:, 0] - 0.5 * x[:, 1] + rng.normal(0.0, 0.5, rows)
     values = {
         "bin": (signal > 0).astype(int),
         "tri": np.digitize(signal, [-0.5, 0.5]),
-        "los": 1.5 + 0.8 * x[:, 2] + rng.normal(0.0, 0.2, SHAPE_ROWS),
-        "bw": -0.3 * x[:, 3] + x[:, 4] ** 2 + rng.normal(0.0, 0.2, SHAPE_ROWS),
+        "los": 1.5 + 0.8 * x[:, 2] + rng.normal(0.0, 0.2, rows),
+        "bw": -0.3 * x[:, 3] + x[:, 4] ** 2 + rng.normal(0.0, 0.2, rows),
     }
     names = [f"f{i}" for i in range(5)] + list(outcomes)
     data, schema = directory / "data.csv", directory / "schema.json"
     with data.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(SHAPE_ROWS):
+        for i in range(rows):
             cells = [f"{v:.5f}" for v in x[i]]
             cells += [repr(values[o][i].item()) for o in outcomes]
             writer.writerow(cells)
@@ -256,3 +256,47 @@ def test_train_outputs_do_not_depend_on_blas_threads(tmp_path):
         assert result.returncode == 0, result.stderr
         runs[threads] = _digests(out, TRAIN_DIGESTS)
     assert runs["1"] == runs["2"]
+
+
+# --- cross-validation and grid search ----------------------------------------
+# `cv` on 50 rows with k=4 trains folds of 37 and 38 rows, so the folds fall
+# into two row counts and every epoch ends on a partial batch. `gridsearch` on
+# 100 rows with k=3 trains folds of 66 and 67 rows in batches of 64; its grid
+# has two topologies, two epoch counts, and weight decays of 0 and 0.01.
+
+CV_ARGS = ["--trunk", "8", "--head", "4", "--epochs", "4", "--batch-size", "16",
+           "--seed", "5", "--k", "4"]
+CV_DIGESTS = {
+    "cv_report.json":
+        "865ad0c85c5dd9b7e0d5cc5c1a617c0a56f26458ccdd8f91e007b04e1d916e20",
+    "cv_report.txt":
+        "25fd26057959160fc9f1664f66a29a54c35d6f84818dd310bf582dd9fa2eb00d",
+}
+GRID_ROWS = 100
+GRID_ARGS = ["--primary-task", "bin", "--k", "3", "--seed", "7",
+             "--trunk-depths", "1", "--trunk-widths", "4,8", "--head-depths", "1",
+             "--head-widths", "3", "--lr0-values", "0.01,0.05",
+             "--weight-decay-values", "0,0.01", "--epochs-values", "2,3",
+             "--loss-weight-values", "0.5"]
+GRID_DIGESTS = {
+    "gridsearch.json":
+        "cb24a4b7580c4e7a61277f49baec254cdfc2d702764e6b12f2b1986303a963bc",
+    "best_cv_report.txt":
+        "21569f762e9e7a336094bf9465876949d157ffa88a7c5ddd103971ffddd33708",
+}
+
+
+def test_cv_outputs_are_pinned(tmp_path):
+    data, schema = _write_shape_input(tmp_path, ("tri", "los", "bin"))
+    out = tmp_path / "cv"
+    assert main(["cv", "--data", str(data), "--schema", str(schema), "--out", str(out),
+                 *CV_ARGS]) == 0
+    assert _digests(out, CV_DIGESTS) == CV_DIGESTS
+
+
+def test_gridsearch_outputs_are_pinned(tmp_path):
+    data, schema = _write_shape_input(tmp_path, ("bin", "los"), rows=GRID_ROWS)
+    out = tmp_path / "grid"
+    assert main(["gridsearch", "--data", str(data), "--schema", str(schema),
+                 "--out", str(out), *GRID_ARGS]) == 0
+    assert _digests(out, GRID_DIGESTS) == GRID_DIGESTS

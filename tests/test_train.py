@@ -1,12 +1,18 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector
+from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector, kfold_split, subset_rows
 from tabmtl import train
 from tabmtl.errors import ConfigError, NumericalError
 from tabmtl.network import HeadSpec, LossWeights, NetworkTopology, init_params, predict
 from tabmtl.synth import SynthConfig, generate
 from tabmtl.train import (
+    FOLD_SEED_STRIDE,
     SearchSpace,
     TrainConfig,
     check_compatible,
@@ -298,3 +304,117 @@ class TestGridSearch:
     def test_empty_dimension_rejected(self):
         with pytest.raises(ConfigError):
             self.space(lr0_values=())
+
+
+# --- stacked training ---------------------------------------------------------
+
+HEAD_KINDS = {
+    "three_class": (("classification", 3),),
+    "regression_only": (("regression", 1), ("regression", 1)),
+    "mixed": (("classification", 2), ("classification", 3), ("regression", 1)),
+}
+
+
+def kinds_dataset(kinds, n, d, seed):
+    rng = np.random.default_rng(seed)
+    outcomes = tuple(
+        OutcomeVector(f"t{j}", kind, rng.integers(0, k, n) if kind == "classification"
+                      else rng.normal(size=n), k if kind == "classification" else None)
+        for j, (kind, k) in enumerate(kinds)
+    )
+    return Dataset(rng.normal(size=(n, d)), tuple(f"f{i}" for i in range(d)), outcomes,
+                   NormalizationStats.identity(d))
+
+
+def trained_bytes(result):
+    """A result's parameters and history, bit for bit."""
+    return result.state.params.flat.tobytes(), json.dumps(result.history)
+
+
+@st.composite
+def stack_cases(draw):
+    kinds = HEAD_KINDS[draw(st.sampled_from(sorted(HEAD_KINDS)))]
+    d = draw(st.integers(1, 5))
+    trunk = draw(st.sampled_from([(), (5,), (6, 4, 3)]))
+    head = draw(st.sampled_from([(), (3,), (4, 2)]))
+    topology = NetworkTopology(d, trunk, tuple(HeadSpec(head, kind, k) for kind, k in kinds))
+    n = draw(st.integers(3, 30))
+    batch_size = draw(st.integers(1, n + 2))  # often leaves a partial last batch
+    epochs = draw(st.integers(1, 3))
+    jobs = []
+    for _ in range(draw(st.integers(2, 4))):
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                min_size=len(kinds), max_size=len(kinds))
+                       .filter(lambda w: any(v > 0 for v in w)))
+        lr0 = draw(st.sampled_from([0.0, 0.01, 0.2]))
+        config = TrainConfig(
+            topology, loss_weights=LossWeights(weights), lr0=lr0,
+            lr_min=draw(st.sampled_from([0.0, lr0 / 10])),
+            weight_decay=draw(st.sampled_from([0.0, 0.05])),
+            epochs=epochs, batch_size=batch_size, seed=draw(st.integers(0, 2**16)),
+        )
+        jobs.append((kinds_dataset(kinds, n, d, draw(st.integers(0, 2**16))), config))
+    return jobs
+
+
+class TestStackedTraining:
+    @settings(max_examples=60, deadline=None)
+    @given(stack_cases())
+    def test_stack_equals_each_model_trained_alone(self, jobs):
+        stacked = train._train_stack(jobs)
+        for (dataset, config), result in zip(jobs, stacked):
+            assert trained_bytes(result) == trained_bytes(train_model(dataset, config))
+
+    @staticmethod
+    def alone(dataset, config):
+        try:
+            return trained_bytes(train_model(dataset, config))
+        except NumericalError as exc:
+            return str(exc)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
+    def test_diverging_members_get_their_own_errors(self, order):
+        # the second order puts a diverging model first: the healthy ones
+        # behind it still train to the end
+        topology = small_topology(trunk=(6,), head=(3,))
+        dataset = synth_dataset(n=40)
+        healthy = TrainConfig(topology, lr0=0.01, epochs=4, batch_size=16, seed=1)
+        blows_up = replace(healthy, lr0=1e6, seed=2)  # finite losses, caught at an epoch's end
+        overflows = replace(healthy, lr0=1e200, seed=3)  # a non-finite loss, caught at a step
+        configs = (healthy, blows_up, overflows, replace(healthy, seed=4))
+        jobs = [(dataset, configs[i]) for i in order]
+        stacked = train._train_stack(jobs)
+        alone = [self.alone(*job) for job in jobs]
+        assert sorted(isinstance(m, str) for m in alone) == [False, False, True, True]
+        assert any("epoch" in m for m in alone if isinstance(m, str))
+        assert any("step" in m for m in alone if isinstance(m, str))
+        assert [str(r) if isinstance(r, NumericalError) else trained_bytes(r)
+                for r in stacked] == alone
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @pytest.mark.parametrize("lr0_values", [(0.01, 1e6), (1e6, 0.01)])
+    def test_grid_search_raises_the_error_serial_training_meets_first(self, lr0_values):
+        # one topology and one epoch count: the healthy and the diverging trial
+        # train in one stack
+        dataset = synth_dataset(n=60)
+        space = SearchSpace(
+            trunk_depths=(1,), trunk_widths=(6,), head_depths=(1,), head_widths=(3,),
+            lr0_values=lr0_values, weight_decay_values=(0.0,), epochs_values=(4,),
+            loss_weight_values=(1.0,), primary_task="task_a", seed=3,
+        )
+        with pytest.raises(NumericalError) as raised:
+            grid_search(dataset, space, k=3, leaky_stats=True)
+        # serially: trial by trial, fold by fold, the first error raised
+        plan = kfold_split(dataset.n_rows, 3, space.seed)
+        topology = train.build_topology(dataset, (6,), (3,))
+        messages = [
+            self.alone(subset_rows(dataset, plan.train_indices(f)),
+                       TrainConfig(topology, loss_weights=LossWeights((1.0,) * 3), lr0=lr0,
+                                   epochs=4, batch_size=train.SEARCH_BATCH_SIZE,
+                                   seed=space.seed * FOLD_SEED_STRIDE + f))
+            for lr0 in lr0_values for f in range(3)
+        ]
+        first = next(m for m in messages if isinstance(m, str))
+        assert len(set(m for m in messages if isinstance(m, str))) > 1  # the folds differ
+        assert str(raised.value) == first
