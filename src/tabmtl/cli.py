@@ -132,11 +132,7 @@ def _train_config(dataset: Dataset, args) -> TrainConfig:
 
 
 def _stats_dict(dataset: Dataset) -> dict:
-    return {
-        "feature_names": list(dataset.feature_names),
-        "mean": dataset.normalization_stats.mean.tolist(),
-        "std": dataset.normalization_stats.std.tolist(),
-    }
+    return {"feature_names": list(dataset.feature_names), **dataset.normalization_stats.to_dict()}
 
 
 # --- subcommands -------------------------------------------------------------

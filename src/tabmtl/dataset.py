@@ -705,8 +705,7 @@ def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
         raise ConfigError(f"k={k} exceeds the number of samples n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
-    for pos, idx in enumerate(perm):
-        assignments[idx] = pos % k
+    assignments[perm] = np.arange(n) % k
     return FoldPlan(k, assignments)
 
 

@@ -149,8 +149,8 @@ class LossWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(v < 0 for v in self.values):
-            raise ConfigError(f"loss weights must be non-negative, got {self.values}")
+        if not all(math.isfinite(v) and v >= 0 for v in self.values):
+            raise ConfigError(f"loss weights must be finite and non-negative, got {self.values}")
         if not any(v > 0 for v in self.values):
             raise ConfigError("at least one loss weight must be positive")
 
@@ -642,15 +642,18 @@ def output_gradient(
     return _backprop(params, trunk[below], cache.trunk_acts[below], cache.trunk_pre[below], grad)
 
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def model_to_dict(state: ModelState, normalization_stats: dict | None = None) -> dict:
-    """JSON-ready model dict; float values survive the round trip exactly."""
+    """JSON-ready model dict; float values survive the round trip exactly.
+
+    ``params`` is the flat vector as one list, in ``param_layout`` order.
+    """
     d = {
         "version": MODEL_FORMAT_VERSION,
         "topology": state.topology.to_dict(),
-        "params": {name: arr.tolist() for name, arr in state.params.items()},
+        "params": state.params.flat.tolist(),
     }
     if normalization_stats is not None:
         d["normalization_stats"] = normalization_stats
@@ -660,9 +663,9 @@ def model_to_dict(state: ModelState, normalization_stats: dict | None = None) ->
 def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
     """Model state and normalization stats from a model dict.
 
-    Parameters enter the program from outside only through here, so every
-    one is checked: no unknown names, no missing ones, the layout's shape,
-    and finite values.
+    Parameters enter the program from outside only through here, so they
+    are checked: a flat list of numbers, as many as the topology's layout
+    holds, every one finite.
     """
     if not isinstance(d, dict):
         raise ConfigError("model document must be a JSON object")
@@ -670,30 +673,26 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
         if key not in d:
             raise ConfigError(f"model document has no {key!r} entry")
     if d["version"] != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format version {d['version']!r}")
+        raise ConfigError(f"unsupported model format version {d['version']!r}; this version "
+                          f"reads only version {MODEL_FORMAT_VERSION}, so retrain the model")
     try:
         topo = NetworkTopology.from_dict(d["topology"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed topology: {exc!r}") from None
-    if not isinstance(d["params"], dict):
-        raise ConfigError("model params must be a JSON object")
     layout = param_layout(topo)
-    unknown = sorted(set(d["params"]) - set(layout.names))
-    if unknown:
-        raise ConfigError(f"unknown parameter {unknown[0]}")
-    params = ParamVector(layout, np.empty(layout.size))
-    for name, view in params.items():
-        if name not in d["params"]:
-            raise ConfigError(f"missing parameter {name}")
-        try:
-            arr = np.asarray(d["params"][name], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter {name} is not an array of numbers") from None
-        if arr.shape != view.shape:
-            raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {view.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError(f"parameter {name} has non-finite values")
-        view[...] = arr
+    try:
+        flat = np.array(d["params"])
+    except ValueError:  # lists nested to unequal depths
+        flat = np.array(None)
+    if flat.ndim != 1 or flat.dtype.kind not in "iuf":
+        raise ConfigError("model params must be a flat list of numbers")
+    if flat.size != layout.size:
+        raise ConfigError(f"model params has {flat.size} values, the topology needs {layout.size}")
+    params = ParamVector(layout, flat.astype(np.float64, copy=False))
+    bad = ~np.isfinite(params.flat)
+    if bad.any():
+        name = next(name for name, view in layout.views(bad).items() if view.any())
+        raise ConfigError(f"parameter {name} has non-finite values")
     stats = d.get("normalization_stats")
     if stats is not None and not isinstance(stats, dict):
         raise ConfigError("model normalization_stats must be a JSON object")
@@ -701,7 +700,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
 
 
 def save_model(state: ModelState, path: str | Path, normalization_stats: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(state, normalization_stats), indent=2) + "\n")
+    Path(path).write_text(json.dumps(model_to_dict(state, normalization_stats)) + "\n")
 
 
 def load_model(path: str | Path) -> tuple[ModelState, dict | None]:

@@ -23,8 +23,8 @@ class ScheduleConfig:
     total_steps: int
 
     def __post_init__(self):
-        if self.lr0 < 0:
-            raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 >= 0):
+            raise ConfigError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0 <= self.lr_min <= self.lr0:
             raise ConfigError(f"need 0 <= lr_min <= lr0, got lr_min={self.lr_min}, lr0={self.lr0}")
         if self.total_steps < 1:

@@ -11,6 +11,7 @@ orthogonal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +54,8 @@ class SynthConfig:
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0.0 < self.class_balance < 1.0:
             raise ConfigError(f"class_balance must be in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.missing_frac < 1.0:

@@ -79,12 +79,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 < 0.0:
-            raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
-        if not 0.0 <= self.lr_min <= max(self.lr0, 0.0):
+        if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
+            raise ConfigError(f"lr0 must be finite and >= 0, got {self.lr0}")
+        if not 0.0 <= self.lr_min <= self.lr0:
             raise ConfigError(f"lr_min must be in [0, lr0], got {self.lr_min}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.loss_weights is not None:
             weights = as_loss_weights(self.loss_weights)
             if len(weights) != self.topology.num_tasks:
@@ -477,6 +477,7 @@ class SearchSpace:
     seed: int = 0
 
     def __post_init__(self):
+        least = {"trunk_depths": 0, "trunk_widths": 1, "head_depths": 0, "head_widths": 1}
         for name in (
             "trunk_depths", "trunk_widths", "head_depths", "head_widths",
             "lr0_values", "weight_decay_values", "epochs_values", "loss_weight_values",
@@ -484,6 +485,9 @@ class SearchSpace:
             values = tuple(getattr(self, name))
             if not values:
                 raise ConfigError(f"search space field {name} must be non-empty")
+            if name in least and min(values) < least[name]:
+                raise ConfigError(f"search space field {name} must hold values >= "
+                                  f"{least[name]}, got {values}")
             object.__setattr__(self, name, values)
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")

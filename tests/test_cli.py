@@ -276,6 +276,38 @@ class TestGridsearch:
         assert result.returncode == 2
 
 
+GRID = ["--trunk-depths", "1", "--trunk-widths", "4", "--head-depths", "1",
+        "--head-widths", "3", "--lr0-values", "0.01", "--weight-decay-values", "0",
+        "--epochs-values", "1", "--loss-weight-values", "1", "--primary-task", "task_a",
+        "--k", "2"]
+
+
+@pytest.mark.parametrize("command, options, named, value", [
+    ("train", ["--loss-weights", "1,nan,1"], "loss weights", "nan"),
+    ("train", ["--loss-weights", "1,inf,1"], "loss weights", "inf"),
+    ("train", ["--lr0", "inf"], "lr0", "inf"),
+    ("train", ["--lr0", "nan"], "lr0", "nan"),
+    ("train", ["--weight-decay", "nan"], "weight_decay", "nan"),
+    ("train", ["--weight-decay", "inf"], "weight_decay", "inf"),
+    ("gridsearch", ["--weight-decay-values", "inf"], "weight_decay", "inf"),
+    ("gridsearch", ["--loss-weight-values", "nan"], "loss weights", "nan"),
+    ("gridsearch", ["--trunk-depths", "-1", "--head-depths", "-2"], "trunk_depths", "-1"),
+    ("synth", ["--noise-std", "inf"], "noise_std", "inf"),
+    ("synth", ["--noise-std", "nan"], "noise_std", "nan"),
+])
+def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named, value):
+    """Non-finite values and negative search depths are refused where they enter."""
+    args = [command, "--out", tmp_path / "o"]
+    if command != "synth":
+        args += ["--data", synth_dir / "data.csv", "--schema", synth_dir / "schema.json"]
+    if command == "gridsearch":
+        args += GRID  # argparse keeps the last value given, so the case's options win
+    result = run_cli(*args, *options)
+    assert result.returncode == 2, result.stderr
+    assert named in result.stderr and value in result.stderr
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
 class TestAttribute:
     def test_report_files(self, synth_dir, trained_dir, tmp_path):
         out = tmp_path / "att"
@@ -304,17 +336,29 @@ class TestAttribute:
 
     @pytest.mark.parametrize("mutate", [
         "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",
+        "version_1", "params_dict", "params_short",
     ])
     def test_bad_model_file_exits_2(self, synth_dir, trained_dir, tmp_path, mutate):
         text = (trained_dir / "model.json").read_text()
         model = tmp_path / "model.json"
+        doc = json.loads(text)
         if mutate == "truncated":
             model.write_text(text[: len(text) // 2])
         elif mutate == "not_object":
             model.write_text("[1, 2]")
         elif mutate.startswith("no_"):
-            doc = json.loads(text)
             del doc[mutate[3:]]
+            model.write_text(json.dumps(doc))
+        elif mutate in ("version_1", "params_dict"):
+            # the layout of a version-1 file: one nested list per named array
+            from tabmtl.network import load_model
+
+            state, _ = load_model(trained_dir / "model.json")
+            doc["params"] = {name: arr.tolist() for name, arr in state.params.items()}
+            doc["version"] = 1 if mutate == "version_1" else doc["version"]
+            model.write_text(json.dumps(doc, indent=2))
+        elif mutate == "params_short":
+            doc["params"].pop()
             model.write_text(json.dumps(doc))
         result = run_cli(
             "attribute", "--data", synth_dir / "data.csv",
@@ -324,6 +368,8 @@ class TestAttribute:
         assert result.returncode == 2
         assert str(model) in result.stderr
         assert "Traceback" not in result.stderr
+        if mutate == "version_1":
+            assert "retrain" in result.stderr
 
 
 class TestReport:

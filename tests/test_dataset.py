@@ -527,6 +527,10 @@ class TestKfold:
         sizes = [len(plan.test_indices(f)) for f in range(k)]
         assert max(sizes) - min(sizes) <= 1
         assert all(s in (n // k, n // k + 1) for s in sizes)
+        dealt = np.empty(n, dtype=np.int64)
+        for pos, idx in enumerate(np.random.default_rng(seed).permutation(n)):
+            dealt[idx] = pos % k  # the round-robin deal, one row at a time
+        assert np.array_equal(plan.assignments, dealt)
 
 
 class TestSchemaJson:

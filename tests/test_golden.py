@@ -57,7 +57,7 @@ TRAIN_DIGESTS = {
     "history.json":
         "7e0bca532f4261f0a7ca43f6218e7c53078b0cdce189be3751eac7f79e9d3af3",
     "model.json":
-        "4de0a6b81a69b38a4fafeaa3150c5619db1cefa0a5fc549e5b9f5b987c0f83c6",
+        "80d1c3755e0169ed273edd5cdcd0c3fd69f1cb6ad523fc5ace2b6f65aeb337ae",
 }
 
 
@@ -144,49 +144,49 @@ SHAPE_DIGESTS = {
         "history.json":
             "231a7cc8b88795c1378e87a86604ad718d198edafcca52567fb0ff7c15bf2831",
         "model.json":
-            "15636778d5e60a17e26395fe6ea8c925860ccaa923e38fc952a6451ea55d20aa",
+            "2d87e41cb696eb4f1e9ac99d208af8b4be39c10472062cccac2ce5ed38ab1a6c",
     },
     "mixed_heads": {
         "history.json":
             "48e9990bc144555fbed6a50173d01f0eb71bdfa8af19855de0301feabb427d93",
         "model.json":
-            "178fc00fb96d9868e39bcfb4fe6f860777668ea6e4ef98af356a5be315712e09",
+            "19ae7b99d1d1bcb939d2953dac256d666491700c072041232033a5965d3542a1",
     },
     "no_head_hidden": {
         "history.json":
             "159b701e2fc6a19952c25ebca2a25c4377c6eb9ed8e046dc1b5b7ade75798ec9",
         "model.json":
-            "bc0ef5249ea3740483f139ad508dc9f6ea75cafc761c204c0f0f8084a65c97b3",
+            "9491bb37298e92d8eaa9374eb32f09f890aeed68b0545461348d83d9effd8fc5",
     },
     "no_trunk": {
         "history.json":
             "d54aa6d4773105eabc561d586a33901d91d70db8b6c5f72c41ff14a509665d1c",
         "model.json":
-            "97f5ff9f26bd0f1bd3025e6be292b9e22ab899c240f46d52b87f24c9071fee5e",
+            "a6fe0ca2c8799e5a162ca915af7b9f7f71a98eca38275a926a0996946e3ba29e",
     },
     "one_row_tail": {
         "history.json":
             "f86a85b9492890fcb77df10815b51c06372619b5e90b05634444fd8a3d1d54aa",
         "model.json":
-            "5bbf90d5dee45ae3d84c703f54ec528859867cd5be09ea202845b343af57c513",
+            "0fc8c89911699e347fab24d1612d22048d207e01650f566ce33e5615778dc11d",
     },
     "regression_only": {
         "history.json":
             "9dfd6f0ee5f0e84b1f76f796ddf2bb47b28b3e443ef0fdba8630ce4ee65367b4",
         "model.json":
-            "814ad1f49f04e83dc4ef25df4969742fdbfc22e162dd1a45d98a51325b687667",
+            "a4a3b48c5a6b9b12531189e425871e0d9a61e4725d071bd6fa22f961db153ee1",
     },
     "weight_decay": {
         "history.json":
             "a48d3d6eccfe073368cfdf177f850d985d94d7f94051354e77e744baf4e518fc",
         "model.json":
-            "5375bf05d3fb2086bb6868156370e0ad36e0025deec1210fb5d2e3b6aa8c5a6d",
+            "db8a70745e097aa1ee94b8ae089483e923bf255eeafce358c1adacd59589ade1",
     },
     "zero_loss_weight": {
         "history.json":
             "b0b11fb44fb03b1ca884f02972f1db9e7af39b72faaf730dccf19834d22c282d",
         "model.json":
-            "540c659674683f4c133f9a2733f3c0d20ce356e512134d4f3009558d6611d7c9",
+            "21c1f28275b43f2c59554d2e59326671d1e96dc93dda72e61966080cccee0719",
     },
 }
 

@@ -1,7 +1,13 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tabmtl.errors import ConfigError, DataError
 from tabmtl.network import (
@@ -11,6 +17,7 @@ from tabmtl.network import (
     LossWeights,
     ModelState,
     NetworkTopology,
+    ParamVector,
     backward,
     forward,
     init_params,
@@ -343,6 +350,26 @@ class TestInputGradients:
             input_gradients(state, np.zeros((2, 3)), 0)
 
 
+EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def saved_models(draw):
+    """A model of a drawn shape whose parameters include the float extremes."""
+    trunk = draw(st.sampled_from([(), (3,), (4, 3, 2)]))
+    head_hidden = draw(st.sampled_from([(), (2,), (3, 2)]))
+    heads = draw(st.sampled_from([
+        (REGRESSION,), (CLASSIFICATION,), (CLASSIFICATION, REGRESSION, CLASSIFICATION),
+    ]))
+    topo = NetworkTopology(draw(st.integers(1, 4)), trunk, tuple(
+        HeadSpec(head_hidden, kind, 3 if kind == CLASSIFICATION else 1) for kind in heads))
+    size = param_layout(topo).size
+    values = st.one_of(st.sampled_from(EXTREME_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    flat = draw(hnp.arrays(np.float64, size, elements=values))
+    return ModelState(topo, ParamVector(param_layout(topo), flat))
+
+
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
         topo = NetworkTopology(4, (3,), (HeadSpec((2,), CLASSIFICATION, 2), REG))
@@ -357,12 +384,18 @@ class TestSerialization:
         for name in state.params:
             assert np.array_equal(loaded.params[name], state.params[name])
         assert loaded_stats == stats
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")  # one line, no indentation
+        doc = json.loads(text)
+        assert list(doc) == ["version", "topology", "params", "normalization_stats"]
+        assert doc["version"] == 2
+        assert doc["params"] == state.params.flat.tolist()
 
-    def test_missing_parameter_rejected(self):
-        topo = NetworkTopology(2, (), (REG,))
-        doc = model_to_dict(init_params(topo, 0))
-        del doc["params"]["head.0.0.W"]
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_wrong_parameter_count_rejected(self, change):
+        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc["params"] = doc["params"][:change] if change < 0 else doc["params"] + [0.0]
+        with pytest.raises(ConfigError, match=f"{3 + change} values.* 3"):
             model_from_dict(doc)
 
     def test_version_checked(self):
@@ -371,24 +404,40 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             model_from_dict(doc)
 
-    def test_unknown_parameter_rejected(self):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"]["extra.W"] = [[0.0]]
-        with pytest.raises(ConfigError, match="extra.W"):
+    def test_version_1_document_asks_for_retraining(self):
+        state = init_params(NetworkTopology(2, (3,), (REG,)), 0)
+        doc = model_to_dict(state)
+        doc["version"] = 1
+        doc["params"] = {name: arr.tolist() for name, arr in state.params.items()}
+        with pytest.raises(ConfigError, match="version 1.*retrain"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameter_rejected(self, bad):
         doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"]["head.0.0.W"][1][0] = bad
+        doc["params"][1] = bad  # head.0.0.W[1][0]
         with pytest.raises(ConfigError, match="head.0.0.W"):
             model_from_dict(doc)
+
+    def test_non_finite_value_names_its_array(self):
+        topo = NetworkTopology(3, (4, 2), (HeadSpec((2,), CLASSIFICATION, 3), REG))
+        layout = param_layout(topo)
+        doc = model_to_dict(init_params(topo, 0))
+        marks = ParamVector(layout, np.arange(layout.size))  # each value's flat index
+        for name in layout.names:
+            bad = dict(doc, params=list(doc["params"]))
+            bad["params"][int(marks[name].reshape(-1)[-1])] = -math.inf
+            with pytest.raises(ConfigError, match=f"parameter {name} "):
+                model_from_dict(bad)
 
     @pytest.mark.parametrize("key, value", [
         ("topology", [1]),
         ("topology", {"input_dim": 2}),
         ("params", [1.0]),
         ("normalization_stats", [1.0]),
+        ("params", {"head.0.0.W": [[0.0], [0.0]], "head.0.0.b": [0.0]}),
+        ("params", [[0.0], [0.0], [0.0]]),
+        ("params", [0.0, None, 0.0]),
     ])
     def test_malformed_entry_rejected(self, key, value):
         doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
@@ -398,6 +447,20 @@ class TestSerialization:
 
     def test_non_numeric_parameter_rejected(self):
         doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"]["head.0.0.b"] = ["x"]
-        with pytest.raises(ConfigError, match="head.0.0.b"):
+        doc["params"][2] = "x"
+        with pytest.raises(ConfigError, match="params"):
             model_from_dict(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(saved_models())
+    def test_save_then_load_is_bitwise_exact(self, state):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_model(state, first)
+            save_model(state, second)
+            loaded, stats = load_model(first)
+            assert first.read_bytes() == second.read_bytes()
+            assert json.loads(first.read_text())["params"] == state.params.flat.tolist()
+        assert loaded.topology == state.topology
+        assert loaded.params.flat.tobytes() == state.params.flat.tobytes()
+        assert stats is None

@@ -264,6 +264,14 @@ class TestGridSearch:
         defaults.update(kw)
         return SearchSpace(**defaults)
 
+    @pytest.mark.parametrize("field, values", [
+        ("trunk_depths", (0, -1)), ("head_depths", (-2,)),
+        ("trunk_widths", (0,)), ("head_widths", (4, 0)),
+    ])
+    def test_rejects_negative_depths_and_zero_widths(self, field, values):
+        with pytest.raises(ConfigError, match=field):
+            self.space(**{field: values})
+
     def test_enumerates_full_grid(self):
         ds = synth_dataset(n=40)
         result = grid_search(ds, self.space(), k=3)
