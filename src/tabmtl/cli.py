@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand reads CSV + schema inputs, writes its outputs into --out,
-and drops a manifest.json recording the invocation and the SHA-256 of each
-output file. Outputs are byte-identical across repeat runs with the same
-arguments; only the manifest's elapsed_seconds field varies.
+Every subcommand reads CSV + schema inputs and returns its outputs, an
+ordered mapping from file name to content, with the message to print.
+``main`` writes them into --out and then a manifest.json recording the
+invocation and the SHA-256 of exactly those files; a command that fails
+writes no output. Outputs are byte-identical across repeat runs with the
+same arguments; only the manifest's elapsed_seconds field varies.
 
 Exit codes: 0 success, 2 configuration or data errors, 3 numerical failures
 during optimization, 1 anything unexpected.
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attrib import HIDDEN_ACTIVATION, INPUT_GRADIENT, grad_cam_features, top_k
+from .attrib import HIDDEN_ACTIVATION, INPUT_GRADIENT, grad_cam_features
 from .dataset import (
     CLASSIFICATION,
     CleaningReport,
@@ -47,46 +49,50 @@ from .train import (
 )
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Comma-separated ``kind`` values; an empty string or "none" is no values."""
     text = text.strip()
     if not text or text.lower() == "none":
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ConfigError(
+            f"expected comma-separated {kind.__name__} values, got {text!r}"
+        ) from None
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def _write_outputs(out_dir: Path, outputs: dict) -> None:
+    """Write each output: a callable writes its own file, a str is text, else JSON."""
+    for name, content in outputs.items():
+        path = out_dir / name
+        if callable(content):
+            content(path)
+        elif isinstance(content, str):
+            path.write_text(content + "\n")
+        else:
+            _write_json(path, content)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    outputs: list[Path], started: float) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace, names, started: float) -> None:
     arg_dict = {
         k: str(v) if isinstance(v, Path) else v
         for k, v in sorted(vars(args).items())
         if k != "func"
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "package_version": __version__,
         "arguments": arg_dict,
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {name: _sha256(out_dir / name) for name in names},
         "elapsed_seconds": time.time() - started,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -114,11 +120,11 @@ def _load_dataset(args) -> tuple[Dataset, CleaningReport]:
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:
     topology = build_topology(
-        dataset, _parse_int_list(args.trunk), _parse_int_list(args.head)
+        dataset, _parse_list(args.trunk, int), _parse_list(args.head, int)
     )
     weights = None
     if args.loss_weights:
-        weights = LossWeights(_parse_float_list(args.loss_weights))
+        weights = LossWeights(_parse_list(args.loss_weights, float))
     return TrainConfig(
         topology,
         loss_weights=weights,
@@ -138,9 +144,7 @@ def _stats_dict(dataset: Dataset) -> dict:
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_synth(args) -> tuple[dict, str]:
     config = SynthConfig(
         n_samples=args.n_samples,
         n_features=args.n_features,
@@ -152,97 +156,79 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset, truth = generate(config)
-    write_dataset_csv(dataset, out / "data.csv")
-    save_schema(dataset_schema(dataset), out / "schema.json")
-    save_truth(truth, out / "truth.json")
-    _write_manifest(out, "synth", args,
-                    [out / "data.csv", out / "schema.json", out / "truth.json"], started)
-    print(f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {out / 'data.csv'}")
-    return 0
+    data = "data.csv"
+    outputs = {
+        data: lambda path: write_dataset_csv(dataset, path),
+        "schema.json": lambda path: save_schema(dataset_schema(dataset), path),
+        "truth.json": lambda path: save_truth(truth, path),
+    }
+    return outputs, (f"wrote {dataset.n_rows} rows x {dataset.n_features} features "
+                     f"to {Path(args.out) / data}")
 
 
-def cmd_preprocess(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_preprocess(args) -> tuple[dict, str]:
     dataset, report = _load_dataset(args)
-    write_dataset_csv(dataset, out / "dataset.csv")
-    save_schema(dataset_schema(dataset), out / "dataset_schema.json")
-    _write_json(out / "cleaning_report.json", report.to_dict())
-    _write_json(out / "normalization.json", _stats_dict(dataset))
-    _write_manifest(out, "preprocess", args,
-                    [out / "dataset.csv", out / "dataset_schema.json",
-                     out / "cleaning_report.json", out / "normalization.json"], started)
-    print(f"wrote model-ready table ({dataset.n_rows} rows, {dataset.n_features} features), "
-          f"dropped {len(report.dropped_columns)} columns, "
-          f"removed {report.duplicates_removed} duplicate rows")
-    return 0
+    outputs = {
+        "dataset.csv": lambda path: write_dataset_csv(dataset, path),
+        "dataset_schema.json": lambda path: save_schema(dataset_schema(dataset), path),
+        "cleaning_report.json": report.to_dict(),
+        "normalization.json": _stats_dict(dataset),
+    }
+    return outputs, (f"wrote model-ready table ({dataset.n_rows} rows, "
+                     f"{dataset.n_features} features), "
+                     f"dropped {len(report.dropped_columns)} columns, "
+                     f"removed {report.duplicates_removed} duplicate rows")
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_train(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     config = _train_config(dataset, args)
     result = train_model(dataset, config)
-    save_model(result.state, out / "model.json", _stats_dict(dataset))
-    _write_json(out / "history.json", result.history)
-    _write_json(out / "train_metrics.json", evaluate(result.state, dataset))
-    _write_manifest(out, "train", args,
-                    [out / "model.json", out / "history.json", out / "train_metrics.json"],
-                    started)
-    print(f"trained {config.epochs} epochs; final loss {result.final_loss:.6f}")
-    return 0
+    outputs = {
+        "model.json": lambda path: save_model(result.state, path, _stats_dict(dataset)),
+        "history.json": result.history,
+        "train_metrics.json": evaluate(result.state, dataset),
+    }
+    return outputs, f"trained {config.epochs} epochs; final loss {result.final_loss:.6f}"
 
 
-def cmd_cv(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_cv(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     config = _train_config(dataset, args)
     report = cross_validate(
         dataset, config, k=args.k, seed=args.seed, leaky_stats=args.leaky_stats,
     )
-    _write_json(out / "cv_report.json", report.to_dict())
     table = report.render_table()
-    (out / "cv_report.txt").write_text(table + "\n")
-    _write_manifest(out, "cv", args,
-                    [out / "cv_report.json", out / "cv_report.txt"], started)
-    print(table)
-    return 0
+    return {"cv_report.json": report.to_dict(), "cv_report.txt": table}, table
 
 
-def cmd_gridsearch(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_gridsearch(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     space = SearchSpace(
-        trunk_depths=_parse_int_list(args.trunk_depths),
-        trunk_widths=_parse_int_list(args.trunk_widths),
-        head_depths=_parse_int_list(args.head_depths),
-        head_widths=_parse_int_list(args.head_widths),
-        lr0_values=_parse_float_list(args.lr0_values),
-        weight_decay_values=_parse_float_list(args.weight_decay_values),
-        epochs_values=tuple(int(e) for e in _parse_int_list(args.epochs_values)),
-        loss_weight_values=_parse_float_list(args.loss_weight_values),
+        trunk_depths=_parse_list(args.trunk_depths, int),
+        trunk_widths=_parse_list(args.trunk_widths, int),
+        head_depths=_parse_list(args.head_depths, int),
+        head_widths=_parse_list(args.head_widths, int),
+        lr0_values=_parse_list(args.lr0_values, float),
+        weight_decay_values=_parse_list(args.weight_decay_values, float),
+        epochs_values=_parse_list(args.epochs_values, int),
+        loss_weight_values=_parse_list(args.loss_weight_values, float),
         primary_task=args.primary_task,
         budget=args.budget,
         seed=args.seed,
     )
     result = grid_search(dataset, space, k=args.k, leaky_stats=args.leaky_stats)
-    _write_json(out / "gridsearch.json", result.to_dict())
-    (out / "best_cv_report.txt").write_text(result.best_report.render_table() + "\n")
-    _write_manifest(out, "gridsearch", args,
-                    [out / "gridsearch.json", out / "best_cv_report.txt"], started)
+    outputs = {
+        "gridsearch.json": result.to_dict(),
+        "best_cv_report.txt": result.best_report.render_table(),
+    }
     score = "n/a" if result.best_score is None else f"{result.best_score:.6f}"
-    print(f"evaluated {len(result.trials)} configurations; "
-          f"best {space.primary_task} score {score}")
-    print(json.dumps(result.best_params))
-    return 0
+    return outputs, (f"evaluated {len(result.trials)} configurations; "
+                     f"best {space.primary_task} score {score}\n"
+                     f"{json.dumps(result.best_params)}")
 
 
-def cmd_attribute(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_attribute(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     state, stats = load_model(args.model)
     if stats is not None and stats.get("feature_names") != list(dataset.feature_names):
@@ -258,13 +244,8 @@ def cmd_attribute(args) -> int:
         target_class=args.target_class,
         mode=args.mode,
     )
-    _write_json(out / "attribution.json", report.to_dict())
     text = report.render_text(args.top_k)
-    (out / "attribution.txt").write_text(text + "\n")
-    _write_manifest(out, "attribute", args,
-                    [out / "attribution.json", out / "attribution.txt"], started)
-    print(text)
-    return 0
+    return {"attribution.json": report.to_dict(), "attribution.txt": text}, text
 
 
 def _dataset_report(dataset: Dataset) -> dict:
@@ -343,17 +324,11 @@ def _render_report(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(args) -> int:
-    started = time.time()
-    out = _out_dir(args)
+def cmd_report(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     doc = _dataset_report(dataset)
-    _write_json(out / "report.json", doc)
     text = _render_report(doc)
-    (out / "report.txt").write_text(text + "\n")
-    _write_manifest(out, "report", args, [out / "report.json", out / "report.txt"], started)
-    print(text)
-    return 0
+    return {"report.json": doc, "report.txt": text}, text
 
 
 # --- parser ------------------------------------------------------------------
@@ -463,8 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        out = _out_dir(args)
+        outputs, message = args.func(args)
+        _write_outputs(out, outputs)
+        _write_manifest(out, args, outputs, started)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
@@ -474,6 +453,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 def entry_point() -> None:

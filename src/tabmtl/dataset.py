@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -321,6 +322,8 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     """
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     numeric = [j for j, c in enumerate(table.schema) if c.is_numeric_valued()]
     n, p = table.n_rows, len(numeric)
     if n == 0 or p == 0:
@@ -654,11 +657,13 @@ def preprocess_pipeline(
 
     Imputation runs on the numeric-valued columns (numeric, mapped ordinal,
     timeseries, outcome) before one-hot expansion; categorical and identifier
-    cells pass through and must already be complete. ``mice_sweeps`` is
-    checked even when no cell is missing.
+    cells pass through and must already be complete. ``mice_sweeps`` and
+    ``mice_tol`` are checked even when no cell is missing.
     """
     if mice_sweeps < 1:
         raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")
+    if not (math.isfinite(mice_tol) and mice_tol >= 0.0):
+        raise ConfigError(f"mice_tol must be finite and >= 0, got {mice_tol}")
     cleaned, report = clean(raw, max_missing_frac)
     mapped = apply_ordinal(cleaned)
     if any(_missing(v).any() for c, v in zip(mapped.schema, mapped.columns)
@@ -703,6 +708,8 @@ def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
         raise ConfigError(f"k must be >= 2, got {k}")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of samples n={n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k

@@ -60,6 +60,8 @@ class SynthConfig:
             raise ConfigError(f"class_balance must be in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.missing_frac < 1.0:
             raise ConfigError(f"missing_frac must be in [0, 1), got {self.missing_frac}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigError(f"lr_min must be in [0, lr0], got {self.lr_min}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.loss_weights is not None:
             weights = as_loss_weights(self.loss_weights)
             if len(weights) != self.topology.num_tasks:
@@ -491,6 +493,8 @@ class SearchSpace:
             object.__setattr__(self, name, values)
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def n_combinations(self) -> int:
         return (

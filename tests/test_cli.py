@@ -294,9 +294,17 @@ GRID = ["--trunk-depths", "1", "--trunk-widths", "4", "--head-depths", "1",
     ("gridsearch", ["--trunk-depths", "-1", "--head-depths", "-2"], "trunk_depths", "-1"),
     ("synth", ["--noise-std", "inf"], "noise_std", "inf"),
     ("synth", ["--noise-std", "nan"], "noise_std", "nan"),
+    ("train", ["--seed", "-1"], "seed", "-1"),
+    ("cv", ["--seed", "-1"], "seed", "-1"),
+    ("gridsearch", ["--seed", "-1"], "seed", "-1"),
+    ("synth", ["--seed", "-1"], "seed", "-1"),
+    ("preprocess", ["--mice-tol", "nan"], "mice_tol", "nan"),
+    ("preprocess", ["--mice-tol", "-1"], "mice_tol", "-1"),
+    ("preprocess", ["--mice-tol", "inf"], "mice_tol", "inf"),
 ])
 def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named, value):
-    """Non-finite values and negative search depths are refused where they enter."""
+    """Non-finite values, negative seeds and tolerances, and negative search depths
+    are refused where they enter."""
     args = [command, "--out", tmp_path / "o"]
     if command != "synth":
         args += ["--data", synth_dir / "data.csv", "--schema", synth_dir / "schema.json"]
@@ -306,6 +314,35 @@ def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named
     assert result.returncode == 2, result.stderr
     assert named in result.stderr and value in result.stderr
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("command, options, code", [
+    ("synth", ["--n-samples", "20", "--n-features", "4", "--n-informative", "3"], 0),
+    ("preprocess", [], 0),
+    ("train", ["--trunk", "4", "--head", "", "--epochs", "1"], 0),
+    ("cv", ["--trunk", "4", "--head", "", "--epochs", "1", "--k", "2"], 0),
+    ("gridsearch", GRID, 0),
+    ("attribute", ["--task", "task_a"], 0),
+    ("attribute", ["--task", "task_a", "--top-k", "0"], 2),
+    ("report", [], 0),
+])
+def test_out_holds_exactly_the_manifest_outputs(synth_dir, trained_dir, tmp_path,
+                                                command, options, code):
+    """A run leaves its outputs and a manifest hashing exactly them; a failed run, none."""
+    out = tmp_path / "o"
+    args = [command, "--out", out, *options]
+    if command != "synth":
+        args += ["--data", synth_dir / "data.csv", "--schema", synth_dir / "schema.json"]
+    if command == "attribute":
+        args += ["--model", trained_dir / "model.json"]
+    assert main([str(a) for a in args]) == code
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if code:
+        assert written == []
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command and manifest["outputs"]
+        assert written == sorted([*manifest["outputs"], "manifest.json"])
 
 
 class TestAttribute:

@@ -299,6 +299,12 @@ class TestMice:
         with pytest.raises(DataError, match="non-numeric value 'x'"):
             mice_impute(table)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        table = numeric_table([np.arange(6.0), np.arange(6.0) ** 2], {(2, 1)})
+        with pytest.raises(ConfigError, match="tol"):
+            mice_impute(table, tol=tol)
+
     def test_categorical_and_identifier_columns_pass_through(self):
         cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
         ident = ColumnDescriptor("pid", "identifier")
@@ -514,6 +520,10 @@ class TestKfold:
             kfold_split(10, 1, seed=0)
         with pytest.raises(ConfigError):
             kfold_split(3, 4, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            kfold_split(10, 2, seed=-1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
