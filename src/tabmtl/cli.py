@@ -229,6 +229,8 @@ def cmd_gridsearch(args) -> tuple[dict, str]:
 
 
 def cmd_attribute(args) -> tuple[dict, str]:
+    if args.top_k < 1:  # checked before the data and the model are read
+        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     dataset, _ = _load_dataset(args)
     state, stats = load_model(args.model)
     if stats is not None and stats.get("feature_names") != list(dataset.feature_names):

@@ -246,20 +246,21 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     changed = True
     while changed:
         changed = False
+        codes = {i: _codes(columns[i]) for i, c in enumerate(schema) if c.kind != OUTCOME}
         # duplicate rows: the first row of each distinct attribute key stays
-        key = np.column_stack([_codes(columns[i]) for i in attribute_indices()])
+        key = np.column_stack([codes[i] for i in attribute_indices()])
         keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
         if len(keep) < len(key):
             report.duplicates_removed += len(key) - len(keep)
             changed = True
             columns = [c[keep] for c in columns]
+            codes = {i: c[keep] for i, c in codes.items()}
         # constant and over-missing columns
         drop: dict[int, str] = {}
-        for i, col in enumerate(schema):
-            if col.kind == OUTCOME:
-                continue
+        for i, col_codes in codes.items():
             missing = _missing(columns[i])
-            observed = len(np.unique(_codes(columns[i])[~missing]))
+            # distinct codes, less the one the missing cells share
+            observed = np.count_nonzero(np.bincount(col_codes)) - bool(missing.any())
             if observed <= 1:
                 drop[i] = "constant" if observed else "no observed values"
             elif (frac := int(missing.sum()) / len(keep)) > max_missing_frac:
@@ -310,15 +311,19 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
 
     Numeric, ordinal (mapped to codes), timeseries and outcome columns are
     imputed; categorical and identifier columns pass through unchanged and
-    are not used as predictors. Missing cells start at their column means.
-    Incomplete columns are then swept in ascending order of missing count
-    (ties by schema order); each is regressed, with an intercept, on the
-    other numeric-valued columns over its observed rows, with ridge damping
-    1e-8*I on the normal equations, and its missing cells are overwritten by
-    the fit's predictions. Sweeps stop when the largest absolute change of
-    any imputed cell drops below ``tol`` or after ``max_sweeps`` sweeps.
-    Observed cells are never altered. The chain is deterministic: a single
-    run with ordinary-least-squares imputers and no posterior noise.
+    are not used as predictors. Each column is centered by the mean of its
+    observed cells, and missing cells start at that mean. Incomplete columns
+    are then swept in ascending order of missing count (ties by schema
+    order); each is regressed, with an intercept, on the other centered
+    columns over its observed rows, with ridge damping 1e-8*I on these
+    centered normal equations, and its missing cells are overwritten by the
+    fit's predictions. Centering keeps the fits independent of the columns'
+    offsets: adding a constant to a column adds it to that column's imputed
+    cells. Sweeps stop when the largest absolute change of any imputed cell
+    drops below ``tol`` or after ``max_sweeps`` sweeps. Only missing cells
+    are written, as prediction plus column mean; observed cells come back
+    bit for bit. The chain is deterministic: a single run with
+    ordinary-least-squares imputers and no posterior noise.
     """
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -348,35 +353,43 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     if not missing.any():
         return table
 
+    # center each column on its observed mean; missing cells start at 0, that mean
     col_means = np.nanmean(x, axis=0)
-    for k in range(p):
-        x[missing[:, k], k] = col_means[k]
+    x -= col_means
+    x[missing] = 0.0
 
-    # each link of the chain fixes a column's observed and missing rows and its
-    # predictors (the intercept and the other columns), so a sweep only gathers cells
+    # each link of the chain fixes a column's missing rows and its predictors
+    # (the intercept and the other columns)
     ridge = MICE_RIDGE * np.eye(p)
     chain = []
     incomplete = np.flatnonzero(missing.any(axis=0))
     for k in sorted(incomplete, key=lambda k: (int(missing[:, k].sum()), k)):
-        predictors = [0] + [c + 1 for c in range(p) if c != k]
-        miss_rows, obs_rows = missing[:, k], ~missing[:, k]
-        chain.append((k + 1, obs_rows, miss_rows,
-                      np.ix_(obs_rows, predictors), np.ix_(miss_rows, predictors)))
+        predictors = np.array([0] + [c + 1 for c in range(p) if c != k])
+        chain.append((k + 1, np.flatnonzero(missing[:, k]), predictors,
+                      np.ix_(predictors, predictors)))
 
+    # the observed rows' normal equations are the whole design's Gram matrix less
+    # the missing rows' part; a link changes only its own column of the design,
+    # so only that row and column of the Gram matrix are recomputed
+    gram = design.T @ design
     for _ in range(max_sweeps):
         max_change = 0.0
-        for c, obs_rows, miss_rows, obs_cells, miss_cells in chain:
-            a_obs = design[obs_cells]
-            beta = np.linalg.solve(a_obs.T @ a_obs + ridge, a_obs.T @ design[obs_rows, c])
-            preds = design[miss_cells] @ beta
-            max_change = max(max_change, float(np.max(np.abs(preds - design[miss_rows, c]))))
+        for c, miss_rows, predictors, block in chain:
+            d_miss = design[miss_rows]
+            g_obs = gram - d_miss.T @ d_miss
+            beta = np.linalg.solve(g_obs[block] + ridge, g_obs[predictors, c])
+            preds = d_miss[:, predictors] @ beta
+            max_change = max(max_change, float(np.max(np.abs(preds - d_miss[:, c]))))
             design[miss_rows, c] = preds
+            gram[:, c] = gram[c, :] = design.T @ design[:, c]
         if max_change < tol:
             break
 
+    # only missing cells are written: (v - mean) + mean need not give back v
     columns = list(table.columns)
     for k, j in enumerate(numeric):
-        columns[j] = design[:, k + 1]
+        if missing[:, k].any():
+            columns[j] = np.where(missing[:, k], x[:, k] + col_means[k], table.columns[j])
     return RawTable(table.schema, columns)
 
 

@@ -301,10 +301,13 @@ GRID = ["--trunk-depths", "1", "--trunk-widths", "4", "--head-depths", "1",
     ("preprocess", ["--mice-tol", "nan"], "mice_tol", "nan"),
     ("preprocess", ["--mice-tol", "-1"], "mice_tol", "-1"),
     ("preprocess", ["--mice-tol", "inf"], "mice_tol", "inf"),
+    # named before the model file, which does not exist, is read
+    ("attribute", ["--task", "task_a", "--model", "absent-model.json", "--top-k", "0"],
+     "--top-k", "0"),
 ])
 def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named, value):
-    """Non-finite values, negative seeds and tolerances, and negative search depths
-    are refused where they enter."""
+    """Non-finite values, negative seeds and tolerances, negative search depths and
+    an attribution top-k below 1 are refused where they enter."""
     args = [command, "--out", tmp_path / "o"]
     if command != "synth":
         args += ["--data", synth_dir / "data.csv", "--schema", synth_dir / "schema.json"]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tabmtl.dataset import (
+    MICE_RIDGE,
     ColumnDescriptor,
     Dataset,
     NormalizationStats,
@@ -236,6 +237,54 @@ def numeric_table(arrays, missing):
                     columns)
 
 
+def reference_mice(x: np.ndarray, sweeps: int) -> np.ndarray:
+    """A textbook chain over a matrix with NaN for missing cells, ``sweeps`` full sweeps.
+
+    Each column is centered by its observed mean and its missing cells start at 0.
+    Each link is one least-squares problem over the column's observed rows, with
+    the intercept and the other columns as predictors, in schema order, and the
+    ridge appended as sqrt(MICE_RIDGE) * I rows with zero targets.
+    """
+    miss = np.isnan(x)
+    mean = np.nanmean(x, axis=0)
+    z = np.where(miss, 0.0, x - mean)
+    n, p = z.shape
+    ridge_rows = np.sqrt(MICE_RIDGE) * np.eye(p)
+    for _ in range(sweeps):
+        for k in sorted(np.flatnonzero(miss.any(axis=0)), key=lambda k: (miss[:, k].sum(), k)):
+            a = np.column_stack([np.ones(n), np.delete(z, k, axis=1)])
+            obs = ~miss[:, k]
+            beta = np.linalg.lstsq(np.vstack([a[obs], ridge_rows]),
+                                   np.concatenate([z[obs, k], np.zeros(p)]), rcond=None)[0]
+            z[miss[:, k], k] = a[miss[:, k]] @ beta
+    return np.where(miss, z + mean, x)
+
+
+def draw_incomplete_matrix(data, collinear: bool) -> np.ndarray:
+    """An n x p matrix, NaN for missing cells, with at least p + 4 observed cells a column.
+
+    Each column has a drawn std in [0.1, 100] and a mean up to 1e6 of its stds
+    from 0. With ``collinear`` the last column may be twice the first plus
+    noise of 5% to 100% of the first's spread.
+    """
+    p = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(3 * p + 6, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p))
+    if collinear and data.draw(st.booleans()):
+        x[:, -1] = 2.0 * x[:, 0] + data.draw(st.floats(0.05, 1.0)) * x[:, -1]
+    scale = np.array(data.draw(st.lists(st.floats(0.1, 100.0), min_size=p, max_size=p)))
+    offset = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 1e3, 1e6]) | st.floats(-1e6, 1e6),
+                                         min_size=p, max_size=p)))
+    mask = rng.random((n, p)) < data.draw(st.floats(0.05, 0.3))
+    assume(np.all((~mask).sum(axis=0) >= p + 4))
+    return np.where(mask, np.nan, (x + offset) * scale)
+
+
+def impute_matrix(x: np.ndarray, **kwargs) -> np.ndarray:
+    return np.column_stack(mice_impute(numeric_table(x.T, set()), **kwargs).columns)
+
+
 class TestMice:
     def test_observed_cells_untouched(self):
         rng = np.random.default_rng(1)
@@ -338,6 +387,30 @@ class TestMice:
         assert cells(imputed)[p] == cat
         again = np.column_stack(mice_impute(table).columns[:p])
         assert np.array_equal(again.view(np.uint64), out.view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shift_moves_imputations_by_the_constant(self, data):
+        """Adding a constant to a column adds it to the column's imputed cells."""
+        x = draw_incomplete_matrix(data, collinear=False)
+        col = data.draw(st.integers(0, x.shape[1] - 1))
+        shift = data.draw(st.floats(-1e4, 1e4))
+        shifted = x.copy()
+        shifted[:, col] += shift
+        before = impute_matrix(x, tol=0.0)
+        after = impute_matrix(shifted, tol=0.0)
+        observed = ~np.isnan(x)
+        assert np.array_equal(after[observed].view(np.uint64), shifted[observed].view(np.uint64))
+        filled = ~observed[:, col]
+        moved = after[filled, col] - before[filled, col] - shift
+        assert np.all(np.abs(moved) <= 1e-9 * np.nanstd(x[:, col]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_agrees_with_reference_chain(self, data):
+        x = draw_incomplete_matrix(data, collinear=True)
+        got = impute_matrix(x, max_sweeps=3, tol=0.0)
+        assert np.all(np.abs(got - reference_mice(x, 3)) <= 1e-9 * np.nanstd(x, axis=0))
 
 
 class TestTransform:

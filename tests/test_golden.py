@@ -45,19 +45,19 @@ SCHEMA = [
 
 PREPROCESS_DIGESTS = {
     "dataset.csv":
-        "533ecb46ca7a540b348ab22e7c152d0c89ba43e9d2b1b05e86f6e113d2b4aee4",
+        "42617da64f049b4386a01f9f87445d352b5f7fc9330c4af8cdf500771c6eafb6",
     "dataset_schema.json":
         "8f0d738cd4f224bf4eb1d176482b8ea80216f5b8e969f15c7fcabee763463678",
     "cleaning_report.json":
         "2e9c434e55582658b92dc2c393bbcff34781ab240241e111cb2d5a09a7addb5b",
     "normalization.json":
-        "fa303041bbcd3a01780f7408f297deb773502ed21da9190321ba6156980f8d04",
+        "694b2cec388438a7f042c0cb8fac0651aa5a2f11c0beba9f2ad36444f37099df",
 }
 TRAIN_DIGESTS = {
     "history.json":
-        "7e0bca532f4261f0a7ca43f6218e7c53078b0cdce189be3751eac7f79e9d3af3",
+        "21222fb520913b4001a2740a6dcdcbc903a5515ad52ebbce2a1258ef18b297fd",
     "model.json":
-        "80d1c3755e0169ed273edd5cdcd0c3fd69f1cb6ad523fc5ace2b6f65aeb337ae",
+        "fd426f591983790fd35c4437017d7b88bb6bda1e69323c96f153153cb4e6a12c",
 }
 
 
