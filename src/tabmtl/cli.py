@@ -291,8 +291,9 @@ def _dataset_report(dataset: Dataset) -> dict:
                                  "regression_task": reg.task_name,
                                  "by_class": by_class}
             else:
-                r = float(np.corrcoef(a.values, b.values)[0, 1])
-                pairwise[key] = {"type": "correlation", "pearson": r}
+                with np.errstate(divide="ignore", invalid="ignore"):  # nan for a constant outcome
+                    r = float(np.corrcoef(a.values, b.values)[0, 1])
+                pairwise[key] = {"type": "correlation", "pearson": r if np.isfinite(r) else None}
     return {
         "n_rows": dataset.n_rows,
         "n_features": dataset.n_features,
@@ -322,7 +323,8 @@ def _render_report(doc: dict) -> str:
             )
             lines.append(f"{key}  {per}")
         else:
-            lines.append(f"{key} pearson: {info['pearson']:.4f}")
+            r = info["pearson"]
+            lines.append(f"{key} pearson: {'n/a' if r is None else format(r, '.4f')}")
     return "\n".join(lines)
 
 

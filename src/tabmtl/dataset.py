@@ -767,6 +767,11 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
             isinstance(levels, list) and all(isinstance(v, str) for v in levels)
         ):
             raise ConfigError(f"schema entry {entry['name']!r}: levels must be a list of strings")
+        for key in ("task_index", "num_classes"):
+            value = params.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(
+                    f"schema entry {entry['name']!r}: {key} must be an integer, got {value!r}")
         try:
             cols.append(
                 ColumnDescriptor(

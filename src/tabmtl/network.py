@@ -132,13 +132,24 @@ class NetworkTopology:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
+        """The topology of a ``to_dict`` document; every size must be a JSON integer."""
         heads = []
-        for h in d["heads"]:
+        for j, h in enumerate(d["heads"]):
             out = h["output"]
             kind = out["kind"]
-            num_classes = int(out.get("num_classes", 2)) if kind == CLASSIFICATION else 1
-            heads.append(HeadSpec(tuple(h.get("hidden_layers", ())), kind, num_classes))
-        return cls(int(d["input_dim"]), tuple(d.get("shared_layers", ())), tuple(heads))
+            num_classes = (_json_int(out.get("num_classes", 2), f"heads[{j}].output.num_classes")
+                           if kind == CLASSIFICATION else 1)
+            hidden = [_json_int(w, f"heads[{j}].hidden_layers") for w in h.get("hidden_layers", ())]
+            heads.append(HeadSpec(tuple(hidden), kind, num_classes))
+        shared = [_json_int(w, "shared_layers") for w in d.get("shared_layers", ())]
+        return cls(_json_int(d["input_dim"], "input_dim"), tuple(shared), tuple(heads))
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is an integer and not a bool, else a ConfigError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"topology {field} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -253,13 +264,8 @@ class ParamVector(Mapping):
         return len(self.layout.names)
 
 
-def param_layout(topology: NetworkTopology) -> ParamLayout:
-    """The topology's parameter layout, built on first use and kept on the topology."""
-    return topology.param_layout
-
-
 def n_parameters(topology: NetworkTopology) -> int:
-    return param_layout(topology).size
+    return topology.param_layout.size
 
 
 @dataclass
@@ -276,7 +282,7 @@ class ModelState:
     params: ParamVector
 
     def __post_init__(self):
-        self.params = param_layout(self.topology).as_vector(self.params)
+        self.params = self.topology.param_layout.as_vector(self.params)
 
 
 def init_params(topology: NetworkTopology, seed: int) -> ModelState:
@@ -286,7 +292,7 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
     in layout order, from one seeded generator.
     """
     rng = np.random.default_rng(seed)
-    layout = param_layout(topology)
+    layout = topology.param_layout
     params = ParamVector(layout, np.zeros(layout.size))
     for name, shape, is_bias in layout:
         if not is_bias:
@@ -298,20 +304,19 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
 
 @dataclass
 class ForwardCache:
-    """Each layer's input and affine output for one batch.
+    """Each layer's input for one batch, one array per layer.
 
-    ``trunk_acts[i]`` and ``trunk_pre[i]`` are trunk layer i's input and
-    affine output; ``trunk_acts`` starts at the batch and ends at the trunk
-    output. ``head_acts[j][l]`` is the input of layer l of head j,
-    ``head_pre[j]`` holds its hidden layers and ``head_out[j]`` its output.
-    Every array is ``(B, width)`` for one model, or ``(M, B, width)`` for a
-    stack of M models run on M batches of B rows.
+    ``trunk_acts[i]`` is trunk layer i's input; ``trunk_acts`` starts at the
+    batch and ends at the trunk output. ``head_acts[j][l]`` is the input of
+    layer l of head j, and ``head_out[j]`` is its output affine. A ReLU
+    layer's activation is the next layer's input, and the backward pass
+    masks with it: ``relu(z) > 0`` exactly where ``z > 0``. Every array is
+    ``(B, width)`` for one model, or ``(M, B, width)`` for a stack of M
+    models run on M batches of B rows.
     """
 
     trunk_acts: list[np.ndarray]
-    trunk_pre: list[np.ndarray]
     head_acts: list[list[np.ndarray]]
-    head_pre: list[list[np.ndarray]]
     head_out: list[np.ndarray]
     probs: list[np.ndarray | None]
 
@@ -334,58 +339,39 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 # makes for that model alone, so a stacked model's numbers equal its own.
 
 
-def _affine(
-    params: Mapping[str, np.ndarray], layer: Layer, a: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _affine(params: Mapping[str, np.ndarray], layer: Layer, a: np.ndarray) -> np.ndarray:
     w, b = layer
-    z = np.matmul(a, params[w], out=out)
+    z = np.matmul(a, params[w])
     z += params[b][..., None, :]
     return z
 
 
 def _relu_layers(
-    params: Mapping[str, np.ndarray], layers: Sequence[Layer], a: np.ndarray,
-    reuse: tuple[list, list] | None = None,
-) -> tuple[list, list]:
-    """Run ReLU layers forward from ``a``: the activations from ``a`` on, and pre-activations.
-
-    ``reuse`` is an earlier run's activations and pre-activations, of the
-    same shapes, to write over in place of new arrays.
-    """
+    params: Mapping[str, np.ndarray], layers: Sequence[Layer], a: np.ndarray
+) -> list[np.ndarray]:
+    """Run ReLU layers forward from ``a``: the activations from ``a`` on."""
     acts = [a]
-    pre: list[np.ndarray] = []
-    acts_out, pre_out = reuse or ([None] * (len(layers) + 1), [None] * len(layers))
-    for layer, z_out, a_out in zip(layers, pre_out, acts_out[1:]):
-        z = _affine(params, layer, acts[-1], z_out)
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0, out=a_out))
-    return acts, pre
+    for layer in layers:
+        z = _affine(params, layer, acts[-1])
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
 
 
 def forward_pass(
-    topology: NetworkTopology, params: Mapping[str, np.ndarray], x: np.ndarray,
-    reuse: ForwardCache | None = None,
+    topology: NetworkTopology, params: Mapping[str, np.ndarray], x: np.ndarray
 ) -> ForwardCache:
     """The forward pass on a batch ``(B, D)``, or on a stack's batches ``(M, B, D)``.
 
     No check is made: ``forward`` checks a caller's batch, and training
-    checks its data once, where the ``Dataset`` is built. A ``reuse`` cache
-    of a batch shaped like ``x`` is written over, in place of new arrays, so
-    a training loop keeps one set of activations from step to step.
+    checks its data once, where the ``Dataset`` is built.
     """
     trunk, heads = topology.layers
-    old = reuse if reuse is not None and reuse.trunk_acts[0].shape == x.shape else None
-    trunk_acts, trunk_pre = _relu_layers(
-        params, trunk, x, old and (old.trunk_acts, old.trunk_pre))
-    hidden = [_relu_layers(params, layers[:-1], trunk_acts[-1],
-                           old and (old.head_acts[j], old.head_pre[j]))
-              for j, layers in enumerate(heads)]
-    head_out = [_affine(params, layers[-1], acts[-1], old and old.head_out[j])
-                for j, (layers, (acts, _)) in enumerate(zip(heads, hidden))]
+    trunk_acts = _relu_layers(params, trunk, x)
+    head_acts = [_relu_layers(params, layers[:-1], trunk_acts[-1]) for layers in heads]
+    head_out = [_affine(params, layers[-1], acts[-1]) for layers, acts in zip(heads, head_acts)]
     probs = [softmax(out) if head.kind == CLASSIFICATION else None
              for head, out in zip(topology.heads, head_out)]
-    head_acts, head_pre = [acts for acts, _ in hidden], [pre for _, pre in hidden]
-    return ForwardCache(trunk_acts, trunk_pre, head_acts, head_pre, head_out, probs)
+    return ForwardCache(trunk_acts, head_acts, head_out, probs)
 
 
 def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], ForwardCache]:
@@ -483,7 +469,8 @@ def task_loss(head: HeadSpec, prediction: np.ndarray, target: np.ndarray) -> flo
 
 def _check_cache(state: ModelState, cache: ForwardCache) -> None:
     topo = state.topology
-    if len(cache.trunk_pre) != len(topo.shared_layers) or len(cache.head_out) != topo.num_tasks:
+    if (len(cache.trunk_acts) != len(topo.shared_layers) + 1
+            or len(cache.head_out) != topo.num_tasks):
         raise DataError("cache does not match model topology")
     if cache.trunk_acts[0].shape[1] != topo.input_dim:
         raise DataError("cache batch width does not match model input_dim")
@@ -529,21 +516,21 @@ def _head_output_grad(
 
 def _backprop(
     params: Mapping[str, np.ndarray], layers: Sequence[Layer], acts: Sequence[np.ndarray],
-    pre: Sequence[np.ndarray], grad: np.ndarray, grads: Mapping[str, np.ndarray] | None = None,
+    grad: np.ndarray, grads: Mapping[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Carry ``grad`` from the output of ``layers`` back to the first one's input.
 
-    ``acts[i]`` and ``pre[i]`` are layer i's input and affine output. A
-    layer with a ``pre`` entry is ReLU and ``grad`` arrives at its
-    activation; a last layer past the end of ``pre`` is a head's output
-    affine. Given a dict, ``grads`` receives every layer's W and b gradients
-    and the pass ends with layer 0's: it returns the gradient at layer 0's
-    affine output, since training needs none at the batch.
+    ``acts[i]`` is layer i's input. A layer with an ``acts[i + 1]`` is ReLU,
+    ``grad`` arrives at that activation, and the mask is ``acts[i + 1] > 0``;
+    a last layer past the end of ``acts`` is a head's output affine. Given
+    a dict, ``grads`` receives every layer's W and b gradients and the pass
+    ends with layer 0's: it returns the gradient at layer 0's affine output,
+    since training needs none at the batch.
     """
     for i in range(len(layers) - 1, -1, -1):
         w, b = layers[i]
-        if i < len(pre):
-            grad *= pre[i] > 0  # every grad here is the pass's own array
+        if i + 1 < len(acts):
+            grad *= acts[i + 1] > 0  # every grad here is the pass's own array
         if grads is not None:
             np.matmul(acts[i].swapaxes(-1, -2), grad, out=grads[w])
             grad.sum(axis=-2, out=grads[b])
@@ -569,10 +556,10 @@ def backward_pass(
     d_trunk = np.zeros_like(cache.trunk_acts[-1])
     for j, head in enumerate(topology.heads):
         d_out = _head_output_grad(head, cache, j, targets[j], lam[..., j])
-        d_head = _backprop(params, heads[j], cache.head_acts[j], cache.head_pre[j], d_out, grads)
+        d_head = _backprop(params, heads[j], cache.head_acts[j], d_out, grads)
         if trunk:  # else the head's input is the batch
             d_trunk += d_head @ params[heads[j][0][0]].swapaxes(-1, -2)
-    _backprop(params, trunk, cache.trunk_acts, cache.trunk_pre, d_trunk, grads)
+    _backprop(params, trunk, cache.trunk_acts, d_trunk, grads)
 
 
 def backward(
@@ -594,7 +581,7 @@ def backward(
         raise DataError(f"expected {topo.num_tasks} targets and weights")
     targets = [_check_targets(head, j, y, cache.batch_size)
                for j, (head, y) in enumerate(zip(topo.heads, targets))]
-    layout = param_layout(topo)
+    layout = topo.param_layout
     grads = ParamVector(layout, np.empty(layout.size))
     backward_pass(topo, state.params.arrays, cache, targets, np.array(w.values), grads.arrays)
     return grads
@@ -638,8 +625,8 @@ def output_gradient(
     d_out[:, target_class if head.kind == CLASSIFICATION else 0] = 1.0
     j, below = task_index, slice(layer, None)
     params = state.params.arrays
-    grad = _backprop(params, heads[j], cache.head_acts[j], cache.head_pre[j], d_out)
-    return _backprop(params, trunk[below], cache.trunk_acts[below], cache.trunk_pre[below], grad)
+    grad = _backprop(params, heads[j], cache.head_acts[j], d_out)
+    return _backprop(params, trunk[below], cache.trunk_acts[below], grad)
 
 
 MODEL_FORMAT_VERSION = 2
@@ -648,7 +635,7 @@ MODEL_FORMAT_VERSION = 2
 def model_to_dict(state: ModelState, normalization_stats: dict | None = None) -> dict:
     """JSON-ready model dict; float values survive the round trip exactly.
 
-    ``params`` is the flat vector as one list, in ``param_layout`` order.
+    ``params`` is the flat vector as one list, in ``topology.param_layout`` order.
     """
     d = {
         "version": MODEL_FORMAT_VERSION,
@@ -679,7 +666,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
         topo = NetworkTopology.from_dict(d["topology"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed topology: {exc!r}") from None
-    layout = param_layout(topo)
+    layout = topo.param_layout
     try:
         flat = np.array(d["params"])
     except ValueError:  # lists nested to unequal depths

@@ -38,7 +38,6 @@ from .network import (
     forward_pass,
     init_params,
     n_parameters,
-    param_layout,
     predict,
 )
 from .optim import AdamState, ScheduleConfig, adam_update, cosine_lr
@@ -178,7 +177,7 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
     lam = np.array([c.resolved_weights().values for c in configs])
 
     # the loop owns all its storage: each row of these is one model's flat vector
-    layout = param_layout(topology)
+    layout = topology.param_layout
     params = np.stack([init_params(topology, c.seed).params.flat for c in configs])
     grads, scratch = np.empty_like(params), np.empty_like(params)
     adam = AdamState(0, ParamVector(layout, np.zeros_like(params)),
@@ -196,7 +195,7 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
             errors[i] = NumericalError(message)
             params[i] = adam.m.flat[i] = adam.v.flat[i] = lr[i] = 0.0
 
-    step, cache = 0, None
+    step = 0
     for epoch in range(epochs):
         perm = np.stack([rng.permutation(n) for rng in shuffle_rngs])
         loss_sum = np.zeros(n_models)
@@ -206,8 +205,8 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
             # each model's batch from its own rows: a stacked copy of every
             # model's table would only add memory
             batch_targets = [np.stack([y[i] for y, i in zip(t, idx)]) for t in targets]
-            cache = forward_pass(topology, param_views,
-                                 np.stack([x[i] for x, i in zip(features, idx)]), cache)
+            batch = np.stack([x[i] for x, i in zip(features, idx)])
+            cache = forward_pass(topology, param_views, batch)
             task_losses = batch_losses(topology, cache, batch_targets)
             total = sum(lam[:, j] * task_losses[:, j] for j in range(n_tasks))
             if step == 0:

@@ -92,6 +92,14 @@ def _random_topology(rng) -> NetworkTopology:
     return NetworkTopology(d, trunk, tuple(heads))
 
 
+def _relu_inputs(state: ModelState, cache) -> list[np.ndarray]:
+    """Every ReLU layer's affine output ``a @ W + b``, from its input in the cache."""
+    trunk, heads = state.topology.layers
+    layers = [*zip(trunk, cache.trunk_acts),
+              *(pair for hl, acts in zip(heads, cache.head_acts) for pair in zip(hl[:-1], acts))]
+    return [a @ state.params[w] + state.params[b] for (w, b), a in layers]
+
+
 def test_01_gradients_match_finite_differences():
     rng = np.random.default_rng(17)
     forced = [
@@ -115,8 +123,7 @@ def test_01_gradients_match_finite_differences():
         for _ in range(200):
             batch = rng.normal(size=(4, topo.input_dim))
             _, cache = forward(state, batch)
-            margin = min((float(np.min(np.abs(p)))
-                          for p in (*cache.trunk_pre, *[q for h in cache.head_pre for q in h])),
+            margin = min((float(np.min(np.abs(z))) for z in _relu_inputs(state, cache)),
                          default=1.0)
             if margin > 1e-3:
                 break

@@ -152,11 +152,16 @@ class TestPreprocess:
         ("site", {"levels": "xy"}),
         ("site", {"levels": {"x": 0, "y": 1}}),
         ("site", {"levels": ["x", 1]}),
+        ("y", {"task_index": 0, "task": "classification", "num_classes": 2.5}),
+        ("y", {"task_index": 0, "task": "classification", "num_classes": float("inf")}),
+        ("y", {"task_index": 0, "task": "classification", "num_classes": True}),
+        ("y", {"task_index": 0.0, "task": "classification"}),
+        ("y", {"task_index": False, "task": "classification"}),
     ])
     def test_bad_levels_or_mapping_exits_2_naming_the_column(self, tmp_path, column, params):
         data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
         data.write_text("age,grade,site,y\n1.0,low,x,0\n2.0,high,y,1\n3.0,low,x,1\n")
-        kinds = {"grade": "ordinal", "site": "categorical"}
+        kinds = {"grade": "ordinal", "site": "categorical", "y": "outcome"}
         entries = [{"name": "age", "kind": "numeric"},
                    {"name": "grade", "kind": "ordinal", "params": {"mapping": {"low": 0, "high": 1}}},
                    {"name": "site", "kind": "categorical", "params": {"levels": ["x", "y"]}},
@@ -377,6 +382,9 @@ class TestAttribute:
     @pytest.mark.parametrize("mutate", [
         "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",
         "version_1", "params_dict", "params_short",
+        # topology sizes that are not JSON integers
+        "input_dim=1e999", "shared_layers=1e999", "hidden_layers=1e999", "num_classes=1e999",
+        "input_dim=2.7", "num_classes=true",
     ])
     def test_bad_model_file_exits_2(self, synth_dir, trained_dir, tmp_path, mutate):
         text = (trained_dir / "model.json").read_text()
@@ -400,6 +408,16 @@ class TestAttribute:
         elif mutate == "params_short":
             doc["params"].pop()
             model.write_text(json.dumps(doc))
+        elif "=" in mutate:
+            field, value = mutate.split("=")
+            topo = doc["topology"]
+            head = next(h for h in topo["heads"] if "num_classes" in h["output"])
+            holder, key = {"input_dim": (topo, "input_dim"),
+                           "shared_layers": (topo["shared_layers"], 0),
+                           "hidden_layers": (head["hidden_layers"], 0),
+                           "num_classes": (head["output"], "num_classes")}[field]
+            holder[key] = "VALUE"
+            model.write_text(json.dumps(doc).replace('"VALUE"', value))
         result = run_cli(
             "attribute", "--data", synth_dir / "data.csv",
             "--schema", synth_dir / "schema.json",
@@ -410,6 +428,8 @@ class TestAttribute:
         assert "Traceback" not in result.stderr
         if mutate == "version_1":
             assert "retrain" in result.stderr
+        if "=" in mutate:
+            assert mutate.split("=")[0] in result.stderr
 
 
 class TestReport:
@@ -426,6 +446,25 @@ class TestReport:
         assert doc["tasks"]["task_c"]["histogram"]["counts"]
         assert len(doc["tasks"]["task_c"]["histogram"]["bin_edges"]) == 21
         assert "task_a|task_b" in doc["pairwise"]
+
+    def test_constant_outcome_pearson_is_null(self, tmp_path):
+        # np.corrcoef divides by the constant outcome's zero std
+        data, schema, out = tmp_path / "data.csv", tmp_path / "schema.json", tmp_path / "rep"
+        data.write_text("x,r1,r2\n1.0,5.0,1.0\n2.0,5.0,2.0\n3.0,5.0,4.0\n4.0,5.0,3.0\n")
+        schema.write_text(json.dumps([
+            {"name": "x", "kind": "numeric"},
+            {"name": "r1", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}},
+            {"name": "r2", "kind": "outcome", "params": {"task_index": 1, "task": "regression"}},
+        ]))
+        assert main(["report", "--data", str(data), "--schema", str(schema),
+                     "--out", str(out)]) == 0
+
+        def no_constants(name):
+            raise AssertionError(f"report.json holds the non-JSON constant {name}")
+
+        doc = json.loads((out / "report.json").read_text(), parse_constant=no_constants)
+        assert doc["pairwise"]["r1|r2"] == {"type": "correlation", "pearson": None}
+        assert "r1|r2 pearson: n/a" in (out / "report.txt").read_text()
 
 
 def test_version_flag():

@@ -29,7 +29,7 @@ from tabmtl.network import (
     model_from_dict,
     model_to_dict,
     n_parameters,
-    param_layout,
+    output_gradient,
     save_model,
     softmax,
     task_loss,
@@ -90,7 +90,7 @@ def assert_grads_close(analytic, numeric, tol=1e-4):
 class TestTopology:
     def test_layout_and_count_by_hand(self):
         topo = NetworkTopology(3, (4,), (HeadSpec((2,), CLASSIFICATION, 2), REG))
-        names = [name for name, _, _ in param_layout(topo)]
+        names = [name for name, _, _ in topo.param_layout]
         assert names == [
             "trunk.0.W", "trunk.0.b",
             "head.0.0.W", "head.0.0.b", "head.0.1.W", "head.0.1.b",
@@ -124,11 +124,11 @@ class TestFlatParameters:
     def test_named_arrays_are_views_of_one_vector_weights_first(self):
         state = init_params(self.TOPO, seed=0)
         flat = state.params.flat
-        assert param_layout(self.TOPO) is param_layout(self.TOPO)
+        assert self.TOPO.param_layout is self.TOPO.param_layout
         assert flat.shape == (n_parameters(self.TOPO),)
         offset = 0
         # a stable sort by is_bias: the weights in layout order, then the biases
-        for name, shape, _ in sorted(param_layout(self.TOPO), key=lambda e: e[2]):
+        for name, shape, _ in sorted(self.TOPO.param_layout, key=lambda e: e[2]):
             arr = state.params[name]
             assert arr.shape == shape and np.shares_memory(arr, flat)
             assert np.array_equal(arr.reshape(-1), flat[offset:offset + arr.size])
@@ -281,7 +281,7 @@ class TestBackward:
         batch = rng.normal(size=(4, topo.input_dim))
         _, cache = forward(state, batch)
         grads = backward(state, cache, make_targets(rng, topo, 4), (1.0,) * 3)
-        assert list(grads) == [name for name, _, _ in param_layout(topo)]
+        assert list(grads) == [name for name, _, _ in topo.param_layout]
 
     def test_weight_scaling_scales_gradients(self):
         topo = GRADCHECK_TOPOLOGIES[0]
@@ -296,16 +296,30 @@ class TestBackward:
             assert np.allclose(scaled[name], 3.0 * base[name], rtol=1e-12, atol=0)
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        # weights arranged so the trunk pre-activation is exactly 0 at x = 0
-        topo = NetworkTopology(1, (1,), (REG,))
-        state = ModelState(topo, {
-            "trunk.0.W": np.array([[1.0]]),
-            "trunk.0.b": np.array([0.0]),
-            "head.0.0.W": np.array([[1.0]]),
-            "head.0.0.b": np.array([0.0]),
-        })
-        grads = input_gradients(state, np.array([[0.0]]), task_index=0)
-        assert grads[0, 0] == 0.0
+        # a trunk layer, then a head hidden layer, whose weight and bias are
+        # +0.0 or -0.0, so its pre-activation on x = 1 is exactly zero; every
+        # other layer is 1 * a + 0.5 and passes a gradient on
+        topo = NetworkTopology(1, (1,), (HeadSpec((1,), REGRESSION),))
+        x, y = np.array([[1.0]]), [np.array([0.0])]
+        all_layers = ("trunk.0", "head.0.0", "head.0.1")
+        for layer in all_layers[:2]:
+            for zero in (0.0, -0.0):
+                named = {f"{l}.W": np.array([[1.0]]) for l in all_layers}
+                named.update({f"{l}.b": np.array([0.5]) for l in all_layers})
+                named[f"{layer}.W"], named[f"{layer}.b"] = np.array([[zero]]), np.array([zero])
+                state = ModelState(topo, named)
+                _, cache = forward(state, x)
+                # the layer's activation, the next layer's input: what the
+                # in-place ReLU leaves of a pre-activation of `zero` (a gemm
+                # may sum an all-zero product into +0.0, so it is set here)
+                act = cache.trunk_acts[1] if layer == "trunk.0" else cache.head_acts[0][1]
+                np.maximum(np.full_like(act, zero), 0.0, out=act)
+                grads = backward(state, cache, y, (1.0,))
+                assert grads["head.0.1.b"][0] != 0.0  # a gradient reaches the layer
+                assert grads[f"{layer}.W"][0, 0] == 0.0, (layer, zero)
+                assert grads[f"{layer}.b"][0] == 0.0, (layer, zero)
+                assert output_gradient(state, cache, 0)[0, 0] == 0.0, (layer, zero)
+                assert input_gradients(state, x, task_index=0)[0, 0] == 0.0, (layer, zero)
 
 
 class TestInputGradients:
@@ -363,11 +377,11 @@ def saved_models(draw):
     ]))
     topo = NetworkTopology(draw(st.integers(1, 4)), trunk, tuple(
         HeadSpec(head_hidden, kind, 3 if kind == CLASSIFICATION else 1) for kind in heads))
-    size = param_layout(topo).size
+    size = topo.param_layout.size
     values = st.one_of(st.sampled_from(EXTREME_FLOATS),
                        st.floats(allow_nan=False, allow_infinity=False))
     flat = draw(hnp.arrays(np.float64, size, elements=values))
-    return ModelState(topo, ParamVector(param_layout(topo), flat))
+    return ModelState(topo, ParamVector(topo.param_layout, flat))
 
 
 class TestSerialization:
@@ -421,7 +435,7 @@ class TestSerialization:
 
     def test_non_finite_value_names_its_array(self):
         topo = NetworkTopology(3, (4, 2), (HeadSpec((2,), CLASSIFICATION, 3), REG))
-        layout = param_layout(topo)
+        layout = topo.param_layout
         doc = model_to_dict(init_params(topo, 0))
         marks = ParamVector(layout, np.arange(layout.size))  # each value's flat index
         for name in layout.names:
