@@ -28,6 +28,8 @@ from .dataset import (
     CLASSIFICATION,
     CleaningReport,
     Dataset,
+    NormalizationStats,
+    apply_standardizer,
     dataset_schema,
     load_csv,
     load_schema,
@@ -141,6 +143,29 @@ def _stats_dict(dataset: Dataset) -> dict:
     return {"feature_names": list(dataset.feature_names), **dataset.normalization_stats.to_dict()}
 
 
+def _scaled_by_model(dataset: Dataset, path, stats: dict) -> Dataset:
+    """The dataset z-scored with the mean and std a model file records, not its own."""
+    arrays = []
+    for key in ("mean", "std"):
+        values = stats.get(key)
+        # type() rules out bools; the bound rules out NaN, infinities and huge integers
+        if not (isinstance(values, list) and len(values) == dataset.n_features
+                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                        for v in values)):
+            raise ConfigError(f"model file {path}: normalization_stats {key!r} must be "
+                              f"a list of {dataset.n_features} finite numbers")
+        arrays.append(np.array(values, dtype=np.float64))
+    if np.any(arrays[1] <= 0):
+        raise ConfigError(f"model file {path}: normalization_stats 'std' must be > 0")
+    model_stats = NormalizationStats(*arrays)
+    with np.errstate(over="ignore"):
+        features = apply_standardizer(dataset.raw_features(), model_stats)
+    if not np.all(np.isfinite(features)):
+        raise ConfigError(f"model file {path}: normalization_stats scale this data's "
+                          "features beyond the float range")
+    return Dataset(features, dataset.feature_names, dataset.outcomes, model_stats)
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -233,10 +258,12 @@ def cmd_attribute(args) -> tuple[dict, str]:
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     dataset, _ = _load_dataset(args)
     state, stats = load_model(args.model)
-    if stats is not None and stats.get("feature_names") != list(dataset.feature_names):
-        raise ConfigError(
-            "model was trained on different features than this data produces"
-        )
+    if stats is not None:
+        if stats.get("feature_names") != list(dataset.feature_names):
+            raise ConfigError(
+                "model was trained on different features than this data produces"
+            )
+        dataset = _scaled_by_model(dataset, args.model, stats)
     task_names = list(dataset.task_names())
     if args.task not in task_names:
         raise ConfigError(f"no task named {args.task!r}; tasks are {task_names}")

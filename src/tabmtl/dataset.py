@@ -168,14 +168,65 @@ def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
     return text
 
 
+_BLOCK_ROWS = 64  # rows parsed at once: one block's text is held, never the whole file's
+_AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
+_AS_NONE = dict.fromkeys(MISSING_TOKENS)
+
+
+def _parse_column(cells: tuple[str, ...], col: ColumnDescriptor, start: int) -> np.ndarray:
+    """One block of a column: float64 when every cell is a finite number or missing."""
+    if not col.is_numeric_valued():
+        return np.array(list(map(_AS_NONE.get, cells, cells)), dtype=object)
+    numbers = len(cells) - sum(map(cells.count, MISSING_TOKENS))
+    try:
+        values = np.fromiter(map(float, map(_AS_NAN.get, cells, cells)), np.float64, len(cells))
+        if np.count_nonzero(np.isfinite(values)) == numbers:  # NaN only for a missing cell
+            return values
+    except ValueError:  # not a number: an ordinal level label, or a bad cell
+        pass
+    # keeps ordinal labels as text, and raises for any other bad cell
+    return np.array([_parse_cell(c, col, r) for r, c in enumerate(cells, start)], dtype=object)
+
+
+def _parse_block(records: list[list[str]], start: int,
+                 fields: list[tuple[int, ColumnDescriptor]], columns: list[list]) -> None:
+    """Parse a block of rows, numbered from ``start``, a column at a time, and add
+    one part to each of ``columns``.
+
+    On a bad cell the block is parsed again a row at a time, so that the fault
+    named is the first in row order.
+    """
+    by_pos = tuple(zip(*records))
+    try:
+        parts = [_parse_column(by_pos[pos], col, start) for pos, col in fields]
+    except DataError:
+        for row_idx, record in enumerate(records, start):
+            for pos, col in fields:
+                _parse_cell(record[pos], col, row_idx)
+        raise
+    for parts_of, part in zip(columns, parts):
+        parts_of.append(part)
+
+
+def _join(parts: list[np.ndarray]):
+    """A column from its blocks: float64 if every block is, else cells with None for missing."""
+    if parts and all(p.dtype == np.float64 for p in parts):
+        return np.concatenate(parts)
+    return [v if v == v else None for p in parts for v in p.tolist()]  # v != v only for NaN
+
+
 def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     """Parse a UTF-8 comma-separated file, with or without a BOM, against the schema.
 
     The header must contain exactly the schema's column names, in any order.
-    Empty cells and the literal "NA" are missing.
+    Empty cells and the literal "NA" are missing. Rows are parsed a column at
+    a time, in blocks of ``_BLOCK_ROWS``; a fault names the first bad cell or
+    row in row order.
     """
     cols = validate_schema(schema)
     path = Path(path)
+    columns: list[list] = [[] for _ in cols]  # each column's parsed blocks
+    block, start, fault = [], 0, None
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -192,21 +243,28 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
             unknown = [name for name in header if all(c.name != name for c in cols)]
             if unknown:
                 raise DataError(f"{path}: unknown columns {unknown}")
-            fields = [(header_pos[c.name], c, []) for c in cols]
+            fields = [(header_pos[c.name], c) for c in cols]
             for row_idx, record in enumerate(reader):
                 if len(record) != len(header):
-                    raise DataError(
+                    fault = DataError(
                         f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
                     )
-                for pos, col, cells in fields:
-                    cells.append(_parse_cell(record[pos], col, row_idx))
+                    break
+                block.append(record)
+                if len(block) == _BLOCK_ROWS:
+                    _parse_block(block, start, fields, columns)
+                    block, start = [], row_idx + 1
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+        fault = DataError(f"{path}: not valid UTF-8: {exc}")
     except OSError as exc:  # missing, a directory, unreadable
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        fault = DataError(f"cannot read {path}: {exc.strerror}")
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return RawTable(cols, [cells for _, _, cells in fields])
+        fault = DataError(f"{path}: line {reader.line_num}: {exc}")
+    if block:  # parsed before a read fault is raised, so an earlier bad cell is named first
+        _parse_block(block, start, fields, columns)
+    if fault is not None:
+        raise fault
+    return RawTable(cols, [_join(parts) for parts in columns])
 
 
 @dataclass

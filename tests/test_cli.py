@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tabmtl.cli import build_parser, main
@@ -430,6 +431,63 @@ class TestAttribute:
             assert "retrain" in result.stderr
         if "=" in mutate:
             assert mutate.split("=")[0] in result.stderr
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean", None), ("std", None),  # the field is absent
+        ("mean", "short"), ("std", "long"), ("std", '"1.0"'), ("mean", "true"),
+        ("mean", "NaN"), ("std", "Infinity"), ("mean", "1e999"), ("std", "9" * 400),
+        ("std", "0"), ("std", "-1.5"),
+        ("std", "1e-310"),  # positive, but scales a feature past the float range
+    ])
+    def test_bad_normalization_stats_exits_2(self, synth_dir, trained_dir, tmp_path, capsys,
+                                             key, value):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        stats = doc["normalization_stats"]
+        if value is None:
+            del stats[key]
+        elif value == "short":
+            stats[key].pop()
+        elif value == "long":
+            stats[key].append(1.0)
+        else:
+            stats[key][0] = "VALUE"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc).replace('"VALUE"', value or ""))
+        code = main([
+            "attribute", "--data", str(synth_dir / "data.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--model", str(model), "--out", str(tmp_path / "o"), "--task", "task_a",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(model) in err and "normalization_stats" in err
+        if value != "1e-310":
+            assert repr(key) in err
+
+    def test_scales_features_as_training_did(self, synth_dir, trained_dir, tmp_path):
+        """On some of the training rows, the scores equal the training Dataset's,
+        not those of the rows z-scored by their own mean and std."""
+        from tabmtl.attrib import grad_cam_features
+        from tabmtl.dataset import load_csv, load_schema, preprocess_pipeline, subset_rows
+        from tabmtl.network import load_model
+
+        header, *rows = (synth_dir / "data.csv").read_text().splitlines()
+        picked = np.arange(0, len(rows), 3)
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join([header, *(rows[i] for i in picked)]) + "\n")
+        out = tmp_path / "att"
+        code = main([
+            "attribute", "--data", str(subset), "--schema", str(synth_dir / "schema.json"),
+            "--model", str(trained_dir / "model.json"), "--out", str(out), "--task", "task_a",
+        ])
+        assert code == 0
+        got = np.array(json.loads((out / "attribution.json").read_text())["scores"])
+
+        schema = load_schema(synth_dir / "schema.json")
+        training, _ = preprocess_pipeline(load_csv(synth_dir / "data.csv", schema))
+        state, _ = load_model(trained_dir / "model.json")
+        want = grad_cam_features(state, subset_rows(training, picked)).scores
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestReport:

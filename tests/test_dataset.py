@@ -1,4 +1,6 @@
+import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tabmtl import dataset as dataset_module
 from tabmtl.dataset import (
     MICE_RIDGE,
     ColumnDescriptor,
@@ -29,6 +32,7 @@ from tabmtl.dataset import (
     select_task,
     subset_rows,
     transform,
+    validate_schema,
     write_dataset_csv,
 )
 from tabmtl.errors import ConfigError, DataError
@@ -65,6 +69,27 @@ class TestRawTable:
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(DataError, match="unequal lengths"):
             RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0, 2.0], [3.0], [0.0, 1.0]))
+
+
+def reference_load_csv(path, schema):
+    """The per-cell loop that load_csv's block parser replaced: each row in turn,
+    each cell of it through ``_parse_cell``. Expects a header that matches the schema."""
+    cols = validate_schema(schema)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            fields = [(header.index(c.name), c, []) for c in cols]
+            for row_idx, record in enumerate(reader):
+                if len(record) != len(header):
+                    raise DataError(
+                        f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
+                    )
+                for pos, col, column in fields:
+                    column.append(dataset_module._parse_cell(record[pos], col, row_idx))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
+    return RawTable(cols, [column for _, _, column in fields])
 
 
 class TestLoadCsv:
@@ -115,6 +140,106 @@ class TestLoadCsv:
         path.write_bytes("a,b,label\n1.0,2.0,1\n".encode() + "caf\u00e9".encode("latin-1"))
         with pytest.raises(DataError, match="latin1.csv.*UTF-8"):
             load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_bad_cell_named_before_a_later_short_row(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", block_rows)
+        rows = ["1,2,0"] * 7
+        rows[2], rows[5] = "1,oops,0", "1,2"
+        path = write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"^row 2, column 'b': cannot parse 'oops'"):
+            load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_short_row_named_before_a_later_bad_cell(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", block_rows)
+        rows = ["1,2,0"] * 7
+        rows[1], rows[4] = "1,2", "1,inf,0"
+        path = write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"row 1 has 2 cells, expected 3$"):
+            load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
+    def test_bad_cell_in_a_later_block_names_its_absolute_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 3)
+        rows = ["1,2,0"] * 7
+        rows[4], rows[5] = "1,-Infinity,0", "x,2,0"
+        path = write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"^row 4, column 'b': non-finite value '-Infinity'"):
+            load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
+    def test_bad_cell_named_before_a_later_invalid_byte(self, tmp_path):
+        # past the text decoder's first chunk, so the rows before the byte are read first
+        pad = "x" * 100
+        rows = [f"{pad},1,0"] * 400
+        rows[2] = f"{pad},oops,0"
+        data = ("id,a,label\n" + "\n".join(rows) + "\n").encode() + b"\xff,1,0\n"
+        path = tmp_path / "late.csv"
+        path.write_bytes(data)
+        schema = (ColumnDescriptor("id", "identifier"), NUM_A, OUT_CLS)
+        with pytest.raises(DataError, match=r"^row 2, column 'a'"):
+            load_csv(path, schema)
+        path.write_bytes(data.replace(b"oops", b"2"))
+        with pytest.raises(DataError, match="late.csv: not valid UTF-8"):
+            load_csv(path, schema)
+
+    def test_ordinal_labels_in_a_later_block_keep_none_for_missing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", 2)
+        grade = ColumnDescriptor("grade", "ordinal", mapping={"low": 0, "high": 1})
+        path = write(tmp_path, "grade,label\n1,0\n,1\nlow,0\nNA,1\n")
+        column = load_csv(path, (grade, OUT_CLS)).columns[0]
+        assert column.dtype == object
+        assert column.tolist() == [1.0, None, "low", None]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_cell_reference(self, tmp_path_factory, block_rows, data):
+        """Same table (dtype and bytes) or the same DataError text as the per-cell loop."""
+        schema = (
+            ColumnDescriptor("id", "identifier"),
+            NUM_A,
+            ColumnDescriptor("grade", "ordinal", mapping={"low": 0, "high": 2}),
+            ColumnDescriptor("site", "categorical", levels=("n", "s")),
+            ColumnDescriptor("dose_1", "timeseries", group="dose"),
+            OUT_REG,
+        )
+        numbers = ["1.5", "-2", "0", "1e3", " 7 ", "", "NA"]
+        texts = {
+            "identifier": ["p1", "x" * 3000, "", "NA", "1"],  # long cells spread the file
+            "categorical": ["n", "s", "w", "", "NA", "nan"],
+            "ordinal": numbers + ["low", "high", "mid"],
+        }
+        faults = ["oops", "inf", "nan", "-Infinity", "1e999", "1,5"]
+        # no faults, a bad cell in about one of ten, or in about one of six
+        rate = data.draw(st.sampled_from([0, 1, 2]))
+        header = data.draw(st.permutations([c.name for c in schema]))
+        kinds = {c.name: c.kind for c in schema}
+        row = st.tuples(
+            *(st.sampled_from(texts.get(kinds[name], numbers) * 8 + faults * rate)
+              for name in header),
+            st.sampled_from(["whole"] * 60 + ["short", "bad byte"] * rate),
+        )
+        lines = [",".join(header).encode()]
+        for *cells, shape in data.draw(st.lists(row, max_size=12)):
+            line = ",".join(cells).encode()
+            if shape == "short":
+                line = line[:line.rindex(b",")]
+            elif shape == "bad byte":
+                line = b"\xff" + line
+            lines.append(line)
+        path = tmp_path_factory.getbasetemp() / f"differential_{block_rows}.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+
+        def outcome(load):
+            try:
+                table = load(path, schema)
+            except DataError as exc:
+                return str(exc)
+            return [(c.dtype.str, c.tolist() if c.dtype == object else c.tobytes())
+                    for c in table.columns]
+
+        with mock.patch.object(dataset_module, "_BLOCK_ROWS", block_rows):
+            assert outcome(load_csv) == outcome(reference_load_csv)
 
 
 class TestClean:
