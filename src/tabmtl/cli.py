@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -258,12 +259,13 @@ def cmd_attribute(args) -> tuple[dict, str]:
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     dataset, _ = _load_dataset(args)
     state, stats = load_model(args.model)
-    if stats is not None:
-        if stats.get("feature_names") != list(dataset.feature_names):
-            raise ConfigError(
-                "model was trained on different features than this data produces"
-            )
-        dataset = _scaled_by_model(dataset, args.model, stats)
+    if stats is None:
+        raise ConfigError(f"model file {args.model} has no normalization_stats, so this data "
+                          "cannot be scaled as the training data was; save the model with "
+                          "its stats or retrain it with `tabmtl train`")
+    if stats.get("feature_names") != list(dataset.feature_names):
+        raise ConfigError("model was trained on different features than this data produces")
+    dataset = _scaled_by_model(dataset, args.model, stats)
     task_names = list(dataset.task_names())
     if args.task not in task_names:
         raise ConfigError(f"no task named {args.task!r}; tasks are {task_names}")
@@ -484,7 +486,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 1
-    print(message)
+    try:
+        print(message, flush=True)
+    except BrokenPipeError:
+        # the reader is gone, and every output is written: point stdout at
+        # devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -889,14 +889,22 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write features and outcomes as CSV; NaN cells become "NA".
 
     Cells are formatted a column at a time, one block of rows after another,
-    as the ``repr`` of a float or of an integer class label.
+    as the ``repr`` of a float or of an integer class label. Only the header
+    goes through ``csv.writer``, since a name may need quoting; no cell does.
     """
     header = list(dataset.feature_names) + list(dataset.task_names())
     columns = [*dataset.features.T, *(o.values for o in dataset.outcomes)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
-            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in columns]
-            # v != v only for NaN
-            writer.writerows(zip(*(["NA" if v != v else repr(v) for v in b] for b in block)))
+            cells = [_cell_text(c[start:start + _CSV_BLOCK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _cell_text(block: np.ndarray) -> list[str]:
+    """Each value of a column block as its ``repr``, a NaN as "NA"."""
+    # one C-level repr of the whole list; a number's repr holds no ", "
+    cells = repr(block.tolist())[1:-1].split(", ")
+    if "nan" in cells:  # only a float NaN's repr
+        cells = ["NA" if c == "nan" else c for c in cells]
+    return cells

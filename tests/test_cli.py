@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -464,6 +465,23 @@ class TestAttribute:
         if value != "1e-310":
             assert repr(key) in err
 
+    def test_model_without_normalization_stats_exits_2(self, synth_dir, trained_dir, tmp_path,
+                                                       capsys):
+        # what save_model writes when given no stats
+        doc = json.loads((trained_dir / "model.json").read_text())
+        del doc["normalization_stats"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main([
+            "attribute", "--data", str(synth_dir / "data.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--model", str(model), "--out", str(tmp_path / "o"), "--task", "task_a",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(model) in err and "normalization_stats" in err and "tabmtl train" in err
+        assert not (tmp_path / "o" / "attribution.json").exists()
+
     def test_scales_features_as_training_did(self, synth_dir, trained_dir, tmp_path):
         """On some of the training rows, the scores equal the training Dataset's,
         not those of the rows z-scored by their own mean and std."""
@@ -523,6 +541,24 @@ class TestReport:
         doc = json.loads((out / "report.json").read_text(), parse_constant=no_constants)
         assert doc["pairwise"]["r1|r2"] == {"type": "correlation", "pearson": None}
         assert "r1|r2 pearson: n/a" in (out / "report.txt").read_text()
+
+
+def test_closed_stdout_still_exits_0(tmp_path):
+    """A reader that has gone (``tabmtl ... | head -0``) costs the message, not the run."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tabmtl", "synth", "--out", str(tmp_path / "s"),
+             "--n-samples", "30", "--n-features", "4", "--n-informative", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"data.csv", "schema.json", "truth.json"}
 
 
 def test_version_flag():

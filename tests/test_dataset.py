@@ -784,7 +784,46 @@ class TestSchemaJson:
             ])
 
 
+def reference_write_dataset_csv(dataset, path):
+    """The writer before its cells bypassed ``csv.writer``: each cell's ``repr``,
+    "NA" for NaN, every row through ``csv.writer``."""
+    header = list(dataset.feature_names) + list(dataset.task_names())
+    columns = [*dataset.features.T, *(o.values for o in dataset.outcomes)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*(c.tolist() for c in columns)):
+            writer.writerow(["NA" if v != v else repr(v) for v in row])
+
+
 class TestCsvRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_writes_the_bytes_of_the_reference(self, tmp_path_factory, data):
+        """Rows around the block size, NaN of either sign, -0.0, the smallest
+        subnormal, floats whose repr has an exponent, and labels of two digits."""
+        n = data.draw(st.sampled_from([1, 2, 63, 64, 65, 129]) | st.integers(1, 140))
+        d = data.draw(st.integers(1, 3))
+        special = [np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 123456789.125,
+                   1.7976931348623157e308]
+        value = st.sampled_from(special) | st.floats(allow_nan=False, allow_infinity=False)
+        features = data.draw(hnp.arrays(np.float64, (n, d), elements=value))
+        num_classes = data.draw(st.integers(2, 12))
+        outs = (
+            OutcomeVector("y,1", "classification",
+                          data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1))),
+                          num_classes),
+            OutcomeVector("y2", "regression", data.draw(hnp.arrays(
+                np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False)))),
+        )
+        names = ("f", 'q"uote', " lead")[:d]
+        ds = Dataset(features, names, outs, NormalizationStats.identity(d))
+        path = tmp_path_factory.getbasetemp() / "writer.csv"
+        reference = tmp_path_factory.getbasetemp() / "writer_reference.csv"
+        write_dataset_csv(ds, path)
+        reference_write_dataset_csv(ds, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_value_exact_floats(self, tmp_path):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(10, 3))

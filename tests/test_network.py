@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from tabmtl.errors import ConfigError, DataError
 from tabmtl.network import (
     CLASSIFICATION,
+    LOG_FLOOR,
     REGRESSION,
     HeadSpec,
     LossWeights,
@@ -34,6 +35,7 @@ from tabmtl.network import (
     softmax,
     task_loss,
 )
+from tabmtl.network import _mse, _nll, _true_class
 from tabmtl.optim import adam_step, init_adam
 
 CLS2 = HeadSpec((), CLASSIFICATION, 2)
@@ -216,6 +218,73 @@ class TestForward:
         state = init_params(NetworkTopology(3, (2,), (REG,)), 0)
         preds, _ = forward(state, np.zeros((2, 3), dtype=np.float32))
         assert preds[0].dtype == np.float64
+
+
+# softmax and the batch losses as they were before they computed in place;
+# the in-place versions must return the same bits
+def reference_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def reference_nll(probs, labels):
+    return -np.mean(np.log(np.maximum(_true_class(probs, labels), LOG_FLOOR)), axis=-1)
+
+
+def reference_mse(preds, targets):
+    return np.mean((targets - preds) ** 2, axis=-1)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestInPlaceLosses:
+    """softmax, _nll and _mse against the expressions they replaced, bit for bit."""
+
+    @staticmethod
+    def rows_shape(data):
+        # one model's rows, or a stack's (M, B)
+        return data.draw(st.sampled_from([(), (1,), (5,)])) + (data.draw(st.integers(1, 70)),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_softmax(self, data):
+        lead = data.draw(st.sampled_from([(), (7,), (3, 9)]))  # (K,), (B, K), (M, B, K)
+        k = data.draw(st.integers(2, 4))
+        # ties, +-0.0 and logits far enough apart that exp underflows to 0
+        logit = (st.sampled_from([0.0, -0.0, 1.0, 700.0, -700.0])
+                 | st.floats(-800.0, 800.0))
+        logits = data.draw(hnp.arrays(np.float64, lead + (k,), elements=logit))
+        assert_same_bits(softmax(logits), reference_softmax(logits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_nll(self, data):
+        shape, k = self.rows_shape(data), data.draw(st.integers(2, 4))
+        # a true class at probability exactly 1 gives the loss -0.0; 0 and 1e-13
+        # are below LOG_FLOOR
+        prob = st.sampled_from([1.0, 0.0, 1e-13, LOG_FLOOR, 0.5]) | st.floats(0.0, 1.0)
+        probs = data.draw(hnp.arrays(np.float64, shape + (k,), elements=prob))
+        labels = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, k - 1)))
+        assert_same_bits(_nll(probs, labels), reference_nll(probs, labels))
+
+    def test_nll_of_a_certain_prediction_is_negative_zero(self):
+        loss = _nll(softmax(np.array([[700.0, -700.0]])), np.array([0]))
+        assert loss == 0.0 and math.copysign(1.0, loss) == -1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mse(self, data):
+        shape = self.rows_shape(data)
+        value = st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-1e100, 1e100)
+        preds, targets = (data.draw(hnp.arrays(np.float64, shape, elements=value))
+                          for _ in range(2))
+        assert_same_bits(_mse(preds, targets), reference_mse(preds, targets))
 
 
 class TestLosses:
