@@ -96,7 +96,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, names, started: flo
         "package_version": __version__,
         "arguments": arg_dict,
         "outputs": {name: _sha256(out_dir / name) for name in names},
-        "elapsed_seconds": time.time() - started,
+        "elapsed_seconds": time.perf_counter() - started,
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         out = _out_dir(args)
         outputs, message = args.func(args)

@@ -328,7 +328,13 @@ class ForwardCache:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax along the last axis; stable for large logits."""
     z = np.asarray(logits, dtype=np.float64)
-    e = z - z.max(-1, keepdims=True)
+    # the max by a tree of elementwise maxima over column halves: numpy reduces
+    # a short last axis one row at a time, and a max is exact in any order
+    m = z
+    while m.shape[-1] > 1:
+        h = (m.shape[-1] + 1) // 2
+        m = np.maximum(m[..., :h], m[..., -h:])
+    e = z - m
     np.exp(e, out=e)
     e /= e.sum(-1, keepdims=True)
     return e

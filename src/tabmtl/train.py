@@ -50,15 +50,17 @@ SEARCH_BATCH_SIZE = 64
 DIVERGENCE_FACTOR = 1e6
 # a training stack holds at most STACK_MODELS models and STACK_PARAMS
 # parameters summed over them (measured with one BLAS thread, batches of 64
-# rows and 15 inputs). Models of 1-2k parameters ran 1.9-2.8x faster per
-# model-step in stacks of 4 and 2.5-4.8x in stacks of 10, but every model
-# of a stack adds its activations to the working set: the tune benchmark's
-# peak RSS rose about 0.4 MB with stacks of 5 and 1 MB with stacks of 10.
+# rows and 15 inputs). A stack step has a fixed cost that its models share:
+# training the tune benchmark's 40 jobs (1,157 and 2,181 parameters) took
+# a median 720, 1,240 and 2,570 us per stack step at stacks of 5, 10 and 20,
+# or 144, 124 and 128 us per model-step. But every model of a stack adds
+# its activations to the working set: that benchmark's peak RSS read 48.0,
+# 48.2 and 50.8 MB at caps of 5, 10 and 20, and its op read no faster at 20.
 # Models of 14k-27k parameters (three of the default SearchSpace's four
 # topologies) ran 1.1-1.5x faster in stacks of up to 65k parameters; at 44k
 # parameters a stack of 2 ran 0.97-1.01x and larger ones 0.82-0.93x, so
 # models of more than 32k parameters train alone.
-STACK_MODELS = 5
+STACK_MODELS = 10
 STACK_PARAMS = 1 << 16
 
 
@@ -184,15 +186,20 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
                      ParamVector(layout, np.zeros_like(params)))
     param_views, grad_views = layout.views(params), layout.views(grads)
     shuffle_rngs = [np.random.default_rng(c.seed) for c in configs]
-    # every model's rows in one table per array, model i's from row i * n on,
-    # so one take gathers the whole stack's batch: the copy costs about 0.23 MB
-    # at the tune benchmark's stacks of 5, and a lone model uses its own table
+    # each distinct dataset's rows once in one table per array, in first-seen
+    # order, so one take gathers the whole stack's batch. A grid search's
+    # configs share their fold tables: the tune benchmark's stacks of 10 join
+    # 5 tables (0.23 MB, half of a copy per model), and a stack of one table
+    # uses it, no copy
+    distinct = list({id(d): d for d in datasets}.values())
+    slot = {id(d): k for k, d in enumerate(distinct)}
+
     def joined(tables: list[np.ndarray]) -> np.ndarray:
         return np.concatenate(tables) if len(tables) > 1 else tables[0]
 
-    features = joined([d.features for d in datasets])
-    targets = [joined([d.outcomes[j].values for d in datasets]) for j in range(n_tasks)]
-    first_rows = n * np.arange(n_models)[:, None]
+    features = joined([d.features for d in distinct])
+    targets = [joined([d.outcomes[j].values for d in distinct]) for j in range(n_tasks)]
+    first_rows = n * np.array([slot[id(d)] for d in datasets])[:, None]
 
     errors: list[NumericalError | None] = [None] * n_models
     histories: list[list[dict]] = [[] for _ in range(n_models)]
@@ -362,9 +369,9 @@ def _train_jobs(
         # as few stacks as the cap allows, of even sizes
         per_stack = min(STACK_MODELS, max(1, STACK_PARAMS // n_parameters(topology)))
         n_stacks = math.ceil(len(members) / per_stack)
-        size = math.ceil(len(members) / n_stacks)
-        for chunk in range(0, len(members), size):
-            stack = members[chunk : chunk + size]
+        bounds = [k * len(members) // n_stacks for k in range(n_stacks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            stack = members[lo:hi]
             yield from zip(stack, _train_stack([jobs[i] for i in stack]))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -41,6 +42,14 @@ class TestSynth:
         for name, digest in manifest["outputs"].items():
             actual = hashlib.sha256((synth_dir / name).read_bytes()).hexdigest()
             assert actual == digest
+
+    def test_elapsed_seconds_ignores_wall_clock_steps(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour between any two readings
+        readings = itertools.count()
+        monkeypatch.setattr("tabmtl.cli.time.time", lambda: 2e9 - 3600.0 * next(readings))
+        assert main(["synth", "--out", str(tmp_path), "--n-samples", "20", "--seed", "1"]) == 0
+        elapsed = json.loads((tmp_path / "manifest.json").read_text())["elapsed_seconds"]
+        assert 0 <= elapsed < 60
 
     def test_rerun_is_byte_identical(self, synth_dir, tmp_path):
         again = tmp_path / "again"

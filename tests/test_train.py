@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector, kfold_split, subset_rows
 from tabmtl import train
 from tabmtl.errors import ConfigError, NumericalError
-from tabmtl.network import HeadSpec, LossWeights, NetworkTopology, init_params, predict
+from tabmtl.network import (
+    HeadSpec, LossWeights, NetworkTopology, init_params, n_parameters, predict,
+)
 from tabmtl.synth import SynthConfig, generate
 from tabmtl.train import (
     FOLD_SEED_STRIDE,
@@ -349,8 +352,11 @@ def stack_cases(draw):
     n = draw(st.integers(3, 30))
     batch_size = draw(st.integers(1, n + 2))  # often leaves a partial last batch
     epochs = draw(st.integers(1, 3))
+    # jobs draw from a pool of tables, so a stack often holds one table more than once
+    pool = [kinds_dataset(kinds, n, d, draw(st.integers(0, 2**16)))
+            for _ in range(draw(st.integers(1, 3)))]
     jobs = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(2, train.STACK_MODELS))):
         weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
                                 min_size=len(kinds), max_size=len(kinds))
                        .filter(lambda w: any(v > 0 for v in w)))
@@ -361,7 +367,7 @@ def stack_cases(draw):
             weight_decay=draw(st.sampled_from([0.0, 0.05])),
             epochs=epochs, batch_size=batch_size, seed=draw(st.integers(0, 2**16)),
         )
-        jobs.append((kinds_dataset(kinds, n, d, draw(st.integers(0, 2**16))), config))
+        jobs.append((pool[draw(st.integers(0, len(pool) - 1))], config))
     return jobs
 
 
@@ -369,9 +375,10 @@ class TestStackedTraining:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases())
     def test_stack_equals_each_model_trained_alone(self, jobs):
-        stacked = train._train_stack(jobs)
-        for (dataset, config), result in zip(jobs, stacked):
-            assert trained_bytes(result) == trained_bytes(train_model(dataset, config))
+        # a model can meet the divergence rule (a batch of one row may fit its
+        # target almost exactly at the first step); stacked, it gets that error
+        assert [self.stacked(r) for r in train._train_stack(jobs)] == [
+            self.alone(*job) for job in jobs]
 
     @staticmethod
     def alone(dataset, config):
@@ -379,6 +386,10 @@ class TestStackedTraining:
             return trained_bytes(train_model(dataset, config))
         except NumericalError as exc:
             return str(exc)
+
+    @staticmethod
+    def stacked(result):
+        return str(result) if isinstance(result, NumericalError) else trained_bytes(result)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
@@ -397,8 +408,7 @@ class TestStackedTraining:
         assert sorted(isinstance(m, str) for m in alone) == [False, False, True, True]
         assert any("epoch" in m for m in alone if isinstance(m, str))
         assert any("step" in m for m in alone if isinstance(m, str))
-        assert [str(r) if isinstance(r, NumericalError) else trained_bytes(r)
-                for r in stacked] == alone
+        assert [self.stacked(r) for r in stacked] == alone
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("lr0_values", [(0.01, 1e6), (1e6, 0.01)])
@@ -426,3 +436,65 @@ class TestStackedTraining:
         first = next(m for m in messages if isinstance(m, str))
         assert len(set(m for m in messages if isinstance(m, str))) > 1  # the folds differ
         assert str(raised.value) == first
+
+
+# the tune benchmark's trunk of 32 (2,181 parameters, stacks of 10) and the
+# default SearchSpace's topologies at 15 inputs, down to the two-layer trunk of
+# 128 (43,653 parameters), which trains alone
+GROUPING_TOPOLOGIES = [small_topology(15, trunk, head) for trunk, head in [
+    ((32,), (16,)), ((128, 128), (64,)), ((64,), (64,)), ((128,), (64,)), ((64, 64), (64,)),
+]]
+GROUPING_DATA = [kinds_dataset((("classification", 2), ("classification", 2), ("regression", 1)),
+                               n, 15, 0) for n in (20, 21)]
+
+
+class TestStackGrouping:
+    """Which jobs ``_train_jobs`` trains together, with ``_train_stack`` recording them."""
+
+    @staticmethod
+    def stacks_of(specs):
+        jobs = [(GROUPING_DATA[data], TrainConfig(GROUPING_TOPOLOGIES[t], epochs=epochs,
+                                                  batch_size=batch_size))
+                for t, data, batch_size, epochs in specs]
+        index = {id(job): i for i, job in enumerate(jobs)}
+        stacks = []
+
+        def record(stack_jobs):
+            stacks.append([index[id(job)] for job in stack_jobs])
+            return list(stack_jobs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train, "_train_stack", record)
+            yielded = list(train._train_jobs(jobs))
+        assert sorted(i for i, _ in yielded) == list(range(len(jobs)))
+        assert all(result is jobs[i] for i, result in yielded)
+        return jobs, stacks
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(st.integers(0, len(GROUPING_TOPOLOGIES) - 1),
+                                        st.integers(0, 1), st.sampled_from([32, 64]),
+                                        st.integers(1, 2)),
+                              st.integers(1, 12)), max_size=8))
+    def test_stacks_follow_the_caps(self, runs):
+        # runs of like jobs, as a grid search's configs give them, groups interleaved
+        jobs, stacks = self.stacks_of([spec for spec, count in runs for _ in range(count)])
+
+        def key(i):
+            data, config = jobs[i]
+            return config.topology, data.n_rows, config.batch_size, config.epochs
+
+        groups: dict[tuple, list[list[int]]] = {}
+        for stack in stacks:
+            assert len({key(i) for i in stack}) == 1
+            groups.setdefault(key(stack[0]), []).append(stack)
+        for (topology, *_), group in groups.items():
+            members = [i for stack in group for i in stack]
+            assert members == [i for i in range(len(jobs)) if key(i) == key(members[0])]
+            cap = min(train.STACK_MODELS, max(1, train.STACK_PARAMS // n_parameters(topology)))
+            sizes = [len(stack) for stack in group]
+            assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+            assert len(group) == math.ceil(len(members) / cap)
+
+    def test_tune_grid_trains_stacks_of_ten(self):
+        _, stacks = self.stacks_of([(0, 0, 64, 10)] * 20 + [(1, 0, 64, 10)] * 2)
+        assert stacks == [list(range(10)), list(range(10, 20)), [20], [21]]
