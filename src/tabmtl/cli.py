@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import ConfigError, NumericalError, TabmtlError
 from .network import LossWeights, load_model, save_model
 from .synth import SynthConfig, generate, save_truth
 from .train import (
+    GRID_AXES,
     SearchSpace,
     TrainConfig,
     build_topology,
@@ -128,16 +130,8 @@ def _train_config(dataset: Dataset, args) -> TrainConfig:
     weights = None
     if args.loss_weights:
         weights = LossWeights(_parse_list(args.loss_weights, float))
-    return TrainConfig(
-        topology,
-        loss_weights=weights,
-        lr0=args.lr0,
-        lr_min=args.lr_min,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
+    return TrainConfig(topology, loss_weights=weights,
+                       **{name: getattr(args, name) for name in TRAIN_OPTIONS})
 
 
 def _stats_dict(dataset: Dataset) -> dict:
@@ -171,16 +165,7 @@ def _scaled_by_model(dataset: Dataset, path, stats: dict) -> Dataset:
 
 
 def cmd_synth(args) -> tuple[dict, str]:
-    config = SynthConfig(
-        n_samples=args.n_samples,
-        n_features=args.n_features,
-        n_informative=args.n_informative,
-        rho=args.rho,
-        noise_std=args.noise_std,
-        class_balance=args.class_balance,
-        missing_frac=args.missing_frac,
-        seed=args.seed,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     dataset, truth = generate(config)
     data = "data.csv"
     outputs = {
@@ -231,17 +216,8 @@ def cmd_cv(args) -> tuple[dict, str]:
 def cmd_gridsearch(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     space = SearchSpace(
-        trunk_depths=_parse_list(args.trunk_depths, int),
-        trunk_widths=_parse_list(args.trunk_widths, int),
-        head_depths=_parse_list(args.head_depths, int),
-        head_widths=_parse_list(args.head_widths, int),
-        lr0_values=_parse_list(args.lr0_values, float),
-        weight_decay_values=_parse_list(args.weight_decay_values, float),
-        epochs_values=_parse_list(args.epochs_values, int),
-        loss_weight_values=_parse_list(args.loss_weight_values, float),
-        primary_task=args.primary_task,
-        budget=args.budget,
-        seed=args.seed,
+        **{name: _parse_list(getattr(args, name), kind) for name, kind in GRID_AXES.items()},
+        primary_task=args.primary_task, budget=args.budget, seed=args.seed,
     )
     result = grid_search(dataset, space, k=args.k, leaky_stats=args.leaky_stats)
     outputs = {
@@ -366,6 +342,15 @@ def cmd_report(args) -> tuple[dict, str]:
 
 # --- parser ------------------------------------------------------------------
 
+# the TrainConfig fields that train and cv take as options
+TRAIN_OPTIONS = ("lr0", "lr_min", "weight_decay", "epochs", "batch_size", "seed")
+
+
+def _add_options(p: argparse.ArgumentParser, defaults: dict) -> None:
+    """An option ``--field-name`` for each field, typed and defaulted by its default."""
+    for name, default in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, type=Path, help="input CSV file")
@@ -380,12 +365,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trunk", default="64", help="shared layer widths, e.g. 64,64 (empty for none)")
     p.add_argument("--head", default="32", help="per-head hidden widths, e.g. 32 (empty for none)")
     p.add_argument("--loss-weights", default="", help="per-task loss weights, e.g. 1,0.5,0.5")
-    p.add_argument("--lr0", type=float, default=1e-2)
-    p.add_argument("--lr-min", type=float, default=0.0)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, {f.name: f.default for f in fields(TrainConfig) if f.name in TRAIN_OPTIONS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,14 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with correlated outcomes")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--n-samples", type=int, default=200)
-    p.add_argument("--n-features", type=int, default=30)
-    p.add_argument("--n-informative", type=int, default=5)
-    p.add_argument("--rho", type=float, default=0.8)
-    p.add_argument("--noise-std", type=float, default=0.8)
-    p.add_argument("--class-balance", type=float, default=0.5)
-    p.add_argument("--missing-frac", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, asdict(SynthConfig()))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="clean, impute, and transform a raw CSV")
@@ -432,15 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="grid search hyperparameters by cross-validation")
     _add_data_args(p)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--trunk-depths", default="1,2")
-    p.add_argument("--trunk-widths", default="64,128")
-    p.add_argument("--head-depths", default="1")
-    p.add_argument("--head-widths", default="64")
-    p.add_argument("--lr0-values", default="0.005,0.01,0.02")
-    p.add_argument("--weight-decay-values", default="0.1,0.01,0.001")
-    p.add_argument("--epochs-values", default="20,50,100")
-    p.add_argument("--loss-weight-values", default="0.25,0.5,1,2",
-                   help="candidate weights for non-primary tasks")
+    space = SearchSpace()
+    for name in GRID_AXES:
+        p.add_argument("--" + name.replace("_", "-"),
+                       default=",".join(f"{v:g}" for v in getattr(space, name)),
+                       help="candidate weights for non-primary tasks"
+                       if name == "loss_weight_values" else None)
     p.add_argument("--primary-task", required=True)
     p.add_argument("--budget", type=int, default=None,
                    help="evaluate at most this many configurations")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -273,10 +273,7 @@ class CleaningReport:
     duplicates_removed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "dropped_columns": self.dropped_columns,
-            "duplicates_removed": self.duplicates_removed,
-        }
+        return asdict(self)
 
 
 def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, CleaningReport]:
@@ -381,7 +378,8 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     drops below ``tol`` or after ``max_sweeps`` sweeps. Only missing cells
     are written, as prediction plus column mean; observed cells come back
     bit for bit. The chain is deterministic: a single run with
-    ordinary-least-squares imputers and no posterior noise.
+    ordinary-least-squares imputers and no posterior noise. A column whose
+    centered sum of squares overflows the float range raises DataError.
     """
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
@@ -411,10 +409,19 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     if not missing.any():
         return table
 
-    # center each column on its observed mean; missing cells start at 0, that mean
-    col_means = np.nanmean(x, axis=0)
-    x -= col_means
-    x[missing] = 0.0
+    # center each column on its observed mean (missing cells start at 0, that
+    # mean) and form the design's Gram matrix, refusing a column whose sum of
+    # squares overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_means = np.nanmean(x, axis=0)
+        x -= col_means
+        x[missing] = 0.0
+        gram = design.T @ design
+    overflowed = ~np.isfinite(gram.diagonal()[1:])
+    if overflowed.any():
+        name = table.schema[numeric[int(np.argmax(overflowed))]].name
+        raise DataError(f"column {name!r}: values too large to impute "
+                        "(the column's sum of squares overflows)")
 
     # each link of the chain fixes a column's missing rows and its predictors
     # (the intercept and the other columns)
@@ -429,7 +436,6 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     # the observed rows' normal equations are the whole design's Gram matrix less
     # the missing rows' part; a link changes only its own column of the design,
     # so only that row and column of the Gram matrix are recomputed
-    gram = design.T @ design
     for _ in range(max_sweeps):
         max_change = 0.0
         for c, miss_rows, predictors, block in chain:
@@ -649,7 +655,9 @@ def transform(table: RawTable) -> Dataset:
     single "<group>_sum" column, categorical columns expand to one indicator
     per level, identifiers are dropped, and every resulting feature is
     z-score normalized with population statistics. Features with std below
-    1e-12 are set identically to 0 and recorded with std = 1.
+    1e-12 are set identically to 0 and recorded with std = 1. A feature that
+    overflows the float range, or whose mean or std does, and a class label
+    outside [0, num_classes) raise DataError.
     """
     table = apply_ordinal(table)
     n = table.n_rows
@@ -672,7 +680,8 @@ def transform(table: RawTable) -> Dataset:
             total = np.zeros(n)
             for mi, mcol in enumerate(table.schema):
                 if mcol.kind == TIMESERIES and mcol.group == col.group:
-                    total += _numbers(table, mi)
+                    with np.errstate(over="ignore"):  # an infinite sum is refused below
+                        total += _numbers(table, mi)
             feature_cols.append(total)
             feature_names.append(f"{col.group}_sum")
         elif col.kind == CATEGORICAL:
@@ -694,7 +703,12 @@ def transform(table: RawTable) -> Dataset:
         raise DataError("table has no outcome columns")
 
     raw = np.column_stack(feature_cols)
-    stats = fit_standardizer(raw)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value has a non-finite mean
+        stats = fit_standardizer(raw)
+    overflowed = ~(np.isfinite(stats.mean) & np.isfinite(stats.std))
+    if overflowed.any():
+        raise DataError(f"column {feature_names[int(np.argmax(overflowed))]!r}: values too "
+                        "large to standardize (they, their mean or their std overflow)")
     features = apply_standardizer(raw, stats)
     features[:, raw.std(axis=0) < CONSTANT_STD_FLOOR] = 0.0
 
@@ -705,9 +719,13 @@ def transform(table: RawTable) -> Dataset:
             rounded = np.rint(values)
             if not np.allclose(values, rounded, atol=1e-9):
                 raise DataError(f"column {col.name!r}: classification labels must be integers")
+            # an undeclared class count is inferred; 2**53 keeps the cast exact
+            bound = col.num_classes if col.num_classes is not None else 2**53
+            bad = np.flatnonzero((rounded < 0) | (rounded >= bound))
+            if bad.size:
+                raise DataError(f"row {bad[0]}, column {col.name!r}: class label "
+                                f"{float(values[bad[0]])!r} not in [0, {bound})")
             labels = rounded.astype(np.int64)
-            if labels.min() < 0:
-                raise DataError(f"column {col.name!r}: negative class label")
             k = col.num_classes if col.num_classes is not None else int(labels.max()) + 1
             if k < 2:
                 raise DataError(f"column {col.name!r}: need at least 2 classes, inferred {k}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,16 +64,7 @@ class SynthConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_features": self.n_features,
-            "n_informative": self.n_informative,
-            "rho": self.rho,
-            "noise_std": self.noise_std,
-            "class_balance": self.class_balance,
-            "missing_frac": self.missing_frac,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,12 @@ DIVERGENCE_FACTOR = 1e6
 # models of more than 32k parameters train alone.
 STACK_MODELS = 10
 STACK_PARAMS = 1 << 16
+# the search grid's axes and each one's value type, in enumeration order
+GRID_AXES = {
+    "trunk_depths": int, "trunk_widths": int, "head_depths": int, "head_widths": int,
+    "lr0_values": float, "weight_decay_values": float, "epochs_values": int,
+    "loss_weight_values": float,
+}
 
 
 @dataclass(frozen=True)
@@ -210,38 +216,41 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
             params[i] = adam.m.flat[i] = adam.v.flat[i] = lr[i] = 0.0
 
     step = 0
-    for epoch in range(epochs):
-        perm = np.stack([rng.permutation(n) for rng in shuffle_rngs]) + first_rows
-        loss_sum = np.zeros(n_models)
-        task_sums = np.zeros((n_models, n_tasks))
-        for start in range(0, n, batch_size):
-            idx = perm[:, start : start + batch_size]
-            batch = features.take(idx, axis=0)
-            batch_targets = [t.take(idx) for t in targets]
-            cache = forward_pass(topology, param_views, batch)
-            task_losses = batch_losses(topology, cache, batch_targets)
-            total = sum(lam[:, j] * task_losses[:, j] for j in range(n_tasks))
-            if step == 0:
-                first_loss = total
-            backward_pass(topology, param_views, cache, batch_targets, lam, grad_views)
-            adam_update(params, grads, adam, lr[:, step], weight_decay, scratch)
-            for i in np.flatnonzero(~np.isfinite(total)):
-                fail(i, f"non-finite training loss at step {step} (epoch {epoch})")
-            step += 1
-            loss_sum += total * idx.shape[1]
-            task_sums += task_losses * idx.shape[1]
-        mean_loss = loss_sum / n
-        finite = np.isfinite(params).all(axis=1)
-        for i in range(n_models):
-            if not finite[i]:
-                fail(i, f"training diverged: non-finite parameters after epoch {epoch}")
-            if mean_loss[i] > DIVERGENCE_FACTOR * first_loss[i]:
-                fail(i, f"training diverged: epoch {epoch} mean loss {mean_loss[i]:.6g} exceeds "
-                        f"{DIVERGENCE_FACTOR:g} x the first step's loss {first_loss[i]:.6g}")
-            histories[i].append({"epoch": epoch, "total_loss": float(mean_loss[i]),
-                                 "task_losses": (task_sums[i] / n).tolist()})
-        if all(errors):
-            break
+    # overflow in a diverging model is caught below, as a non-finite loss or parameter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            perm = np.stack([rng.permutation(n) for rng in shuffle_rngs]) + first_rows
+            loss_sum = np.zeros(n_models)
+            task_sums = np.zeros((n_models, n_tasks))
+            for start in range(0, n, batch_size):
+                idx = perm[:, start : start + batch_size]
+                batch = features.take(idx, axis=0)
+                batch_targets = [t.take(idx) for t in targets]
+                cache = forward_pass(topology, param_views, batch)
+                task_losses = batch_losses(topology, cache, batch_targets)
+                total = sum(lam[:, j] * task_losses[:, j] for j in range(n_tasks))
+                if step == 0:
+                    first_loss = total
+                backward_pass(topology, param_views, cache, batch_targets, lam, grad_views)
+                adam_update(params, grads, adam, lr[:, step], weight_decay, scratch)
+                for i in np.flatnonzero(~np.isfinite(total)):
+                    fail(i, f"non-finite training loss at step {step} (epoch {epoch})")
+                step += 1
+                loss_sum += total * idx.shape[1]
+                task_sums += task_losses * idx.shape[1]
+            mean_loss = loss_sum / n
+            finite = np.isfinite(params).all(axis=1)
+            for i in range(n_models):
+                if not finite[i]:
+                    fail(i, f"training diverged: non-finite parameters after epoch {epoch}")
+                if mean_loss[i] > DIVERGENCE_FACTOR * first_loss[i]:
+                    fail(i, f"training diverged: epoch {epoch} mean loss {mean_loss[i]:.6g} "
+                            f"exceeds {DIVERGENCE_FACTOR:g} x the first step's loss "
+                            f"{first_loss[i]:.6g}")
+                histories[i].append({"epoch": epoch, "total_loss": float(mean_loss[i]),
+                                     "task_losses": (task_sums[i] / n).tolist()})
+            if all(errors):
+                break
     return [
         error or TrainResult(ModelState(topology, ParamVector(layout, params[i].copy())), history)
         for i, (error, history) in enumerate(zip(errors, histories))
@@ -298,14 +307,7 @@ class CvReport:
     pooled: dict
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "task_names": list(self.task_names),
-            "folds": self.folds,
-            "aggregates": self.aggregates,
-            "pooled": self.pooled,
-        }
+        return asdict(self)
 
     def render_table(self) -> str:
         def fmt(v) -> str:
@@ -491,10 +493,7 @@ class SearchSpace:
 
     def __post_init__(self):
         least = {"trunk_depths": 0, "trunk_widths": 1, "head_depths": 0, "head_widths": 1}
-        for name in (
-            "trunk_depths", "trunk_widths", "head_depths", "head_widths",
-            "lr0_values", "weight_decay_values", "epochs_values", "loss_weight_values",
-        ):
+        for name in GRID_AXES:
             values = tuple(getattr(self, name))
             if not values:
                 raise ConfigError(f"search space field {name} must be non-empty")
@@ -507,13 +506,12 @@ class SearchSpace:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
+    def grid(self) -> list[tuple]:
+        """Every combination of the axes' values, in the nested order of ``GRID_AXES``."""
+        return list(itertools.product(*(getattr(self, name) for name in GRID_AXES)))
+
     def n_combinations(self) -> int:
-        return (
-            len(self.trunk_depths) * len(self.trunk_widths)
-            * len(self.head_depths) * len(self.head_widths)
-            * len(self.lr0_values) * len(self.weight_decay_values)
-            * len(self.epochs_values) * len(self.loss_weight_values)
-        )
+        return math.prod(len(getattr(self, name)) for name in GRID_AXES)
 
 
 @dataclass
@@ -524,12 +522,7 @@ class GridSearchResult:
     trials: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "best_params": self.best_params,
-            "best_score": self.best_score,
-            "best_report": self.best_report.to_dict(),
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def build_topology(
@@ -566,14 +559,7 @@ def grid_search(
     primary = dataset.outcome_by_name(space.primary_task)
     primary_index = dataset.task_names().index(space.primary_task)
 
-    combos = list(
-        itertools.product(
-            space.trunk_depths, space.trunk_widths,
-            space.head_depths, space.head_widths,
-            space.lr0_values, space.weight_decay_values,
-            space.epochs_values, space.loss_weight_values,
-        )
-    )
+    combos = space.grid()
     indices = list(range(len(combos)))
     if space.budget is not None and space.budget < len(combos):
         rng = np.random.default_rng(space.seed)

@@ -5,16 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from tabmtl.cli import build_parser, main
+from tabmtl.cli import _parse_list, build_parser, main
+from tabmtl.synth import SynthConfig
+from tabmtl.train import GRID_AXES, SearchSpace, TrainConfig
 
 
 def run_cli(*args):
+    """The CLI in a subprocess, where a numpy RuntimeWarning is an error as in-process."""
     return subprocess.run(
-        [sys.executable, "-m", "tabmtl", *map(str, args)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tabmtl", *map(str, args)],
         capture_output=True, text=True,
     )
 
@@ -25,6 +29,18 @@ def synth_dir(tmp_path_factory):
     code = main([
         "synth", "--out", str(out), "--n-samples", "60", "--n-features", "6",
         "--n-informative", "3", "--noise-std", "0.3", "--seed", "1",
+    ])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def gappy_dir(tmp_path_factory):
+    """The synth_dir table with 10% of its feature cells missing."""
+    out = tmp_path_factory.mktemp("gappy")
+    code = main([
+        "synth", "--out", str(out), "--n-samples", "60", "--n-features", "6",
+        "--n-informative", "3", "--noise-std", "0.3", "--missing-frac", "0.1", "--seed", "1",
     ])
     assert code == 0
     return out
@@ -187,6 +203,36 @@ class TestPreprocess:
         assert str(schema) in result.stderr
         assert repr(column) in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("source, column, scale, cell, named", [
+        # a complete column whose std overflows: was written as all 0.0, std Infinity
+        ("synth_dir", "x0", 1e300, None, ["column 'x0'", "standardize"]),
+        # MICE's Gram matrix overflows: was reported as a missing value in x0
+        ("gappy_dir", "x0", 1e200, None, ["column 'x0'", "impute"]),
+        ("gappy_dir", "task_c", None, "1e300", ["column 'task_c'", "impute"]),
+        # the int64 cast warned, then called the label negative
+        ("synth_dir", "task_a", None, "1e300", ["row 24, column 'task_a'", "1e+300"]),
+        # was refused with no row named
+        ("synth_dir", "task_a", None, "3", ["row 24, column 'task_a'", "3.0", "[0, 2)"]),
+    ])
+    def test_overflow_or_bad_label_exits_2_naming_it(self, request, tmp_path,
+                                                     source, column, scale, cell, named):
+        src = request.getfixturevalue(source)
+        header, *rows = [line.split(",") for line in (src / "data.csv").read_text().splitlines()]
+        j = header.index(column)
+        for r, row in enumerate(rows):
+            if scale is not None and row[j] != "NA":
+                row[j] = repr(float(row[j]) * scale)
+            elif r == 24 and cell is not None:
+                row[j] = cell
+        data, out = tmp_path / "data.csv", tmp_path / "o"
+        data.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        result = run_cli("preprocess", "--data", data, "--schema", src / "schema.json",
+                         "--out", out)
+        assert result.returncode == 2, result.stderr
+        assert all(part in result.stderr for part in named), result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        assert list(out.iterdir()) == []
 
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
@@ -568,6 +614,24 @@ def test_closed_stdout_still_exits_0(tmp_path):
     assert "Traceback" not in result.stderr
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     assert set(manifest["outputs"]) == {"data.csv", "schema.json", "truth.json"}
+
+
+def test_defaults_are_the_library_dataclasses():
+    """synth, train, cv and gridsearch state no defaults of their own."""
+    parser = build_parser()
+    args = vars(parser.parse_args(["synth", "--out", "o"]))
+    assert SynthConfig(**{f.name: args[f.name] for f in fields(SynthConfig)}) == SynthConfig()
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    for command in ("train", "cv"):
+        args = parser.parse_args([command, "--out", "o", "--data", "d", "--schema", "s"])
+        for name in ("lr0", "lr_min", "weight_decay", "epochs", "batch_size", "seed"):
+            value = getattr(args, name)
+            assert (type(value), value) == (type(defaults[name]), defaults[name]), name
+    args = parser.parse_args(["gridsearch", "--out", "o", "--data", "d", "--schema", "s",
+                              "--primary-task", "t"])
+    space = SearchSpace(**{name: _parse_list(getattr(args, name), kind)
+                           for name, kind in GRID_AXES.items()})
+    assert space.grid() == SearchSpace().grid()
 
 
 def test_version_flag():

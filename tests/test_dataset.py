@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -611,6 +612,24 @@ class TestTransform:
     def test_non_integer_labels_rejected(self):
         table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0], [0.5, 1.0]))
         with pytest.raises(DataError, match="integer"):
+            transform(table)
+
+    @pytest.mark.parametrize("labels, named", [
+        ([0.0, -1.0, 1.0], "row 1, column 'y': class label -1.0"),
+        # the count is inferred, so only a label the int64 cast cannot keep is refused
+        ([0.0, 1.0, 1e300], "row 2, column 'y': class label 1e+300"),
+    ])
+    def test_label_out_of_range_named(self, labels, named):
+        undeclared = ColumnDescriptor("y", "outcome", task_index=0, task="classification")
+        table = RawTable((NUM_A, undeclared), ([1.0, 2.0, 3.0], labels))
+        with pytest.raises(DataError, match=re.escape(named)):
+            transform(table)
+
+    def test_overflowing_timeseries_sum_named(self):
+        schema = (ColumnDescriptor("day1", "timeseries", group="dose"),
+                  ColumnDescriptor("day2", "timeseries", group="dose"), OUT_REG)
+        table = RawTable(schema, ([1.0, 1e308], [2.0, 1e308], [0.0, 1.0]))
+        with pytest.raises(DataError, match="column 'dose_sum'"):
             transform(table)
 
     def test_missing_cell_rejected(self):

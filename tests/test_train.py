@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,7 +118,6 @@ class TestTrainModel:
         result = train_model(ds, config)  # 50 = 3*16 + 2
         assert np.all(np.isfinite(result.state.params["trunk.0.W"]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_raises_numerical_error(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
         ds = Dataset(
@@ -275,6 +274,27 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match=field):
             self.space(**{field: values})
 
+    def test_grid_keeps_the_nested_order(self):
+        space = self.space(trunk_depths=(1, 2), head_depths=(0, 1), lr0_values=(0.1, 0.2),
+                           epochs_values=(1, 2), loss_weight_values=(0.5, 1.0))
+        nested = [
+            (td, tw, hd, hw, lr0, wd, epochs, lam)
+            for td in space.trunk_depths for tw in space.trunk_widths
+            for hd in space.head_depths for hw in space.head_widths
+            for lr0 in space.lr0_values for wd in space.weight_decay_values
+            for epochs in space.epochs_values for lam in space.loss_weight_values
+        ]
+        assert space.grid() == nested
+        assert len(nested) == space.n_combinations() == 64
+        default = SearchSpace()
+        assert len(default.grid()) == default.n_combinations() == 2 * 2 * 3 * 3 * 3 * 4
+
+    def test_grid_axes_are_the_search_space_fields(self):
+        space = SearchSpace()
+        assert list(train.GRID_AXES) == [f.name for f in fields(SearchSpace)][:8]
+        for name, kind in train.GRID_AXES.items():
+            assert {type(v) for v in getattr(space, name)} == {kind}
+
     def test_enumerates_full_grid(self):
         ds = synth_dataset(n=40)
         result = grid_search(ds, self.space(), k=3)
@@ -391,7 +411,6 @@ class TestStackedTraining:
     def stacked(result):
         return str(result) if isinstance(result, NumericalError) else trained_bytes(result)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 3, 2)])
     def test_diverging_members_get_their_own_errors(self, order):
         # the second order puts a diverging model first: the healthy ones
@@ -410,7 +429,6 @@ class TestStackedTraining:
         assert any("step" in m for m in alone if isinstance(m, str))
         assert [self.stacked(r) for r in stacked] == alone
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
     @pytest.mark.parametrize("lr0_values", [(0.01, 1e6), (1e6, 0.01)])
     def test_grid_search_raises_the_error_serial_training_meets_first(self, lr0_values):
         # one topology and one epoch count: the healthy and the diverging trial
