@@ -1,10 +1,10 @@
 """Gradient-based feature importance for trained models.
 
-The default mode scores each input feature by the mean absolute gradient of
-one head's raw output (the pre-softmax logit of a chosen class, or the
-regression output) with respect to that feature, averaged over the rows of a
-dataset. A large score means small changes to the feature move the task
-output a lot, on average.
+Each input feature is scored by the mean absolute gradient of one head's raw
+output (the pre-softmax logit of a chosen class, or the regression output)
+with respect to that feature, averaged over the rows of a dataset. A large
+score means small changes to the feature move the task output a lot, on
+average.
 """
 
 from __future__ import annotations
@@ -15,18 +15,14 @@ import numpy as np
 
 from .dataset import CLASSIFICATION, Dataset
 from .errors import ConfigError
-from .network import ModelState, forward, input_gradients, output_gradient
+from .network import ModelState, input_gradients
 from .train import check_compatible
-
-INPUT_GRADIENT = "input_gradient"
-HIDDEN_ACTIVATION = "hidden_activation"
 
 
 @dataclass
 class AttributionReport:
     task_name: str
     target: int | None
-    mode: str
     feature_names: tuple[str, ...]
     scores: np.ndarray
     n_samples: int
@@ -46,7 +42,7 @@ class AttributionReport:
         return {
             "task_name": self.task_name,
             "target": self.target,
-            "mode": self.mode,
+            "mode": "input_gradient",  # the one scoring rule, named as it always was
             "n_samples": self.n_samples,
             "feature_names": list(self.feature_names),
             "scores": self.scores.tolist(),
@@ -70,37 +66,16 @@ def top_k(report: AttributionReport, k: int) -> list[tuple[str, float]]:
     return [(report.feature_names[i], float(report.scores[i])) for i in order]
 
 
-def _hidden_activation_scores(
-    state: ModelState, features: np.ndarray, task_index: int, target_class: int | None
-) -> np.ndarray:
-    """First-shared-layer relevance projected back to features.
-
-    Relevance of hidden unit h on row i is |activation * gradient of the task
-    output w.r.t. that activation|; feature d inherits it in proportion to
-    |W1[d, h]|. Coarser than input gradients but cheap to aggregate per layer.
-    """
-    if not state.topology.shared_layers:
-        raise ConfigError("hidden_activation mode needs at least one shared layer")
-    _, cache = forward(state, features)
-    # trunk layer 1's input is the activation of the first shared layer
-    grad = output_gradient(state, cache, task_index, target_class, layer=1)
-    relevance = np.abs(cache.trunk_acts[1] * grad)
-    return (relevance @ np.abs(state.params["trunk.0.W"]).T).mean(axis=0)
-
-
 def grad_cam_features(
     state: ModelState,
     dataset: Dataset,
     task_index: int = 0,
     target_class: int | None = None,
-    mode: str = INPUT_GRADIENT,
 ) -> AttributionReport:
     """Score every feature's importance for one task over the dataset's rows.
 
     For classification heads ``target_class`` defaults to the positive class
-    (index 1); regression heads take no target. ``mode`` selects the default
-    mean-|input gradient| scores or the first-shared-layer hidden-activation
-    projection.
+    (index 1); regression heads take no target.
     """
     topo = state.topology
     check_compatible(topo, dataset)
@@ -119,21 +94,11 @@ def grad_cam_features(
     elif target_class is not None:
         raise ConfigError("target_class only applies to classification heads")
 
-    if mode == INPUT_GRADIENT:
-        grads = input_gradients(state, dataset.features, task_index, target_class)
-        scores = np.abs(grads).mean(axis=0)
-    elif mode == HIDDEN_ACTIVATION:
-        scores = _hidden_activation_scores(
-            state, dataset.features, task_index, target_class
-        )
-    else:
-        raise ConfigError(f"unknown attribution mode {mode!r}")
-
+    grads = input_gradients(state, dataset.features, task_index, target_class)
     return AttributionReport(
         task_name=dataset.task_names()[task_index],
         target=target_class,
-        mode=mode,
         feature_names=dataset.feature_names,
-        scores=scores,
+        scores=np.abs(grads).mean(axis=0),
         n_samples=dataset.n_rows,
     )

@@ -20,12 +20,13 @@ import os
 import sys
 import time
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .attrib import HIDDEN_ACTIVATION, INPUT_GRADIENT, grad_cam_features
+from .attrib import grad_cam_features
 from .dataset import (
     CLASSIFICATION,
     CleaningReport,
@@ -39,7 +40,7 @@ from .dataset import (
     save_schema,
     write_dataset_csv,
 )
-from .errors import ConfigError, NumericalError, TabmtlError
+from .errors import ConfigError, DataError, NumericalError, TabmtlError
 from .network import LossWeights, load_model, save_model
 from .synth import SynthConfig, generate, save_truth
 from .train import (
@@ -206,9 +207,7 @@ def cmd_train(args) -> tuple[dict, str]:
 def cmd_cv(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     config = _train_config(dataset, args)
-    report = cross_validate(
-        dataset, config, k=args.k, seed=args.seed, leaky_stats=args.leaky_stats,
-    )
+    report = cross_validate(dataset, config, k=args.k, seed=args.seed)
     table = report.render_table()
     return {"cv_report.json": report.to_dict(), "cv_report.txt": table}, table
 
@@ -219,7 +218,7 @@ def cmd_gridsearch(args) -> tuple[dict, str]:
         **{name: _parse_list(getattr(args, name), kind) for name, kind in GRID_AXES.items()},
         primary_task=args.primary_task, budget=args.budget, seed=args.seed,
     )
-    result = grid_search(dataset, space, k=args.k, leaky_stats=args.leaky_stats)
+    result = grid_search(dataset, space, k=args.k)
     outputs = {
         "gridsearch.json": result.to_dict(),
         "best_cv_report.txt": result.best_report.render_table(),
@@ -249,10 +248,18 @@ def cmd_attribute(args) -> tuple[dict, str]:
         state, dataset,
         task_index=task_names.index(args.task),
         target_class=args.target_class,
-        mode=args.mode,
     )
     text = report.render_text(args.top_k)
     return {"attribution.json": report.to_dict(), "attribution.txt": text}, text
+
+
+def _mean_std(values: np.ndarray, column: str) -> tuple[float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean, std = float(values.mean()), float(values.std())
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DataError(f"column {column!r}: values too large to summarize "
+                        "(their mean or std overflows)")
+    return mean, std
 
 
 def _dataset_report(dataset: Dataset) -> dict:
@@ -262,11 +269,12 @@ def _dataset_report(dataset: Dataset) -> dict:
             counts = {str(c): int((o.values == c).sum()) for c in range(o.num_classes)}
             tasks[o.task_name] = {"kind": o.kind, "class_counts": counts}
         else:
+            mean, std = _mean_std(o.values, o.task_name)
             counts, edges = np.histogram(o.values, bins=20)
             tasks[o.task_name] = {
                 "kind": o.kind,
-                "mean": float(o.values.mean()),
-                "std": float(o.values.std()),
+                "mean": mean,
+                "std": std,
                 "histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
             }
     pairwise: dict[str, dict] = {}
@@ -286,11 +294,8 @@ def _dataset_report(dataset: Dataset) -> dict:
                 by_class = {}
                 for c in range(cls.num_classes):
                     vals = reg.values[cls.values == c]
-                    by_class[str(c)] = {
-                        "n": int(vals.size),
-                        "mean": float(vals.mean()) if vals.size else None,
-                        "std": float(vals.std()) if vals.size else None,
-                    }
+                    mean, std = _mean_std(vals, reg.task_name) if vals.size else (None, None)
+                    by_class[str(c)] = {"n": int(vals.size), "mean": mean, "std": std}
                 pairwise[key] = {"type": "means_by_class",
                                  "classification_task": cls.task_name,
                                  "regression_task": reg.task_name,
@@ -375,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, cross-validate, tune, and attribute.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # options are spelt out in full: a removed or mistyped option is refused,
+    # not taken for a prefix of another (`--mode` of `--model`)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with correlated outcomes")
     p.add_argument("--out", required=True, type=Path)
@@ -398,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--leaky-stats", action="store_true",
-                   help="normalize with whole-table statistics instead of per-fold")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("gridsearch", help="grid search hyperparameters by cross-validation")
@@ -416,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at most this many configurations")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--leaky-stats", action="store_true")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("attribute", help="rank features by gradient importance")
@@ -425,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--task", required=True)
     p.add_argument("--target-class", type=int, default=None)
-    p.add_argument("--mode", choices=[INPUT_GRADIENT, HIDDEN_ACTIVATION],
-                   default=INPUT_GRADIENT)
     p.add_argument("--top-k", type=int, default=10)
     p.set_defaults(func=cmd_attribute)
 

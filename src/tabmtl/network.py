@@ -630,23 +630,20 @@ def input_gradients(
 
 
 def output_gradient(
-    state: ModelState, cache: ForwardCache, task_index: int,
-    target_class: int | None = None, layer: int = 0,
+    state: ModelState, cache: ForwardCache, task_index: int, target_class: int | None = None,
 ) -> np.ndarray:
-    """Per-sample gradient of one head's raw output w.r.t. trunk layer ``layer``'s input.
+    """Per-sample gradient of one head's raw output w.r.t. the cached batch.
 
-    Layer 0's input is the batch, and ``layer`` equal to the trunk depth
-    means the trunk output. The output is the logit of ``target_class`` for
-    a classification head and the scalar output for a regression head.
+    The output is the logit of ``target_class`` for a classification head
+    and the scalar output for a regression head.
     """
     trunk, heads = state.topology.layers
     head = state.topology.heads[task_index]
     d_out = np.zeros_like(cache.head_out[task_index])
     d_out[:, target_class if head.kind == CLASSIFICATION else 0] = 1.0
-    j, below = task_index, slice(layer, None)
     params = state.params.arrays
-    grad = _backprop(params, heads[j], cache.head_acts[j], d_out)
-    return _backprop(params, trunk[below], cache.trunk_acts[below], grad)
+    grad = _backprop(params, heads[task_index], cache.head_acts[task_index], d_out)
+    return _backprop(params, trunk, cache.trunk_acts, grad)
 
 
 MODEL_FORMAT_VERSION = 2

@@ -46,8 +46,12 @@ from .optim import AdamState, ScheduleConfig, adam_update, cosine_lr
 # from each other but stay reproducible across runs
 FOLD_SEED_STRIDE = 1000003
 SEARCH_BATCH_SIZE = 64
-# an epoch whose mean loss exceeds this multiple of the first step's loss has diverged
+# an epoch whose mean loss exceeds DIVERGENCE_FACTOR x the first step's loss, or
+# x DIVERGENCE_FLOOR if that is larger, has diverged. The floor is about an
+# untrained classification head's loss: a first batch the initial model
+# happens to fit (one row can be) must not make an ordinary epoch look diverged
 DIVERGENCE_FACTOR = 1e6
+DIVERGENCE_FLOOR = 1.0
 # a training stack holds at most STACK_MODELS models and STACK_PARAMS
 # parameters summed over them (measured with one BLAS thread, batches of 64
 # rows and 15 inputs). A stack step has a fixed cost that its models share:
@@ -151,7 +155,8 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
     Raises NumericalError naming the step if a batch loss is non-finite, and
     naming the epoch if at its end any parameter is non-finite or the
     epoch's mean total loss exceeds ``DIVERGENCE_FACTOR`` (1e6) times the
-    loss of the first step.
+    loss of the first step, or times ``DIVERGENCE_FLOOR`` (1) if that is
+    larger.
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
@@ -243,10 +248,10 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
             for i in range(n_models):
                 if not finite[i]:
                     fail(i, f"training diverged: non-finite parameters after epoch {epoch}")
-                if mean_loss[i] > DIVERGENCE_FACTOR * first_loss[i]:
+                if mean_loss[i] > DIVERGENCE_FACTOR * max(first_loss[i], DIVERGENCE_FLOOR):
                     fail(i, f"training diverged: epoch {epoch} mean loss {mean_loss[i]:.6g} "
-                            f"exceeds {DIVERGENCE_FACTOR:g} x the first step's loss "
-                            f"{first_loss[i]:.6g}")
+                            f"exceeds {DIVERGENCE_FACTOR:g} x the larger of the first step's "
+                            f"loss {first_loss[i]:.6g} and {DIVERGENCE_FLOOR:g}")
                 histories[i].append({"epoch": epoch, "total_loss": float(mean_loss[i]),
                                      "task_losses": (task_sums[i] / n).tolist()})
             if all(errors):
@@ -332,22 +337,18 @@ class _Fold:
     stats: NormalizationStats
 
 
-def _folds(dataset: Dataset, k: int, seed: int, leaky_stats: bool) -> list[_Fold]:
+def _folds(dataset: Dataset, k: int, seed: int) -> list[_Fold]:
     """The k folds' training and test sets, built once for every configuration."""
     plan = kfold_split(dataset.n_rows, k, seed)
+    raw = dataset.raw_features()
     folds = []
     for fold in range(k):
         train_idx = plan.train_indices(fold)
         test_idx = plan.test_indices(fold)
-        if leaky_stats:
-            stats = dataset.normalization_stats
-            features = dataset.features
-        else:
-            # refit normalization on the training rows only, so nothing about the
-            # held-out rows leaks into the transform
-            raw = dataset.raw_features()
-            stats = fit_standardizer(raw[train_idx])
-            features = apply_standardizer(raw, stats)
+        # refit normalization on the training rows only, so nothing about the
+        # held-out rows leaks into the transform
+        stats = fit_standardizer(raw[train_idx])
+        features = apply_standardizer(raw, stats)
         fold_dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
         folds.append(_Fold(subset_rows(fold_dataset, train_idx),
                            subset_rows(fold_dataset, test_idx), test_idx, stats))
@@ -448,20 +449,17 @@ def cross_validate(
     config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    leaky_stats: bool = False,
 ) -> CvReport:
     """Seeded k-fold evaluation of one configuration.
 
     Fold f trains with seed ``seed * 1000003 + f`` on the other folds'
-    rows. By default per-fold normalization statistics are refit on the
-    training rows only; ``leaky_stats=True`` keeps the dataset's whole-table
-    statistics (the shortcut a leakage audit should flag). The folds train
-    together as stacks (see ``_train_stack``), with the results each gets
-    alone.
+    rows, normalized with statistics refit on those training rows only.
+    The folds train together as stacks (see ``_train_stack``), with the
+    results each gets alone.
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    folds = _folds(dataset, k, seed, leaky_stats)
+    folds = _folds(dataset, k, seed)
     (report,) = _cross_validate_configs(dataset, folds, [config], seed)
     if isinstance(report, NumericalError):
         raise report
@@ -540,7 +538,6 @@ def grid_search(
     dataset: Dataset,
     space: SearchSpace,
     k: int = 5,
-    leaky_stats: bool = False,
 ) -> GridSearchResult:
     """Exhaustive (or budget-capped) search over the grid, scored by CV.
 
@@ -594,7 +591,7 @@ def grid_search(
         }
         trials.append((enum_index, params, config))
 
-    folds = _folds(dataset, k, space.seed, leaky_stats)
+    folds = _folds(dataset, k, space.seed)
     reports = _cross_validate_configs(dataset, folds, [c for _, _, c in trials], space.seed)
     records = []
     best = None  # (key, params, report)

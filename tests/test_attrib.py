@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from tabmtl.attrib import (
-    HIDDEN_ACTIVATION,
-    INPUT_GRADIENT,
-    AttributionReport,
-    grad_cam_features,
-    top_k,
-)
+from tabmtl.attrib import AttributionReport, grad_cam_features, top_k
 from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector
 from tabmtl.errors import ConfigError
 from tabmtl.network import HeadSpec, ModelState, NetworkTopology, init_params
@@ -88,15 +82,8 @@ class TestValidation:
         with pytest.raises(ConfigError):
             grad_cam_features(state, ds)
 
-    def test_unknown_mode(self):
-        state = linear_cls_state(np.zeros((3, 2)))
-        ds = single_cls_dataset(np.ones((4, 3)))
-        with pytest.raises(ConfigError):
-            grad_cam_features(state, ds, mode="saliency")
-
     def test_top_k_bounds(self):
-        report = AttributionReport("t", 1, INPUT_GRADIENT, ("a", "b"),
-                                   np.array([0.5, 0.1]), 4)
+        report = AttributionReport("t", 1, ("a", "b"), np.array([0.5, 0.1]), 4)
         with pytest.raises(ConfigError):
             top_k(report, 0)
         with pytest.raises(ConfigError):
@@ -106,12 +93,12 @@ class TestValidation:
 
 class TestReport:
     def test_to_dict_and_text(self):
-        report = AttributionReport("task_a", 1, INPUT_GRADIENT,
-                                   ("x1", "x2", "x3"),
+        report = AttributionReport("task_a", 1, ("x1", "x2", "x3"),
                                    np.array([0.1, 0.9, 0.5]), 20)
         d = report.to_dict()
         assert d["ranking"] == [1, 2, 0]
         assert d["n_samples"] == 20
+        assert d["mode"] == "input_gradient"
         text = report.render_text(2)
         assert "x2" in text and "x1" not in text
         assert text.splitlines()[1].startswith("- x2")
@@ -132,11 +119,9 @@ class TestTrainedModel:
         config = TrainConfig(topo, lr0=0.01, epochs=40, batch_size=64, seed=0)
         result = train_model(ds, config)
         assert evaluate(result.state, ds)["tasks"]["task_a"]["auc"] > 0.9
-        for mode in (INPUT_GRADIENT, HIDDEN_ACTIVATION):
-            for task_index in range(3):
-                report = grad_cam_features(result.state, ds, task_index=task_index, mode=mode)
-                assert set(report.ranking()[:3]) == set(truth.informative_indices), (
-                    mode, task_index)
+        for task_index in range(3):
+            report = grad_cam_features(result.state, ds, task_index=task_index)
+            assert set(report.ranking()[:3]) == set(truth.informative_indices), task_index
 
     def test_permutation_layer_leaves_scores_unchanged(self):
         # relu(relu(z) @ P) = relu(z) @ P, and (h @ P) @ (P.T @ W) = h @ W: a
@@ -154,30 +139,7 @@ class TestTrainedModel:
         for j in range(3):
             params[f"head.{j}.0.W"] = perm.T @ state.params[f"head.{j}.0.W"]
         permuted = ModelState(NetworkTopology(6, (5, 5), heads), params)
-        for mode in (INPUT_GRADIENT, HIDDEN_ACTIVATION):
-            for task_index in range(3):
-                base = grad_cam_features(state, ds, task_index=task_index, mode=mode)
-                other = grad_cam_features(permuted, ds, task_index=task_index, mode=mode)
-                np.testing.assert_allclose(other.scores, base.scores, rtol=0, atol=1e-12)
-
-    def test_hidden_activation_mode_runs(self):
-        ds, _ = generate(SynthConfig(n_samples=100, n_features=6,
-                                     n_informative=3, seed=6))
-        heads = (
-            HeadSpec((), "classification", 2),
-            HeadSpec((), "classification", 2),
-            HeadSpec((), "regression"),
-        )
-        topo = NetworkTopology(6, (5,), heads)
-        result = train_model(ds, TrainConfig(topo, epochs=3, batch_size=32))
-        report = grad_cam_features(result.state, ds, task_index=2,
-                                   mode=HIDDEN_ACTIVATION)
-        assert report.scores.shape == (6,)
-        assert np.all(report.scores >= 0)
-        assert report.mode == HIDDEN_ACTIVATION
-
-    def test_hidden_activation_needs_shared_layer(self):
-        state = linear_cls_state(np.zeros((3, 2)))
-        ds = single_cls_dataset(np.ones((4, 3)))
-        with pytest.raises(ConfigError, match="shared"):
-            grad_cam_features(state, ds, mode=HIDDEN_ACTIVATION)
+        for task_index in range(3):
+            base = grad_cam_features(state, ds, task_index=task_index)
+            other = grad_cam_features(permuted, ds, task_index=task_index)
+            np.testing.assert_allclose(other.scores, base.scores, rtol=0, atol=1e-12)

@@ -3,9 +3,12 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,6 +600,22 @@ class TestReport:
         assert doc["pairwise"]["r1|r2"] == {"type": "correlation", "pearson": None}
         assert "r1|r2 pearson: n/a" in (out / "report.txt").read_text()
 
+    def test_outcome_std_overflow_exits_2_naming_it(self, synth_dir, tmp_path):
+        # was exit 0, with "std": Infinity (not JSON) in report.json
+        lines = (synth_dir / "data.csv").read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines]
+        j = header.index("task_c")
+        for row in rows:
+            row[j] = repr(float(row[j]) * 1e300)
+        data, out = tmp_path / "data.csv", tmp_path / "rep"
+        data.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        result = run_cli("report", "--data", data, "--schema", synth_dir / "schema.json",
+                         "--out", out)
+        assert result.returncode == 2, result.stderr
+        assert "column 'task_c'" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        assert list(out.iterdir()) == []
+
 
 def test_closed_stdout_still_exits_0(tmp_path):
     """A reader that has gone (``tabmtl ... | head -0``) costs the message, not the run."""
@@ -648,26 +667,64 @@ OPTION_INVENTORY = {
               "--noise-std", "--class-balance", "--missing-frac", "--seed"],
     "preprocess": DATA_OPTIONS + ["--out"],
     "train": DATA_OPTIONS + TRAIN_OPTIONS + ["--out"],
-    "cv": DATA_OPTIONS + TRAIN_OPTIONS + ["--out", "--k", "--leaky-stats"],
+    "cv": DATA_OPTIONS + TRAIN_OPTIONS + ["--out", "--k"],
     "gridsearch": DATA_OPTIONS + [
         "--out", "--trunk-depths", "--trunk-widths", "--head-depths", "--head-widths",
         "--lr0-values", "--weight-decay-values", "--epochs-values", "--loss-weight-values",
-        "--primary-task", "--budget", "--k", "--seed", "--leaky-stats",
+        "--primary-task", "--budget", "--k", "--seed",
     ],
-    "attribute": DATA_OPTIONS + ["--model", "--out", "--task", "--target-class", "--mode",
-                                 "--top-k"],
+    "attribute": DATA_OPTIONS + ["--model", "--out", "--task", "--target-class", "--top-k"],
     "report": DATA_OPTIONS + ["--out"],
 }
 
 
-def test_option_inventory():
-    """Every option is listed here, so adding one is a deliberate change."""
+def test_options_are_not_abbreviated():
+    # the removed `attribute --mode` was read as an abbreviation of `--model`
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args(["attribute", "--data", "d", "--schema", "s", "--out", "o",
+                                   "--model", "m", "--task", "t", "--mode", "input_gradient"])
+    assert exited.value.code == 2
+
+
+def parser_options():
+    """The top-level parser's options, and each subcommand's, help aside."""
     def options(parser):
         return sorted(s for a in parser._actions for s in a.option_strings
                       if s not in ("-h", "--help"))
 
     parser = build_parser()
-    assert options(parser) == ["--version"]
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    found = {name: options(p) for name, p in sub.choices.items()}
+    return options(parser), {name: options(p) for name, p in sub.choices.items()}
+
+
+def test_option_inventory():
+    """Every option is listed here, so adding one is a deliberate change."""
+    top, found = parser_options()
+    assert top == ["--version"]
     assert found == {name: sorted(opts) for name, opts in OPTION_INVENTORY.items()}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_names_only_options_the_parser_defines():
+    """Each backticked ``--option`` exists, in the subcommand it is written with,
+    and each command of the CLI example parses."""
+    top, per_command = parser_options()
+    known = set(top).union(*per_command.values())
+    text = README.read_text()
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+    spans = re.findall(r"`(?:(\w+) )?(--[a-z0-9-]+)`", prose)
+    assert spans
+    for command, option in spans:
+        assert option in per_command[command] if command else option in known, (command, option)
+
+    # the CLI example block: each command, its continuation lines joined, parses
+    block = re.search(r"^```\n(tabmtl .*?)^```", text, flags=re.DOTALL | re.MULTILINE)
+    commands = block.group(1).replace("\\\n", " ").splitlines()
+    assert len(commands) == len(per_command)
+    parser = build_parser()
+    for line in commands:
+        program, *args = shlex.split(line)
+        assert program == "tabmtl"
+        parser.parse_args(args)

@@ -5,9 +5,9 @@ has every column kind, 65 of its 704 cells missing (9%), 4 duplicate rows and
 a constant column, so the digests cover cleaning, ordinal mapping, MICE,
 one-hot encoding, z-scoring, the CSV writer and a short training run. Further
 `train` digests pin one short run per network shape, and one test checks that
-`train` writes the same bytes whatever the number of BLAS threads. A change
-that moves any of them on purpose re-pins the digests here and says so in
-CHANGES.md.
+`train` writes the same bytes whatever the number of BLAS threads. `attribute`
+is pinned on one of those models. A change that moves any of them on purpose
+re-pins the digests here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -233,6 +233,27 @@ def test_train_outputs_are_pinned_per_shape(case, tmp_path):
     assert main(["train", "--data", str(data), "--schema", str(schema), "--out", str(out),
                  *SHAPE_TRAIN_ARGS, *args]) == 0
     assert _digests(out, TRAIN_DIGESTS) == SHAPE_DIGESTS[case]
+
+
+ATTRIBUTE_ARGS = ["--task", "tri", "--target-class", "2", "--top-k", "3"]
+ATTRIBUTE_DIGESTS = {
+    "attribution.json":
+        "91b5733c5d5d5088e5509352b544ec53b5d482cfa187230ddfce0d3314d1152f",
+    "attribution.txt":
+        "f9e73ed6246a382303d01fdefd97e843d134da636cbdb0ea1c51695f657ea2a1",
+}
+
+
+def test_attribute_outputs_are_pinned(tmp_path):
+    outcomes, args = SHAPE_CASES["mixed_heads"]
+    data, schema = _write_shape_input(tmp_path, outcomes)
+    inputs = ["--data", str(data), "--schema", str(schema)]
+    model = tmp_path / "train"
+    assert main(["train", *inputs, "--out", str(model), *SHAPE_TRAIN_ARGS, *args]) == 0
+    out = tmp_path / "attribute"
+    assert main(["attribute", *inputs, "--model", str(model / "model.json"),
+                 "--out", str(out), *ATTRIBUTE_ARGS]) == 0
+    assert _digests(out, ATTRIBUTE_DIGESTS) == ATTRIBUTE_DIGESTS
 
 
 def test_train_outputs_do_not_depend_on_blas_threads(tmp_path):
