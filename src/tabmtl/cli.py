@@ -418,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="candidate weights for non-primary tasks"
                        if name == "loss_weight_values" else None)
     p.add_argument("--primary-task", required=True)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=space.budget,
                    help="evaluate at most this many configurations")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=space.seed)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("attribute", help="rank features by gradient importance")

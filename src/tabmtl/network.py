@@ -19,10 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import CLASSIFICATION, REGRESSION
 from .errors import ConfigError, DataError
-
-CLASSIFICATION = "classification"
-REGRESSION = "regression"
 
 LOG_FLOOR = 1e-12
 

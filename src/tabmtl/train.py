@@ -17,7 +17,6 @@ import numpy as np
 from .dataset import (
     CLASSIFICATION,
     Dataset,
-    NormalizationStats,
     OutcomeVector,
     apply_standardizer,
     fit_standardizer,
@@ -334,7 +333,6 @@ class _Fold:
     train: Dataset
     test: Dataset
     test_indices: np.ndarray
-    stats: NormalizationStats
 
 
 def _folds(dataset: Dataset, k: int, seed: int) -> list[_Fold]:
@@ -351,8 +349,18 @@ def _folds(dataset: Dataset, k: int, seed: int) -> list[_Fold]:
         features = apply_standardizer(raw, stats)
         fold_dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
         folds.append(_Fold(subset_rows(fold_dataset, train_idx),
-                           subset_rows(fold_dataset, test_idx), test_idx, stats))
+                           subset_rows(fold_dataset, test_idx), test_idx))
     return folds
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One cross-validation: a dataset, its folds, a config and the CV seed."""
+
+    dataset: Dataset
+    folds: list[_Fold]
+    config: TrainConfig
+    seed: int
 
 
 def _train_jobs(
@@ -386,29 +394,28 @@ class _FoldOutcome:
     predictions: list[np.ndarray]
 
 
-def _cross_validate_configs(
-    dataset: Dataset, folds: list[_Fold], configs: list[TrainConfig], seed: int
-) -> list[CvReport | NumericalError]:
-    """``cross_validate`` of each config on the same folds, training them all as stacks.
+def _cross_validate_cells(cells: list[_Cell]) -> list[CvReport]:
+    """``cross_validate`` of each cell, training every fold of every cell as stacks.
 
-    A config whose training diverges gets, in place of a report, the
-    NumericalError its first diverging fold raises alone. Each model is
-    dropped once its test fold is predicted, so no more than one stack's
-    models are alive at a time.
+    Jobs of different cells stack together. Each model is dropped once its
+    test fold is predicted, so no more than one stack's models are alive at
+    a time. If any fold diverges, raises the NumericalError that training
+    the cells in order, fold by fold, meets first.
     """
-    k = len(folds)
-    jobs = [(fold.train, replace(config, seed=seed * FOLD_SEED_STRIDE + f))
-            for config in configs for f, fold in enumerate(folds)]
-    outcomes: list = [None] * len(jobs)
+    where = [(c, f) for c, cell in enumerate(cells) for f in range(len(cell.folds))]
+    jobs = [(cells[c].folds[f].train,
+             replace(cells[c].config, seed=cells[c].seed * FOLD_SEED_STRIDE + f))
+            for c, f in where]
+    outcomes: list[list] = [[None] * len(cell.folds) for cell in cells]
     for i, result in _train_jobs(jobs):
-        outcomes[i] = result if isinstance(result, NumericalError) else _FoldOutcome(
-            result.final_loss, predict(result.state, folds[i % k].test.features))
-    reports = []
-    for c in range(len(configs)):
-        fold_outcomes = outcomes[c * k : (c + 1) * k]
-        error = next((o for o in fold_outcomes if isinstance(o, NumericalError)), None)
-        reports.append(error or _cv_report(dataset, folds, fold_outcomes, seed))
-    return reports
+        c, f = where[i]
+        outcomes[c][f] = result if isinstance(result, NumericalError) else _FoldOutcome(
+            result.final_loss, predict(result.state, cells[c].folds[f].test.features))
+    for outcome in itertools.chain(*outcomes):  # cell by cell, fold by fold
+        if isinstance(outcome, NumericalError):
+            raise outcome
+    return [_cv_report(cell.dataset, cell.folds, fold_outcomes, cell.seed)
+            for cell, fold_outcomes in zip(cells, outcomes)]
 
 
 def _cv_report(
@@ -419,7 +426,7 @@ def _cv_report(
         {
             "fold": f,
             "test_indices": fold.test_indices.tolist(),
-            "normalization_stats": fold.stats.to_dict(),
+            "normalization_stats": fold.test.normalization_stats.to_dict(),
             "final_train_loss": outcome.final_loss,
             "tasks": _task_metrics(outcome.predictions, fold.test.outcomes),
         }
@@ -455,14 +462,12 @@ def cross_validate(
     Fold f trains with seed ``seed * 1000003 + f`` on the other folds'
     rows, normalized with statistics refit on those training rows only.
     The folds train together as stacks (see ``_train_stack``), with the
-    results each gets alone.
+    results each gets alone; if any diverges, the error raised is the one
+    training the folds in order meets first.
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    folds = _folds(dataset, k, seed)
-    (report,) = _cross_validate_configs(dataset, folds, [config], seed)
-    if isinstance(report, NumericalError):
-        raise report
+    (report,) = _cross_validate_cells([_Cell(dataset, _folds(dataset, k, seed), config, seed)])
     return report
 
 
@@ -592,31 +597,21 @@ def grid_search(
         trials.append((enum_index, params, config))
 
     folds = _folds(dataset, k, space.seed)
-    reports = _cross_validate_configs(dataset, folds, [c for _, _, c in trials], space.seed)
-    records = []
-    best = None  # (key, params, report)
-    for (enum_index, params, config), report in zip(trials, reports):
-        if isinstance(report, NumericalError):
-            raise report  # the first failing trial, as running them in order meets it
-        agg = report.aggregates[space.primary_task]
-        if primary.kind == CLASSIFICATION:
-            mean_auc = agg["auc"]["mean"]
-            score = -math.inf if mean_auc is None else mean_auc
-        else:
-            score = -agg["mse"]["mean"]
-        if not np.isfinite(score):
-            score = -math.inf
-        records.append({
-            "trial": enum_index,
-            "params": params,
-            "score": score if math.isfinite(score) else None,
-            "aggregates": report.aggregates,
-        })
-        key = (score, -n_parameters(config.topology), -enum_index)
-        if best is None or key > best[0]:
-            best = (key, params, report)
+    reports = _cross_validate_cells([_Cell(dataset, folds, config, space.seed)
+                                     for _, _, config in trials])
 
-    (best_score, _, _), best_params, best_report = best
-    if not math.isfinite(best_score):
-        best_score = None
-    return GridSearchResult(best_params, best_score, best_report, records)
+    def score(report: CvReport) -> float:
+        """The primary task's selection score, -inf where undefined or not finite."""
+        agg = report.aggregates[space.primary_task]
+        value = agg["auc"]["mean"] if primary.kind == CLASSIFICATION else -agg["mse"]["mean"]
+        return value if value is not None and math.isfinite(value) else -math.inf
+
+    scores = [score(report) for report in reports]
+    records = [
+        {"trial": enum_index, "params": params,
+         "score": s if math.isfinite(s) else None, "aggregates": report.aggregates}
+        for (enum_index, params, _), s, report in zip(trials, scores, reports)
+    ]
+    best = max(range(len(trials)), key=lambda t: (
+        scores[t], -n_parameters(trials[t][2].topology), -trials[t][0]))
+    return GridSearchResult(trials[best][1], records[best]["score"], reports[best], records)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from tabmtl.cli import _parse_list, build_parser, main
+from tabmtl.dataset import preprocess_pipeline
 from tabmtl.synth import SynthConfig
-from tabmtl.train import GRID_AXES, SearchSpace, TrainConfig
+from tabmtl.train import GRID_AXES, SearchSpace, TrainConfig, cross_validate, grid_search
 
 
 def run_cli(*args):
@@ -636,7 +638,10 @@ def test_closed_stdout_still_exits_0(tmp_path):
 
 
 def test_defaults_are_the_library_dataclasses():
-    """synth, train, cv and gridsearch state no defaults of their own."""
+    """synth, train, cv and gridsearch take their defaults from SynthConfig,
+    TrainConfig and SearchSpace. The data options and ``--k`` restate the
+    defaults of preprocess_pipeline, cross_validate and grid_search, so they
+    are pinned to those signatures here."""
     parser = build_parser()
     args = vars(parser.parse_args(["synth", "--out", "o"]))
     assert SynthConfig(**{f.name: args[f.name] for f in fields(SynthConfig)}) == SynthConfig()
@@ -651,6 +656,23 @@ def test_defaults_are_the_library_dataclasses():
     space = SearchSpace(**{name: _parse_list(getattr(args, name), kind)
                            for name, kind in GRID_AXES.items()})
     assert space.grid() == SearchSpace().grid()
+    for name in ("budget", "seed"):
+        value, default = getattr(args, name), getattr(SearchSpace(), name)
+        assert (type(value), value) == (type(default), default), name
+
+    def signature_default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    required = {"gridsearch": ["--primary-task", "t"], "attribute": ["--model", "m", "--task", "t"]}
+    for command in ("preprocess", "train", "cv", "gridsearch", "attribute", "report"):
+        args = vars(parser.parse_args([command, "--out", "o", "--data", "d", "--schema", "s",
+                                       *required.get(command, [])]))
+        pinned = {name: signature_default(preprocess_pipeline, name)
+                  for name in ("max_missing_frac", "mice_sweeps", "mice_tol")}
+        if command in ("cv", "gridsearch"):
+            pinned["k"] = signature_default(cross_validate if command == "cv" else grid_search, "k")
+        for name, default in pinned.items():
+            assert (type(args[name]), args[name]) == (type(default), default), (command, name)
 
 
 def test_version_flag():

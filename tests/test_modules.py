@@ -1,6 +1,8 @@
-"""Module boundaries: no module reaches into a sibling's private names."""
+"""Module boundaries: no module reaches into a sibling's private names, and
+each module-level constant is assigned in one module only."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import tabmtl
@@ -40,3 +42,37 @@ def test_the_check_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .network import _backprop, forward\nfrom .train import __doc__\n")
     assert _private_imports(probe) == ["probe imports network._backprop"]
+
+
+def _constants(path: Path) -> set[str]:
+    """The UPPER_CASE names a module assigns at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names |={n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and n.id.isupper()}
+    return names
+
+
+def _assigned_twice(paths: list[Path]) -> dict[str, list[str]]:
+    owners = defaultdict(list)
+    for path in paths:
+        for name in _constants(path):
+            owners[name].append(path.stem)
+    return {name: stems for name, stems in sorted(owners.items()) if len(stems) > 1}
+
+
+def test_no_constant_is_assigned_in_two_modules():
+    # a copy must be imported from its one definition, so the two cannot drift
+    assert _assigned_twice(sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def test_the_check_sees_a_constant_assigned_twice(tmp_path):
+    (tmp_path / "a.py").write_text("KIND = 'x'\nA, (B, _c) = 1, (2, 3)\nlower = 1\n")
+    (tmp_path / "b.py").write_text("from .a import KIND\nB: int = 2\nlower = 1\n")
+    assert _assigned_twice([tmp_path / "a.py", tmp_path / "b.py"]) == {"B": ["a", "b"]}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,22 @@ class TestGroundTruth:
         assert np.array_equal(loaded.task_weights, truth.task_weights)
         assert loaded.thresholds == truth.thresholds
         assert loaded.config == truth.config
+
+    @pytest.mark.parametrize("content", [
+        None, "directory", b"\xff\xfe", b"[1, 2]", b'{"config": {"n_samples": "x"}}',
+        b'{"config": {}}', b'{"config": {"n_samples": 2}}',
+    ], ids=["missing", "directory", "bad_bytes", "list", "string_field", "no_weights",
+            "bad_config"])
+    def test_faults_name_the_file(self, tmp_path, content):
+        # each used to leak a raw OSError, UnicodeDecodeError, TypeError or
+        # KeyError, or a ConfigError that named no file
+        path = tmp_path / "truth.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_truth(path)
 
     def test_clean_scores_formula(self):
         cfg = SynthConfig(n_samples=10, n_features=6, n_informative=4, rho=0.4, seed=12)

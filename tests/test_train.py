@@ -536,3 +536,76 @@ class TestStackGrouping:
     def test_tune_grid_trains_stacks_of_ten(self):
         _, stacks = self.stacks_of([(0, 0, 64, 10)] * 20 + [(1, 0, 64, 10)] * 2)
         assert stacks == [list(range(10)), list(range(10, 20)), [20], [21]]
+
+
+class TestCells:
+    """``_cross_validate_cells``: several cross-validations trained as one list of jobs."""
+
+    TOPOLOGY_ARGS = ((6,), (3,))
+
+    @staticmethod
+    def cell(dataset, config, seed, k=3):
+        return train._Cell(dataset, train._folds(dataset, k, seed), config, seed)
+
+    def test_two_cells_report_as_each_alone_and_share_stacks(self):
+        dataset = synth_dataset(n=60)
+        config = TrainConfig(train.build_topology(dataset, *self.TOPOLOGY_ARGS),
+                             epochs=3, batch_size=16)
+        stacks, real_stack = [], train._train_stack
+
+        def record(jobs):
+            stacks.append([c.seed for _, c in jobs])
+            return real_stack(jobs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(train, "_train_stack", record)
+            reports = train._cross_validate_cells([self.cell(dataset, config, 1),
+                                                   self.cell(dataset, config, 2)])
+        assert [json.dumps(r.to_dict()) for r in reports] == [
+            json.dumps(cross_validate(dataset, config, k=3, seed=s).to_dict()) for s in (1, 2)]
+        # the 6 jobs, 40 training rows each, share one stack in cell-then-fold order
+        assert stacks == [[s * FOLD_SEED_STRIDE + f for s in (1, 2) for f in range(3)]]
+
+    @staticmethod
+    def serial(dataset, config, seed, k=3):
+        """Each fold trained alone, in order: its error message, or None if it trains."""
+        plan = kfold_split(dataset.n_rows, k, seed)
+        raw = dataset.raw_features()
+        messages = []
+        for f in range(k):
+            stats = fit_standardizer(raw[plan.train_indices(f)])
+            scaled = Dataset(apply_standardizer(raw, stats), dataset.feature_names,
+                             dataset.outcomes, stats)
+            try:
+                train_model(subset_rows(scaled, plan.train_indices(f)),
+                            replace(config, seed=seed * FOLD_SEED_STRIDE + f))
+                messages.append(None)
+            except NumericalError as exc:
+                messages.append(str(exc))
+        return messages
+
+    @pytest.mark.parametrize("cells", [
+        ("healthy", "diverging"), ("diverging", "healthy"),
+        # cross_validate's own case: one cell, its folds in order
+        ("diverging",),
+        # the third cell stacks with the first, so its error is met before the second's
+        ("healthy", "diverging_longer", "diverging"),
+    ])
+    def test_raises_the_error_serial_training_meets_first(self, cells):
+        dataset = synth_dataset(n=60)
+        healthy = TrainConfig(train.build_topology(dataset, *self.TOPOLOGY_ARGS),
+                              lr0=0.01, epochs=4)
+        diverging = replace(healthy, lr0=1e6)
+        configs = {"healthy": (healthy, 5), "diverging": (diverging, 3),
+                   "diverging_longer": (replace(diverging, epochs=5), 4)}
+        messages = [m for name in cells for m in self.serial(dataset, *configs[name])]
+        errors = [m for m in messages if m is not None]
+        assert len(set(errors)) == len(errors) > 1  # each fold's error is its own
+        with pytest.raises(NumericalError) as raised:
+            if len(cells) == 1:
+                config, seed = configs[cells[0]]
+                cross_validate(dataset, config, k=3, seed=seed)
+            else:
+                train._cross_validate_cells([self.cell(dataset, *configs[name])
+                                             for name in cells])
+        assert str(raised.value) == errors[0]
