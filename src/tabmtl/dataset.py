@@ -67,14 +67,15 @@ class ColumnDescriptor:
         elif self.kind == ORDINAL:
             if not self.mapping:
                 raise ConfigError(f"ordinal column {self.name!r} needs a mapping")
-            mapping = {str(k): float(v) for k, v in self.mapping.items()}
-            for key, value in mapping.items():
-                if not np.isfinite(value):
+            for key, value in self.mapping.items():
+                if (isinstance(value, bool) or not isinstance(value, (int, float))
+                        or not math.isfinite(value)):
                     raise ConfigError(
                         f"ordinal column {self.name!r}: mapping value for {key!r} "
-                        f"is {value}, not a finite number"
+                        f"is {value!r}, not a finite number"
                     )
-            object.__setattr__(self, "mapping", mapping)
+            object.__setattr__(self, "mapping",
+                               {str(k): float(v) for k, v in self.mapping.items()})
         elif self.kind == TIMESERIES:
             if not self.group or not isinstance(self.group, str):
                 raise ConfigError(f"timeseries column {self.name!r} needs a group name")
@@ -106,11 +107,27 @@ def validate_schema(schema: Sequence[ColumnDescriptor]) -> tuple[ColumnDescripto
     return cols
 
 
-def _column(cells) -> np.ndarray:
-    """Cells as float64 (None becomes NaN) unless one is a string, else as objects."""
+def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.ndarray | None:
+    """Cells as a read-only array: float64, None becoming NaN, unless one is text.
+
+    In a numeric-valued column an ordinal label becomes its code. Other text
+    there is a fault: the row and message of the column's first such cell go
+    to ``faults``, and no column is returned. Any other column holding text
+    is an object array.
+    """
     if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
         cells = list(cells)
         is_text = any(issubclass(t, str) for t in set(map(type, cells)))
+        if is_text and col.is_numeric_valued():
+            mapping = col.mapping or {}
+            bad = next((r for r, c in enumerate(cells)
+                        if isinstance(c, str) and c not in mapping), None)
+            if bad is not None:
+                fault = (f"value {cells[bad]!r} not in ordinal mapping" if col.kind == ORDINAL
+                         else f"non-numeric value {cells[bad]!r}")
+                faults.append((bad, f"row {bad}, column {col.name!r}: {fault}"))
+                return None
+            cells, is_text = [mapping.get(c, c) for c in cells], False
         cells = np.array(cells, dtype=object if is_text else np.float64)
     cells.setflags(write=False)
     return cells
@@ -125,11 +142,13 @@ class RawTable:
     """Parsed cells in schema column order, one read-only 1-D array per column.
 
     ``columns`` holds one sequence of None, float and str cells per schema
-    entry, all of one length. A column whose cells are all numbers or missing
-    is stored as float64, and NaN marks a missing cell; ``load_csv`` rejects
-    non-finite input, so NaN never means anything else. Any other column
-    (categorical, identifier, or ordinal while it still holds level labels)
-    is an object array of str, float and None, with None for missing.
+    entry, all of one length. A numeric-valued column (numeric, ordinal,
+    timeseries, outcome) is stored as float64, with each ordinal label as its
+    code from the column's mapping, and NaN marks a missing cell; ``load_csv``
+    rejects non-finite input, so NaN never means anything else. Any other text
+    in such a column raises DataError naming its row, the first in row order.
+    A categorical or identifier column is float64 if its cells are all numbers
+    or missing, else an object array of str, float and None, None for missing.
     """
 
     schema: tuple[ColumnDescriptor, ...]
@@ -139,7 +158,10 @@ class RawTable:
         schema, columns = validate_schema(self.schema), tuple(self.columns)
         if len(columns) != len(schema):
             raise DataError(f"{len(columns)} columns for {len(schema)} schema entries")
-        columns = tuple(_column(c) for c in columns)
+        faults: list[tuple[int, str]] = []
+        columns = tuple(_column(c, col, faults) for c, col in zip(columns, schema))
+        if faults:  # the first in row order, then in schema order
+            raise DataError(min(faults, key=lambda fault: fault[0])[1])
         if len({len(c) for c in columns}) > 1:
             raise DataError(f"columns have unequal lengths {[len(c) for c in columns]}")
         object.__setattr__(self, "schema", schema)
@@ -158,7 +180,7 @@ def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
             value = float(text)
         except ValueError:
             if col.kind == ORDINAL:
-                return text  # level label; mapped to its code by apply_ordinal
+                return text  # a level label: RawTable maps it to its code
             raise DataError(
                 f"row {row_idx}, column {col.name!r}: cannot parse {text!r} as a number"
             ) from None
@@ -208,24 +230,18 @@ def _parse_block(records: list[list[str]], start: int,
         parts_of.append(part)
 
 
-def _join(parts: list[np.ndarray]):
-    """A column from its blocks: float64 if every block is, else cells with None for missing."""
-    if parts and all(p.dtype == np.float64 for p in parts):
-        return np.concatenate(parts)
-    return [v if v == v else None for p in parts for v in p.tolist()]  # v != v only for NaN
-
-
 def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     """Parse a UTF-8 comma-separated file, with or without a BOM, against the schema.
 
     The header must contain exactly the schema's column names, in any order.
     Empty cells and the literal "NA" are missing. Rows are parsed a column at
     a time, in blocks of ``_BLOCK_ROWS``; a fault names the first bad cell or
-    row in row order.
+    row in row order. An ordinal label becomes its code as the table is
+    built, so an unknown label is named after any such fault.
     """
     cols = validate_schema(schema)
     path = Path(path)
-    columns: list[list] = [[] for _ in cols]  # each column's parsed blocks
+    columns: list[list] = [[np.empty(0)] for _ in cols]  # each column's parsed blocks
     block, start, fault = [], 0, None
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -264,7 +280,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
         _parse_block(block, start, fields, columns)
     if fault is not None:
         raise fault
-    return RawTable(cols, [_join(parts) for parts in columns])
+    return RawTable(cols, [np.concatenate(parts) for parts in columns])
 
 
 @dataclass
@@ -340,31 +356,10 @@ def _codes(values: np.ndarray) -> np.ndarray:
     return np.array([seen.setdefault(c, len(seen)) for c in values.tolist()], dtype=np.int64)
 
 
-def apply_ordinal(table: RawTable) -> RawTable:
-    """Map ordinal level labels to their numeric codes; other cells pass through."""
-    columns = list(table.columns)
-    faults = []
-    for j, col in enumerate(table.schema):
-        if col.kind != ORDINAL or columns[j].dtype == np.float64:
-            continue
-        cells = columns[j].tolist()
-        bad = [r for r, c in enumerate(cells) if isinstance(c, str) and c not in col.mapping]
-        if bad:
-            faults.append((bad[0], j, cells[bad[0]]))
-        else:
-            columns[j] = np.array([col.mapping.get(c, c) for c in cells], dtype=np.float64)
-    if faults:
-        r, j, cell = min(faults)
-        raise DataError(
-            f"row {r}, column {table.schema[j].name!r}: value {cell!r} not in ordinal mapping"
-        )
-    return RawTable(table.schema, columns)
-
-
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
     """Fill the missing cells of the numeric-valued columns by chained regressions.
 
-    Numeric, ordinal (mapped to codes), timeseries and outcome columns are
+    Numeric, ordinal (as codes), timeseries and outcome columns are
     imputed; categorical and identifier columns pass through unchanged and
     are not used as predictors. Each column is centered by the mean of its
     observed cells, and missing cells start at that mean. Incomplete columns
@@ -389,13 +384,6 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     n, p = table.n_rows, len(numeric)
     if n == 0 or p == 0:
         return table
-    for j in numeric:
-        if table.columns[j].dtype != np.float64:
-            cell = next(c for c in table.columns[j].tolist() if isinstance(c, str))
-            raise DataError(
-                f"column {table.schema[j].name!r} holds non-numeric value {cell!r}; "
-                "imputation requires numeric cells"
-            )
     # one [1, X] design matrix: numeric column k is x's column k, design's k + 1
     design = np.column_stack([np.ones(n), *(table.columns[j] for j in numeric)])
     x = design[:, 1:]
@@ -644,22 +632,20 @@ def _require_complete(col: ColumnDescriptor, values: np.ndarray, bad: np.ndarray
 
 def _numbers(table: RawTable, j: int) -> np.ndarray:
     _require_complete(table.schema[j], table.columns[j])
-    return np.asarray(table.columns[j], dtype=np.float64)
+    return table.columns[j]
 
 
 def transform(table: RawTable) -> Dataset:
     """Map a complete table to a z-scored numeric Dataset.
 
-    Ordinal columns are mapped through their dictionaries (already-numeric
-    cells pass through), each timeseries group is summed row-wise into a
-    single "<group>_sum" column, categorical columns expand to one indicator
+    Ordinal columns enter as their codes, each timeseries group is summed
+    row-wise into a single "<group>_sum" column, categorical columns expand to one indicator
     per level, identifiers are dropped, and every resulting feature is
     z-score normalized with population statistics. Features with std below
     1e-12 are set identically to 0 and recorded with std = 1. A feature that
     overflows the float range, or whose mean or std does, and a class label
     outside [0, num_classes) raise DataError.
     """
-    table = apply_ordinal(table)
     n = table.n_rows
     if n == 0:
         raise DataError("cannot transform an empty table")
@@ -742,9 +728,9 @@ def preprocess_pipeline(
     mice_sweeps: int = 10,
     mice_tol: float = 1e-6,
 ) -> tuple[Dataset, CleaningReport]:
-    """Full raw-to-model-ready pipeline: clean, map ordinals, impute, transform.
+    """Full raw-to-model-ready pipeline: clean, impute, transform.
 
-    Imputation runs on the numeric-valued columns (numeric, mapped ordinal,
+    Imputation runs on the numeric-valued columns (numeric, ordinal codes,
     timeseries, outcome) before one-hot expansion; categorical and identifier
     cells pass through and must already be complete. ``mice_sweeps`` and
     ``mice_tol`` are checked even when no cell is missing.
@@ -754,11 +740,10 @@ def preprocess_pipeline(
     if not (math.isfinite(mice_tol) and mice_tol >= 0.0):
         raise ConfigError(f"mice_tol must be finite and >= 0, got {mice_tol}")
     cleaned, report = clean(raw, max_missing_frac)
-    mapped = apply_ordinal(cleaned)
-    if any(_missing(v).any() for c, v in zip(mapped.schema, mapped.columns)
+    if any(np.isnan(v).any() for c, v in zip(cleaned.schema, cleaned.columns)
            if c.is_numeric_valued()):
-        mapped = mice_impute(mapped, mice_sweeps, mice_tol)
-    return transform(mapped), report
+        cleaned = mice_impute(cleaned, mice_sweeps, mice_tol)
+    return transform(cleaned), report
 
 
 @dataclass(frozen=True)

@@ -666,8 +666,8 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
     """Model state and normalization stats from a model dict.
 
     Parameters enter the program from outside only through here, so they
-    are checked: a flat list of numbers, as many as the topology's layout
-    holds, every one finite.
+    are checked: a flat list of numbers, none of them a boolean, as many as
+    the topology's layout holds, every one finite.
     """
     if not isinstance(d, dict):
         raise ConfigError("model document must be a JSON object")
@@ -686,7 +686,8 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
         flat = np.array(d["params"])
     except ValueError:  # lists nested to unequal depths
         flat = np.array(None)
-    if flat.ndim != 1 or flat.dtype.kind not in "iuf":
+    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
+    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, d["params"])):
         raise ConfigError("model params must be a flat list of numbers")
     if flat.size != layout.size:
         raise ConfigError(f"model params has {flat.size} values, the topology needs {layout.size}")

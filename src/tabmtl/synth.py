@@ -87,10 +87,20 @@ class GroundTruth:
             raise ConfigError("shared_weights shape does not match n_features")
         if tasks.shape != (self.config.n_features, N_TASKS):
             raise ConfigError("task_weights must be (n_features, 3)")
+        if not (np.isfinite(shared).all() and np.isfinite(tasks).all()):
+            raise ConfigError("shared_weights and task_weights must be finite")
+        names = [name for name, kind in zip(TASK_NAMES, TASK_KINDS) if kind == CLASSIFICATION]
+        thresholds = dict(self.thresholds)
+        if set(thresholds) != set(names) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in thresholds.values()):
+            raise ConfigError(f"thresholds must map exactly {names} to finite numbers, "
+                              f"got {thresholds!r}")
         shared.setflags(write=False)
         tasks.setflags(write=False)
         object.__setattr__(self, "shared_weights", shared)
         object.__setattr__(self, "task_weights", tasks)
+        object.__setattr__(self, "thresholds", {k: float(v) for k, v in thresholds.items()})
 
     @property
     def informative_indices(self) -> tuple[int, ...]:
@@ -110,7 +120,7 @@ class GroundTruth:
             SynthConfig.from_dict(d["config"]),
             np.asarray(d["shared_weights"], dtype=np.float64),
             np.asarray(d["task_weights"], dtype=np.float64),
-            {k: float(v) for k, v in d["thresholds"].items()},
+            d["thresholds"],
         )
 
 

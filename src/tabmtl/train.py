@@ -159,9 +159,7 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """
     dataset.require_complete()
     check_compatible(config.topology, dataset)
-    (result,) = _train_stack([(dataset, config)])
-    if isinstance(result, NumericalError):
-        raise result
+    ((_, result),) = _train_jobs([(dataset, config)])
     return result
 
 
@@ -363,15 +361,18 @@ class _Cell:
     seed: int
 
 
-def _train_jobs(
-    jobs: list[tuple[Dataset, TrainConfig]]
-) -> Iterator[tuple[int, TrainResult | NumericalError]]:
-    """Train every job, yielding ``(job index, result)`` one stack at a time.
+def _train_jobs(jobs: list[tuple[Dataset, TrainConfig]]) -> Iterator[tuple[int, TrainResult]]:
+    """Train the jobs, yielding ``(job index, result)`` one stack at a time.
 
     Jobs share a stack when they share a topology, a row count, a batch
     size and epochs, up to ``STACK_MODELS`` models and ``STACK_PARAMS``
-    parameters a stack, in job order.
+    parameters a stack, in job order. If a job diverges, raises, once the
+    stacks are done, the NumericalError of the earliest job in job order to
+    diverge: the one training the jobs one by one meets first. A stack
+    whose first job comes after the earliest failure found so far cannot
+    change that error, so it is skipped.
     """
+    first_error: tuple[int, NumericalError] | None = None
     groups: dict[tuple, list[int]] = {}
     for i, (data, config) in enumerate(jobs):
         key = (config.topology, data.n_rows, config.batch_size, config.epochs)
@@ -383,7 +384,15 @@ def _train_jobs(
         bounds = [k * len(members) // n_stacks for k in range(n_stacks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             stack = members[lo:hi]
-            yield from zip(stack, _train_stack([jobs[i] for i in stack]))
+            if first_error is not None and stack[0] > first_error[0]:
+                continue
+            for i, result in zip(stack, _train_stack([jobs[i] for i in stack])):
+                if not isinstance(result, NumericalError):
+                    yield i, result
+                elif first_error is None or i < first_error[0]:
+                    first_error = i, result
+    if first_error is not None:
+        raise first_error[1]
 
 
 @dataclass(frozen=True)
@@ -400,7 +409,7 @@ def _cross_validate_cells(cells: list[_Cell]) -> list[CvReport]:
     Jobs of different cells stack together. Each model is dropped once its
     test fold is predicted, so no more than one stack's models are alive at
     a time. If any fold diverges, raises the NumericalError that training
-    the cells in order, fold by fold, meets first.
+    the cells in order, fold by fold, meets first (see ``_train_jobs``).
     """
     where = [(c, f) for c, cell in enumerate(cells) for f in range(len(cell.folds))]
     jobs = [(cells[c].folds[f].train,
@@ -409,11 +418,8 @@ def _cross_validate_cells(cells: list[_Cell]) -> list[CvReport]:
     outcomes: list[list] = [[None] * len(cell.folds) for cell in cells]
     for i, result in _train_jobs(jobs):
         c, f = where[i]
-        outcomes[c][f] = result if isinstance(result, NumericalError) else _FoldOutcome(
-            result.final_loss, predict(result.state, cells[c].folds[f].test.features))
-    for outcome in itertools.chain(*outcomes):  # cell by cell, fold by fold
-        if isinstance(outcome, NumericalError):
-            raise outcome
+        outcomes[c][f] = _FoldOutcome(result.final_loss,
+                                      predict(result.state, cells[c].folds[f].test.features))
     return [_cv_report(cell.dataset, cell.folds, fold_outcomes, cell.seed)
             for cell, fold_outcomes in zip(cells, outcomes)]
 

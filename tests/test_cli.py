@@ -189,6 +189,9 @@ class TestPreprocess:
         ("y", {"task_index": 0, "task": "classification", "num_classes": True}),
         ("y", {"task_index": 0.0, "task": "classification"}),
         ("y", {"task_index": False, "task": "classification"}),
+        # appended last so the earlier cases keep their ids
+        ("grade", {"mapping": {"low": "0", "high": 1}}),
+        ("grade", {"mapping": {"low": True, "high": 0}}),
     ])
     def test_bad_levels_or_mapping_exits_2_naming_the_column(self, tmp_path, column, params):
         data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
@@ -238,6 +241,22 @@ class TestPreprocess:
         assert all(part in result.stderr for part in named), result.stderr
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
+
+    def test_unknown_ordinal_label_names_its_csv_row(self, tmp_path):
+        # data row 1 duplicates row 0: the label used to be named at its row
+        # in the cleaned table, row 4
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        data.write_text("a,g,y\n1,lo,0\n1,lo,0\n2,hi,1\n3,lo,0\n4,hi,1\n5,zz,0\n")
+        schema.write_text(json.dumps([
+            {"name": "a", "kind": "numeric"},
+            {"name": "g", "kind": "ordinal", "params": {"mapping": {"lo": 0, "hi": 1}}},
+            {"name": "y", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}},
+        ]))
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert "row 5, column 'g': value 'zz' not in ordinal mapping" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"

@@ -17,7 +17,6 @@ from tabmtl.dataset import (
     NormalizationStats,
     OutcomeVector,
     RawTable,
-    apply_ordinal,
     apply_standardizer,
     clean,
     dataset_schema,
@@ -70,6 +69,36 @@ class TestRawTable:
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(DataError, match="unequal lengths"):
             RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0, 2.0], [3.0], [0.0, 1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_numeric_valued_columns_are_float64_or_the_first_text_is_named(self, data):
+        schema = (NUM_A, ColumnDescriptor("grade", "ordinal", mapping={"low": 0, "high": 2.5}),
+                  ColumnDescriptor("dose_1", "timeseries", group="dose"), OUT_REG)
+        n = data.draw(st.integers(0, 8))
+        cell = (st.floats(allow_infinity=False) | st.integers(-10**6, 10**6) | st.none()
+                | st.sampled_from(["low", "high", "mid", "1.5", ""]))
+        columns = [data.draw(st.lists(cell, min_size=n, max_size=n)) for _ in schema]
+
+        def code(value, col):
+            """The cell as a float, or None for text its column has no code for."""
+            if isinstance(value, str):
+                return (col.mapping or {}).get(value)
+            return np.nan if value is None else float(value)
+
+        expected = [[code(v, col) for v in column] for column, col in zip(columns, schema)]
+        faults = [(r, col.name, columns[j][r]) for r in range(n)
+                  for j, col in enumerate(schema) if expected[j][r] is None]
+        if faults:
+            row, name, value = faults[0]
+            named = rf"^row {row}, column '{name}': .*{re.escape(repr(value))}"
+            with pytest.raises(DataError, match=named):
+                RawTable(schema, columns)
+        else:
+            table = RawTable(schema, columns)
+            for got, want in zip(table.columns, expected):
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
 
 
 def reference_load_csv(path, schema):
@@ -188,8 +217,8 @@ class TestLoadCsv:
         grade = ColumnDescriptor("grade", "ordinal", mapping={"low": 0, "high": 1})
         path = write(tmp_path, "grade,label\n1,0\n,1\nlow,0\nNA,1\n")
         column = load_csv(path, (grade, OUT_CLS)).columns[0]
-        assert column.dtype == object
-        assert column.tolist() == [1.0, None, "low", None]
+        assert column.dtype == np.float64
+        np.testing.assert_array_equal(column, [1.0, np.nan, 0.0, np.nan])
 
     @pytest.mark.parametrize("block_rows", [1, 3, 64])
     @settings(max_examples=120, deadline=None)
@@ -345,13 +374,12 @@ class TestOrdinal:
 
     def test_maps_strings(self):
         table = RawTable(self.SCHEMA, (["low", "high", None], [1.0, 2.0, 3.0]))
-        mapped = apply_ordinal(table)
-        assert cells(mapped) == [[0.0, 2.0, None], [1.0, 2.0, 3.0]]
+        assert table.columns[0].dtype == np.float64
+        assert cells(table) == [[0.0, 2.0, None], [1.0, 2.0, 3.0]]
 
     def test_unknown_value_rejected(self):
-        table = RawTable(self.SCHEMA, (["nope"], [1.0]))
         with pytest.raises(DataError, match="'nope'"):
-            apply_ordinal(table)
+            RawTable(self.SCHEMA, (["nope"], [1.0]))
 
 
 def numeric_table(arrays, missing):
@@ -470,9 +498,8 @@ class TestMice:
 
     def test_non_numeric_column_rejected(self):
         # a numeric-kind column holding text, as only a hand-built table can
-        table = RawTable((NUM_A, NUM_B), ([1.0, None, 3.0], [1.0, "x", 2.0]))
         with pytest.raises(DataError, match="non-numeric value 'x'"):
-            mice_impute(table)
+            RawTable((NUM_A, NUM_B), ([1.0, None, 3.0], [1.0, "x", 2.0]))
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_bad_tol_rejected(self, tol):

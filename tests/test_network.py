@@ -522,6 +522,7 @@ class TestSerialization:
         ("params", {"head.0.0.W": [[0.0], [0.0]], "head.0.0.b": [0.0]}),
         ("params", [[0.0], [0.0], [0.0]]),
         ("params", [0.0, None, 0.0]),
+        ("params", [0.0, True, 0.0]),
     ])
     def test_malformed_entry_rejected(self, key, value):
         doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -14,6 +15,10 @@ from tabmtl.synth import (
     oracle_bayes_metrics,
     save_truth,
 )
+
+# a truth document that loads: each fault case changes one field of it
+VALID_TRUTH = {"config": {"n_features": 3, "n_informative": 3}, "shared_weights": [0.0] * 3,
+               "task_weights": [[0.0] * 3] * 3, "thresholds": {"task_a": 0.0, "task_b": 0.0}}
 
 
 class TestConfig:
@@ -128,8 +133,10 @@ class TestGroundTruth:
     @pytest.mark.parametrize("content", [
         None, "directory", b"\xff\xfe", b"[1, 2]", b'{"config": {"n_samples": "x"}}',
         b'{"config": {}}', b'{"config": {"n_samples": 2}}',
+        json.dumps({**VALID_TRUTH, "shared_weights": [0.0, float("nan"), 0.0]}).encode(),
+        json.dumps({**VALID_TRUTH, "thresholds": {"task_a": 0.0}}).encode(),
     ], ids=["missing", "directory", "bad_bytes", "list", "string_field", "no_weights",
-            "bad_config"])
+            "bad_config", "nan_weight", "missing_threshold"])
     def test_faults_name_the_file(self, tmp_path, content):
         # each used to leak a raw OSError, UnicodeDecodeError, TypeError or
         # KeyError, or a ConfigError that named no file

@@ -609,3 +609,30 @@ class TestCells:
                 train._cross_validate_cells([self.cell(dataset, *configs[name])
                                              for name in cells])
         assert str(raised.value) == errors[0]
+
+    @pytest.mark.parametrize("cells, trained", [
+        # the second stack starts after the first one's failure: it cannot hold an earlier one
+        (("diverging", "healthy_longer"), 1),
+        # the second stack starts before the first one's failure, and holds an earlier one
+        (("healthy", "diverging_longer", "diverging"), 2),
+    ])
+    def test_skips_a_stack_that_starts_after_the_first_failure(self, cells, trained):
+        dataset = synth_dataset(n=60)
+        healthy = TrainConfig(train.build_topology(dataset, *self.TOPOLOGY_ARGS),
+                              lr0=0.01, epochs=4)
+        configs = {"healthy": (healthy, 5), "healthy_longer": (replace(healthy, epochs=5), 6),
+                   "diverging": (replace(healthy, lr0=1e6), 3),
+                   "diverging_longer": (replace(healthy, lr0=1e6, epochs=5), 4)}
+        first_error = next(m for name in cells for m in self.serial(dataset, *configs[name])
+                           if m is not None)
+        stacks, real_stack = [], train._train_stack
+
+        def record(jobs):
+            stacks.append([c.seed for _, c in jobs])
+            return real_stack(jobs)
+
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(NumericalError) as raised:
+            patch.setattr(train, "_train_stack", record)
+            train._cross_validate_cells([self.cell(dataset, *configs[name]) for name in cells])
+        assert str(raised.value) == first_error
+        assert len(stacks) == trained
