@@ -113,7 +113,7 @@ def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.n
     In a numeric-valued column an ordinal label becomes its code. Other text
     there is a fault: the row and message of the column's first such cell go
     to ``faults``, and no column is returned. Any other column holding text
-    is an object array.
+    is an object array, with None for a NaN cell as for a missing one.
     """
     if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
         cells = list(cells)
@@ -128,6 +128,8 @@ def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.n
                 faults.append((bad, f"row {bad}, column {col.name!r}: {fault}"))
                 return None
             cells, is_text = [mapping.get(c, c) for c in cells], False
+        elif is_text:
+            cells = [None if c != c else c for c in cells]  # only NaN differs from itself
         cells = np.array(cells, dtype=object if is_text else np.float64)
     cells.setflags(write=False)
     return cells
@@ -148,7 +150,8 @@ class RawTable:
     rejects non-finite input, so NaN never means anything else. Any other text
     in such a column raises DataError naming its row, the first in row order.
     A categorical or identifier column is float64 if its cells are all numbers
-    or missing, else an object array of str, float and None, None for missing.
+    or missing, else an object array of str, float and None, None for missing
+    (a NaN cell there is missing too, and becomes None).
     """
 
     schema: tuple[ColumnDescriptor, ...]

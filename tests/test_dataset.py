@@ -62,6 +62,19 @@ class TestRawTable:
         assert table.columns[1].tolist() == ["r", None]
         assert table.n_rows == 2
 
+    def test_nan_among_text_is_missing(self):
+        # rows 1 and 2 are equal; each holds its own NaN object in 'c', a missing cell
+        cat = ColumnDescriptor("c", "categorical", levels=("r", "g"))
+        nans = [float("nan"), float("nan")]
+        table = RawTable((cat, NUM_A, OUT_REG),
+                         (["r", *nans, "g"], [1.0, 2.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]))
+        assert table.columns[0].tolist() == ["r", None, None, "g"]
+        cleaned, report = clean(table)
+        assert report.duplicates_removed == 1
+        assert cleaned.columns[0].tolist() == ["r", None, "g"]
+        with pytest.raises(DataError, match="^row 1, column 'c': missing value; impute before"):
+            transform(cleaned)
+
     def test_one_column_per_schema_entry(self):
         with pytest.raises(DataError, match="2 columns for 3 schema entries"):
             RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0], [2.0]))

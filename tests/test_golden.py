@@ -5,9 +5,10 @@ has every column kind, 65 of its 704 cells missing (9%), 4 duplicate rows and
 a constant column, so the digests cover cleaning, ordinal mapping, MICE,
 one-hot encoding, z-scoring, the CSV writer and a short training run. Further
 `train` digests pin one short run per network shape, and one test checks that
-`train` writes the same bytes whatever the number of BLAS threads. `attribute`
-is pinned on one of those models. A change that moves any of them on purpose
-re-pins the digests here and says so in CHANGES.md.
+`train` and `attribute` write the same bytes whatever the number of BLAS
+threads. `attribute` is pinned on one of those models, and `train` and
+`attribute` on a table of several row blocks. A change that moves any of them
+on purpose re-pins the digests here and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from tabmtl.cli import main
+from tabmtl.network import ROW_BLOCK
 
 ROWS = 60
 DUPLICATES = 4
@@ -256,26 +258,66 @@ def test_attribute_outputs_are_pinned(tmp_path):
     assert _digests(out, ATTRIBUTE_DIGESTS) == ATTRIBUTE_DIGESTS
 
 
+# `train` and `attribute` on more rows than `network.ROW_BLOCK`, so `evaluate`
+# (train_metrics.json) and the input gradients run block by block. The digests
+# were taken from the whole-batch code these blocks replaced.
+BLOCKED_ROWS = 700
+BLOCKED_TRAIN_DIGESTS = {
+    "history.json":
+        "9f694999b27c9918dbc3ed97fc41007e81b8092ee8d73c19005f711d27ab8665",
+    "model.json":
+        "7e69bb62093b80363b9f77b8a21dd504e3fc12804ab0c9a45311de0595859244",
+    "train_metrics.json":
+        "54b9273a0cda87d05ec93380ddefb476aef26626d89f20188873bbf1ff6e99d4",
+}
+BLOCKED_ATTRIBUTE_DIGESTS = {
+    "attribution.json":
+        "2fa14b8fc3f6103c325d60c77bef86fdecd528015393555fee96416cf8e50522",
+    "attribution.txt":
+        "63c949ccd5341ec09e223f6781b03946f4ff2491f958a5f03d88f162140a2b1d",
+}
+
+
+def test_blocked_inference_outputs_are_pinned(tmp_path):
+    assert BLOCKED_ROWS > 2 * ROW_BLOCK
+    outcomes, args = SHAPE_CASES["mixed_heads"]
+    data, schema = _write_shape_input(tmp_path, outcomes, rows=BLOCKED_ROWS)
+    inputs = ["--data", str(data), "--schema", str(schema)]
+    model = tmp_path / "train"
+    assert main(["train", *inputs, "--out", str(model), *SHAPE_TRAIN_ARGS, *args]) == 0
+    assert _digests(model, BLOCKED_TRAIN_DIGESTS) == BLOCKED_TRAIN_DIGESTS
+    out = tmp_path / "attribute"
+    assert main(["attribute", *inputs, "--model", str(model / "model.json"),
+                 "--out", str(out), *ATTRIBUTE_ARGS]) == 0
+    assert _digests(out, BLOCKED_ATTRIBUTE_DIGESTS) == BLOCKED_ATTRIBUTE_DIGESTS
+
+
 def test_train_outputs_do_not_depend_on_blas_threads(tmp_path):
-    """`train` writes the same bytes with one BLAS thread and with two.
+    """`train` and `attribute` write the same bytes with one BLAS thread and with two.
 
     The trunk is wide enough (512-row batches through 128 units) that
     OpenBLAS splits its matrix multiplies across threads when allowed to.
+    `attribute` runs its 512 rows as two blocks of `network.ROW_BLOCK`.
     """
     synth = tmp_path / "synth"
     assert main(["synth", "--out", str(synth), "--n-samples", "512", "--n-features", "40",
                  "--seed", "2"]) == 0
+    inputs = ["--data", str(synth / "data.csv"), "--schema", str(synth / "schema.json")]
     runs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads_{threads}"
-        result = subprocess.run(
-            [sys.executable, "-m", "tabmtl", "train", "--data", str(synth / "data.csv"),
-             "--schema", str(synth / "schema.json"), "--out", str(out),
-             "--trunk", "128,128", "--head", "32", "--epochs", "3", "--batch-size", "512"],
-            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-        )
-        assert result.returncode == 0, result.stderr
-        runs[threads] = _digests(out, TRAIN_DIGESTS)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        for command in (
+            ["train", *inputs, "--out", str(out), "--trunk", "128,128", "--head", "32",
+             "--epochs", "3", "--batch-size", "512"],
+            ["attribute", *inputs, "--model", str(out / "model.json"), "--task", "task_a",
+             "--out", str(out / "attribute")],
+        ):
+            result = subprocess.run([sys.executable, "-m", "tabmtl", *command],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+        runs[threads] = (_digests(out, [*TRAIN_DIGESTS, "train_metrics.json"]),
+                         _digests(out / "attribute", ATTRIBUTE_DIGESTS))
     assert runs["1"] == runs["2"]
 
 

@@ -1,7 +1,9 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tabmtl import network
 from tabmtl.errors import ConfigError, DataError
 from tabmtl.network import (
     CLASSIFICATION,
     LOG_FLOOR,
     REGRESSION,
+    ROW_BLOCK,
     HeadSpec,
     LossWeights,
     ModelState,
@@ -31,6 +35,7 @@ from tabmtl.network import (
     model_to_dict,
     n_parameters,
     output_gradient,
+    predict,
     save_model,
     softmax,
     task_loss,
@@ -434,7 +439,107 @@ class TestInputGradients:
             input_gradients(state, np.zeros((2, 3)), 0)
 
 
-EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+# the topologies of the `train` goldens (tests/test_golden.py), on their five inputs
+BLOCK_TOPOLOGIES = {
+    "no_trunk": NetworkTopology(5, (), (HeadSpec((4,), CLASSIFICATION, 2),
+                                        HeadSpec((4,), REGRESSION))),
+    "deep_trunk": NetworkTopology(5, (8, 6, 5), (HeadSpec((4,), CLASSIFICATION, 2),
+                                                 HeadSpec((4,), REGRESSION))),
+    "no_head_hidden": NetworkTopology(5, (8,), (HeadSpec((), CLASSIFICATION, 3),
+                                                HeadSpec((), REGRESSION))),
+    "mixed_heads": NetworkTopology(5, (8,), (HeadSpec((4,), CLASSIFICATION, 3),
+                                             HeadSpec((4,), REGRESSION),
+                                             HeadSpec((4,), CLASSIFICATION, 2))),
+}
+BLOCK_EDGES = [0, 1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK - 1,
+               2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK, 3 * ROW_BLOCK + 1]
+
+
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """predict and input_gradients, run ROW_BLOCK rows at a time, against one
+    whole-batch forward pass and ``output_gradient`` on its cache."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES + [5 * ROW_BLOCK + 7])
+    def test_blocks_cover_the_rows_in_order(self, n):
+        blocks = network._row_blocks(n)
+        assert [(s.start, s.stop) for s in blocks] == list(
+            zip([0] + [s.stop for s in blocks[:-1]], [s.stop for s in blocks]))
+        assert blocks[-1].stop == n
+        assert len(blocks) == max(n // ROW_BLOCK, 1)
+        assert all(ROW_BLOCK <= s.stop - s.start < 2 * ROW_BLOCK for s in blocks[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(BLOCK_TOPOLOGIES)),
+           n=st.sampled_from(BLOCK_EDGES) | st.integers(0, 3 * ROW_BLOCK + 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_the_whole_batch(self, name, n, seed):
+        topo = BLOCK_TOPOLOGIES[name]
+        rng = np.random.default_rng(seed)
+        state = init_params(topo, seed)
+        x = rng.normal(size=(n, topo.input_dim))
+        want, cache = forward(state, x)
+        got = predict(state, x)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        for j, head in enumerate(topo.heads):
+            for c in range(head.num_classes) if head.kind == CLASSIFICATION else [None]:
+                assert_same_bits(input_gradients(state, x, j, c),
+                                 output_gradient(state, cache, j, c))
+
+    def test_narrow_next_to_wide_layers_agree_to_rounding(self):
+        # OpenBLAS picks a small-matrix kernel by a product's size, so with a
+        # 3-wide input into 256 units, or 256 units into 4, a block's last bits
+        # can differ from the whole batch's
+        topo = NetworkTopology(3, (256, 256), (HeadSpec((4,), CLASSIFICATION, 3), REG))
+        state = init_params(topo, 0)
+        x = np.random.default_rng(0).normal(size=(4 * ROW_BLOCK + 1, 3))
+        want, cache = forward(state, x)
+        got = predict(state, x) + [input_gradients(state, x, 0, 2), input_gradients(state, x, 1)]
+        want += [output_gradient(state, cache, 0, 2), output_gradient(state, cache, 1)]
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    def test_batch_checked_once_as_forward_checks_it(self):
+        state = init_params(BLOCK_TOPOLOGIES["mixed_heads"], 0)
+        bad = np.zeros((2 * ROW_BLOCK, 5))
+        bad[-1, 0] = np.inf
+        for batch, message in ((np.zeros(5), "2-D"), (np.zeros((3, 4)), "4 columns"),
+                               (bad, "non-finite")):
+            for run in (lambda b: forward(state, b), lambda b: predict(state, b),
+                        lambda b: input_gradients(state, b, 1)):
+                with pytest.raises(DataError, match=message):
+                    run(batch)
+
+    @pytest.mark.parametrize("run", [
+        lambda state, x: predict(state, x),
+        lambda state, x: input_gradients(state, x, 0, 1),
+    ], ids=["predict", "input_gradients"])
+    def test_memory_grows_only_by_the_result(self, run):
+        # wide enough that one block's activations outweigh a whole table's result
+        topo = NetworkTopology(20, (64, 64), (HeadSpec((16,), CLASSIFICATION, 3),
+                                              HeadSpec((16,), REGRESSION)))
+        state = init_params(topo, 0)
+        rng = np.random.default_rng(0)
+        one, many = (rng.normal(size=(k * ROW_BLOCK, 20)) for k in (1, 16))
+        run(state, one)  # caches that live on: the parameter views
+        result = run(state, many)
+        result_bytes = sum(r.nbytes for r in (result if isinstance(result, list) else [result]))
+        assert traced_peak(run, state, many) - traced_peak(run, state, one) <= result_bytes
+
+
+EXTREME_FLOATS = [-0.0, 5e-324, -5e-324, 1e16, 1e-5,
+                  1.7976931348623157e308, -1.7976931348623157e308]
 
 
 @st.composite
@@ -535,6 +640,29 @@ class TestSerialization:
         doc["params"][2] = "x"
         with pytest.raises(ConfigError, match="params"):
             model_from_dict(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=saved_models(), block=st.integers(1, 9), non_finite=st.data())
+    def test_saved_bytes_are_the_documents_dumps(self, state, block, non_finite):
+        # NaN and Infinity reach save_model only through the library API
+        flat = state.params.flat
+        for i in non_finite.draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+            flat[i] = non_finite.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        stats = non_finite.draw(st.none() | st.just({"feature_names": ['"params": []'],
+                                                     "mean": [1e16], "std": [1e-5]}))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(network, "_SAVE_VALUES", block):
+            path = Path(tmp, "model.json")
+            save_model(state, path, stats)
+            assert path.read_text() == json.dumps(model_to_dict(state, stats)) + "\n"
+
+    def test_large_model_saved_in_blocks_within_a_megabyte(self, tmp_path):
+        # 32 blocks of network._SAVE_VALUES values and 5 more
+        state = init_params(NetworkTopology(131_076, (), (REG,)), 0)
+        assert state.params.flat.size == 131_077
+        path = tmp_path / "model.json"
+        assert traced_peak(save_model, state, path) < 2**20
+        assert path.read_text() == json.dumps(model_to_dict(state)) + "\n"
 
     @settings(max_examples=60, deadline=None)
     @given(saved_models())
