@@ -87,10 +87,6 @@ def grad_cam_features(
     if head.kind == CLASSIFICATION:
         if target_class is None:
             target_class = 1
-        if not 0 <= target_class < head.num_classes:
-            raise ConfigError(
-                f"target_class {target_class} out of range [0, {head.num_classes})"
-            )
     elif target_class is not None:
         raise ConfigError("target_class only applies to classification heads")
 

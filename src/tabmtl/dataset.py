@@ -108,50 +108,55 @@ def validate_schema(schema: Sequence[ColumnDescriptor]) -> tuple[ColumnDescripto
 
 
 def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.ndarray | None:
-    """Cells as a read-only array: float64, None becoming NaN, unless one is text.
+    """Cells as a read-only float64 array, coded as ``RawTable`` says.
 
-    In a numeric-valued column an ordinal label becomes its code. Other text
-    there is a fault: the row and message of the column's first such cell go
-    to ``faults``, and no column is returned. Any other column holding text
-    is an object array, with None for a NaN cell as for a missing one.
+    On a fault the row and message of the column's first go to ``faults``,
+    and no column is returned.
     """
     if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
-        cells = list(cells)
-        is_text = any(issubclass(t, str) for t in set(map(type, cells)))
-        if is_text and col.is_numeric_valued():
-            mapping = col.mapping or {}
-            bad = next((r for r, c in enumerate(cells)
-                        if isinstance(c, str) and c not in mapping), None)
+        cells = [None if c is None or c != c else c for c in cells]  # only NaN differs from itself
+        if col.kind == IDENTIFIER:
+            seen: dict = {None: None}  # a missing cell stays missing
+            cells = [seen.setdefault(c, len(seen) - 1) for c in cells]
+        else:
+            codes = (col.mapping or {}) if col.is_numeric_valued() else {
+                level: i for i, level in enumerate(col.levels)}
+            bad = next((r for r, c in enumerate(cells) if c is not None and c not in codes
+                        and (col.kind == CATEGORICAL or isinstance(c, str))), None)
             if bad is not None:
-                fault = (f"value {cells[bad]!r} not in ordinal mapping" if col.kind == ORDINAL
-                         else f"non-numeric value {cells[bad]!r}")
+                value = cells[bad]
+                fault = (f"value {value!r} not in ordinal mapping" if col.kind == ORDINAL
+                         else f"non-numeric value {value!r}" if col.is_numeric_valued()
+                         else f"value {value!r} not in declared levels {list(col.levels)}")
                 faults.append((bad, f"row {bad}, column {col.name!r}: {fault}"))
                 return None
-            cells, is_text = [mapping.get(c, c) for c in cells], False
-        elif is_text:
-            cells = [None if c != c else c for c in cells]  # only NaN differs from itself
-        cells = np.array(cells, dtype=object if is_text else np.float64)
+            cells = [codes.get(c, c) for c in cells]
+        cells = np.array(cells, dtype=np.float64)
+    elif col.kind == CATEGORICAL:
+        bad = np.flatnonzero(~(np.isnan(cells) | np.isin(cells, range(len(col.levels)))))
+        if bad.size:
+            faults.append((int(bad[0]), f"row {bad[0]}, column {col.name!r}: code "
+                           f"{float(cells[bad[0]])!r} is not a level index in [0, {len(col.levels)})"))
+            return None
     cells.setflags(write=False)
     return cells
 
 
-def _missing(values: np.ndarray) -> np.ndarray:
-    return np.isnan(values) if values.dtype == np.float64 else np.equal(values, None)
-
-
 @dataclass(frozen=True, eq=False)
 class RawTable:
-    """Parsed cells in schema column order, one read-only 1-D array per column.
+    """Parsed cells in schema column order, one read-only float64 array per column.
 
-    ``columns`` holds one sequence of None, float and str cells per schema
-    entry, all of one length. A numeric-valued column (numeric, ordinal,
-    timeseries, outcome) is stored as float64, with each ordinal label as its
-    code from the column's mapping, and NaN marks a missing cell; ``load_csv``
-    rejects non-finite input, so NaN never means anything else. Any other text
-    in such a column raises DataError naming its row, the first in row order.
-    A categorical or identifier column is float64 if its cells are all numbers
-    or missing, else an object array of str, float and None, None for missing
-    (a NaN cell there is missing too, and becomes None).
+    ``columns`` holds one sequence of cells per schema entry, all of one
+    length, and each becomes float64 as the table is built, with NaN for a
+    missing cell (None or NaN); ``load_csv`` rejects non-finite input, so NaN
+    never means anything else. An ordinal label becomes its code from the
+    column's mapping and a categorical level its index in the column's
+    levels. An identifier column's cells, text and numbers alike, become
+    codes in first-seen order, equal exactly where the cells are. A float64
+    array is taken as coded already. Other text in a numeric-valued column,
+    any other categorical cell, or a categorical code that is no level's
+    index raises DataError naming its row, the first in row order, then
+    schema order.
     """
 
     schema: tuple[ColumnDescriptor, ...]
@@ -239,8 +244,8 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     The header must contain exactly the schema's column names, in any order.
     Empty cells and the literal "NA" are missing. Rows are parsed a column at
     a time, in blocks of ``_BLOCK_ROWS``; a fault names the first bad cell or
-    row in row order. An ordinal label becomes its code as the table is
-    built, so an unknown label is named after any such fault.
+    row in row order. An ordinal label or categorical level becomes its code
+    as the table is built, so an unknown one is named after any such fault.
     """
     cols = validate_schema(schema)
     path = Path(path)
@@ -320,7 +325,9 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     changed = True
     while changed:
         changed = False
-        codes = {i: _codes(columns[i]) for i, c in enumerate(schema) if c.kind != OUTCOME}
+        # integer codes, equal exactly where the cells are; missing cells share one
+        codes = {i: np.unique(columns[i], return_inverse=True)[1]
+                 for i, c in enumerate(schema) if c.kind != OUTCOME}
         # duplicate rows: the first row of each distinct attribute key stays
         key = np.column_stack([codes[i] for i in attribute_indices()])
         keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
@@ -332,7 +339,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
         # constant and over-missing columns
         drop: dict[int, str] = {}
         for i, col_codes in codes.items():
-            missing = _missing(columns[i])
+            missing = np.isnan(columns[i])
             # distinct codes, less the one the missing cells share
             observed = np.count_nonzero(np.bincount(col_codes)) - bool(missing.any())
             if observed <= 1:
@@ -351,20 +358,12 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     return RawTable(schema, columns), report
 
 
-def _codes(values: np.ndarray) -> np.ndarray:
-    """Integer codes, equal exactly where the cells are equal; missing cells share one."""
-    if values.dtype == np.float64:
-        return np.unique(values, return_inverse=True)[1]
-    seen: dict = {}
-    return np.array([seen.setdefault(c, len(seen)) for c in values.tolist()], dtype=np.int64)
-
-
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
     """Fill the missing cells of the numeric-valued columns by chained regressions.
 
-    Numeric, ordinal (as codes), timeseries and outcome columns are
-    imputed; categorical and identifier columns pass through unchanged and
-    are not used as predictors. Each column is centered by the mean of its
+    Numeric, ordinal, timeseries and outcome columns are imputed;
+    categorical and identifier columns pass through unchanged and are not
+    used as predictors. Each column is centered by the mean of its
     observed cells, and missing cells start at that mean. Incomplete columns
     are then swept in ascending order of missing count (ties by schema
     order); each is regressed, with an intercept, on the other centered
@@ -618,23 +617,12 @@ def apply_standardizer(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) - stats.mean) / stats.std
 
 
-def _require_complete(col: ColumnDescriptor, values: np.ndarray, bad: np.ndarray | None = None):
-    """Raise for the first missing cell, or the first cell flagged in ``bad``."""
-    missing = _missing(values)
-    rows = np.flatnonzero(missing if bad is None else missing | bad)
-    if rows.size == 0:
-        return
-    i = int(rows[0])
-    if missing[i]:
-        raise DataError(f"row {i}, column {col.name!r}: missing value; impute before transforming")
-    raise DataError(
-        f"row {i}, column {col.name!r}: value {values.tolist()[i]!r} "
-        f"not in declared levels {list(col.levels)}"
-    )
-
-
 def _numbers(table: RawTable, j: int) -> np.ndarray:
-    _require_complete(table.schema[j], table.columns[j])
+    """Column ``j``; its first missing cell raises DataError."""
+    missing = np.flatnonzero(np.isnan(table.columns[j]))
+    if missing.size:
+        raise DataError(f"row {missing[0]}, column {table.schema[j].name!r}: "
+                        "missing value; impute before transforming")
     return table.columns[j]
 
 
@@ -642,12 +630,13 @@ def transform(table: RawTable) -> Dataset:
     """Map a complete table to a z-scored numeric Dataset.
 
     Ordinal columns enter as their codes, each timeseries group is summed
-    row-wise into a single "<group>_sum" column, categorical columns expand to one indicator
-    per level, identifiers are dropped, and every resulting feature is
-    z-score normalized with population statistics. Features with std below
-    1e-12 are set identically to 0 and recorded with std = 1. A feature that
-    overflows the float range, or whose mean or std does, and a class label
-    outside [0, num_classes) raise DataError.
+    row-wise into a single "<group>_sum" column, each categorical column's
+    level indices expand to one indicator per level, identifiers are
+    dropped, and every resulting feature is z-score normalized with
+    population statistics. Features with std below 1e-12 are set identically
+    to 0 and recorded with std = 1. A feature that overflows the float range,
+    or whose mean or std does, a class label more than 1e-9 from an integer
+    and a class label outside [0, num_classes) raise DataError.
     """
     n = table.n_rows
     if n == 0:
@@ -674,12 +663,8 @@ def transform(table: RawTable) -> Dataset:
             feature_cols.append(total)
             feature_names.append(f"{col.group}_sum")
         elif col.kind == CATEGORICAL:
-            level_pos = {lv: i for i, lv in enumerate(col.levels)}
-            values = table.columns[idx]
-            codes = np.array([level_pos.get(c, -1) for c in values.tolist()], dtype=np.int64)
-            _require_complete(col, values, codes < 0)
             indicators = np.zeros((n, len(col.levels)))
-            indicators[np.arange(n), codes] = 1.0
+            indicators[np.arange(n), _numbers(table, idx).astype(np.int64)] = 1.0
             for li, level in enumerate(col.levels):
                 feature_cols.append(indicators[:, li])
                 feature_names.append(f"{col.name}={level}")
@@ -706,8 +691,11 @@ def transform(table: RawTable) -> Dataset:
         col, values = outcome_cols[task_index]
         if col.task == CLASSIFICATION:
             rounded = np.rint(values)
-            if not np.allclose(values, rounded, atol=1e-9):
-                raise DataError(f"column {col.name!r}: classification labels must be integers")
+            with np.errstate(invalid="ignore"):  # inf - inf: an infinite label is refused below
+                off = np.flatnonzero(np.abs(values - rounded) > 1e-9)
+            if off.size:
+                raise DataError(f"row {off[0]}, column {col.name!r}: class label "
+                                f"{float(values[off[0]])!r} is not an integer")
             # an undeclared class count is inferred; 2**53 keeps the cast exact
             bound = col.num_classes if col.num_classes is not None else 2**53
             bad = np.flatnonzero((rounded < 0) | (rounded >= bound))
@@ -733,10 +721,10 @@ def preprocess_pipeline(
 ) -> tuple[Dataset, CleaningReport]:
     """Full raw-to-model-ready pipeline: clean, impute, transform.
 
-    Imputation runs on the numeric-valued columns (numeric, ordinal codes,
-    timeseries, outcome) before one-hot expansion; categorical and identifier
-    cells pass through and must already be complete. ``mice_sweeps`` and
-    ``mice_tol`` are checked even when no cell is missing.
+    Imputation runs on the numeric-valued columns (numeric, ordinal,
+    timeseries, outcome) before one-hot expansion; categorical columns pass
+    through and must already be complete. ``mice_sweeps`` and ``mice_tol``
+    are checked even when no cell is missing.
     """
     if mice_sweeps < 1:
         raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")

@@ -258,6 +258,23 @@ class TestPreprocess:
         assert "row 5, column 'g': value 'zz' not in ordinal mapping" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_unknown_level_names_its_csv_row(self, tmp_path):
+        # data row 1 duplicates row 0: the level used to be named at its row
+        # in the cleaned table, row 4
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        data.write_text("a,site,y\n1,n,0\n1,n,0\n2,s,1\n3,n,0\n4,s,1\n5,zz,0\n")
+        schema.write_text(json.dumps([
+            {"name": "a", "kind": "numeric"},
+            {"name": "site", "kind": "categorical", "params": {"levels": ["n", "s"]}},
+            {"name": "y", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}},
+        ]))
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert ("row 5, column 'site': value 'zz' not in declared levels ['n', 's']"
+                in result.stderr)
+        assert "Traceback" not in result.stderr
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")

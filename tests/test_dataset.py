@@ -55,11 +55,12 @@ def cells(table):
 
 
 class TestRawTable:
-    def test_numbers_stored_as_float64_and_text_as_objects(self):
+    def test_numbers_and_levels_stored_as_float64(self):
         cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
         table = RawTable((NUM_A, cat), ([1.0, None], ["r", None]))
         assert table.columns[0].dtype == np.float64 and np.isnan(table.columns[0][1])
-        assert table.columns[1].tolist() == ["r", None]
+        assert table.columns[1].dtype == np.float64
+        assert cells(table)[1] == [0.0, None]
         assert table.n_rows == 2
 
     def test_nan_among_text_is_missing(self):
@@ -68,10 +69,11 @@ class TestRawTable:
         nans = [float("nan"), float("nan")]
         table = RawTable((cat, NUM_A, OUT_REG),
                          (["r", *nans, "g"], [1.0, 2.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0]))
-        assert table.columns[0].tolist() == ["r", None, None, "g"]
+        assert table.columns[0].dtype == np.float64
+        assert cells(table)[0] == [0.0, None, None, 1.0]
         cleaned, report = clean(table)
         assert report.duplicates_removed == 1
-        assert cleaned.columns[0].tolist() == ["r", None, "g"]
+        assert cells(cleaned)[0] == [0.0, None, 1.0]
         with pytest.raises(DataError, match="^row 1, column 'c': missing value; impute before"):
             transform(cleaned)
 
@@ -112,6 +114,79 @@ class TestRawTable:
             for got, want in zip(table.columns, expected):
                 assert got.dtype == np.float64
                 np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_level_and_identifier_columns_are_codes_or_the_first_fault_is_named(self, data):
+        levels = ("n", "s", "w")
+        schema = (ColumnDescriptor("pid", "identifier"), NUM_A,
+                  ColumnDescriptor("site", "categorical", levels=levels), OUT_REG)
+        n = data.draw(st.integers(0, 8))
+        missing = st.none() | st.builds(float, st.just("nan"))  # a fresh NaN object each time
+        # numbers and texts that print alike, so a code by text would merge them
+        number = st.sampled_from([0, 1, 1.0, -0.0, 2.5]) | st.floats(allow_nan=False,
+                                                                    allow_infinity=False)
+        refused = data.draw(st.booleans())  # else no cell is refused
+        cell = {
+            "pid": missing | number | st.sampled_from(["0", "1", "1.0", "2.5", "a", "nan", ""]),
+            "a": missing | number | (st.just("x") if refused else st.nothing()),
+            "site": missing | st.sampled_from(levels)
+                    | (st.sampled_from(["zz", "N", "", 1.0]) if refused else st.nothing()),
+            "target": missing | number,
+        }
+        columns = [data.draw(st.lists(cell[col.name], min_size=n, max_size=n)) for col in schema]
+
+        def is_missing(value):
+            return value is None or (isinstance(value, float) and math.isnan(value))
+
+        def identifier_codes(column):
+            """Codes in first-seen order, equal exactly where the cells are: found by
+            ``==`` against a list, not by hashing (text never equals a number)."""
+            distinct, codes = [], []
+            for v in column:
+                if is_missing(v):
+                    codes.append(np.nan)
+                    continue
+                if all(d != v for d in distinct):
+                    distinct.append(v)
+                codes.append(float(next(k for k, d in enumerate(distinct) if d == v)))
+            return codes
+
+        def code(value, col):
+            """The cell as a float, or None for a cell its column refuses."""
+            if is_missing(value):
+                return np.nan
+            if col.kind == "categorical":
+                return float(levels.index(value)) if value in levels else None
+            return None if isinstance(value, str) else float(value)
+
+        expected = [identifier_codes(columns[0])] + [
+            [code(v, col) for v in column] for column, col in zip(columns[1:], schema[1:])]
+        faults = [(r, col.name, columns[j][r]) for r in range(n)
+                  for j, col in enumerate(schema) if expected[j][r] is None]
+        if faults:
+            row, name, value = faults[0]
+            named = rf"^row {row}, column '{name}': .*{re.escape(repr(value))}"
+            with pytest.raises(DataError, match=named):
+                RawTable(schema, columns)
+            return
+        table = RawTable(schema, columns)
+        for got, want in zip(table.columns, expected):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        # a table's own columns are its codes: building it again changes nothing
+        again = RawTable(schema, table.columns)
+        assert [c.tobytes() for c in again.columns] == [c.tobytes() for c in table.columns]
+
+    def test_float64_categorical_column_is_taken_as_level_indices(self):
+        cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
+        table = RawTable((cat, OUT_REG), (np.array([1.0, np.nan, 0.0]), [0.0, 1.0, 2.0]))
+        assert cells(table)[0] == [1.0, None, 0.0]
+        for codes, named in (([0.0, 2.0, 1.0], "row 1, column 'color': code 2.0"),
+                             ([0.0, 1.0, 0.5], "row 2, column 'color': code 0.5"),
+                             ([-1.0, 1.0, 0.0], "row 0, column 'color': code -1.0")):
+            with pytest.raises(DataError, match="^" + re.escape(named) + r" is not a level index in \[0, 2\)$"):
+                RawTable((cat, OUT_REG), (np.array(codes), [0.0, 1.0, 2.0]))
 
 
 def reference_load_csv(path, schema):
@@ -166,11 +241,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             load_csv(path, (NUM_A, NUM_B, OUT_CLS))
 
-    def test_categorical_cells_stay_strings(self, tmp_path):
+    def test_categorical_cells_become_level_indices(self, tmp_path):
         cat = ColumnDescriptor("color", "categorical", levels=("red", "green"))
         path = write(tmp_path, "color,label\nred,0\ngreen,1\n")
         table = load_csv(path, (cat, OUT_CLS))
-        assert table.columns[0][0] == "red"
+        assert table.columns[0].dtype == np.float64
+        assert table.columns[0].tolist() == [0.0, 1.0]
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -527,8 +603,8 @@ class TestMice:
         table = RawTable((ident, NUM_A, cat, NUM_B),
                          (["p1", "p2", "p3", "p4", None], a, ["r", "g", None, "r", "g"], b))
         imputed = mice_impute(table)
-        assert imputed.columns[0].tolist() == ["p1", "p2", "p3", "p4", None]
-        assert imputed.columns[2].tolist() == ["r", "g", None, "r", "g"]
+        assert cells(imputed)[0] == [0.0, 1.0, 2.0, 3.0, None]
+        assert cells(imputed)[2] == [0.0, 1.0, None, 0.0, 1.0]
         # they take no part in the regressions either
         alone = mice_impute(RawTable((NUM_A, NUM_B), (a, b)))
         assert cells(imputed)[1::2] == cells(alone)
@@ -550,7 +626,7 @@ class TestMice:
         out = np.column_stack(imputed.columns[:p])
         assert np.array_equal(out[~mask].view(np.uint64), x[~mask].view(np.uint64))
         assert np.all(np.isfinite(out[mask]))
-        assert cells(imputed)[p] == cat
+        assert cells(imputed)[p] == [None if c is None else levels.index(c) for c in cat]
         again = np.column_stack(mice_impute(table).columns[:p])
         assert np.array_equal(again.view(np.uint64), out.view(np.uint64))
 
@@ -627,9 +703,9 @@ class TestTransform:
 
     def test_undeclared_level_rejected(self):
         cat = ColumnDescriptor("color", "categorical", levels=("red",))
-        table = RawTable((cat, OUT_REG), (["purple"], [0.0]))
-        with pytest.raises(DataError, match="'purple'"):
-            transform(table)
+        with pytest.raises(DataError, match=re.escape(
+                "row 0, column 'color': value 'purple' not in declared levels ['red']")):
+            RawTable((cat, OUT_REG), (["purple"], [0.0]))
 
     def test_identifier_dropped(self):
         ident = ColumnDescriptor("patient_id", "identifier")
@@ -653,6 +729,22 @@ class TestTransform:
         table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0], [0.5, 1.0]))
         with pytest.raises(DataError, match="integer"):
             transform(table)
+
+    @pytest.mark.parametrize("labels, named", [
+        # a relative tolerance let both through, as class 100000 and class 2
+        ([0.0, 1.0, 100000.4, 1.0], "row 2, column 'y': class label 100000.4 is not an integer"),
+        ([0.0, 2.00001, 1.0, 2.0], "row 1, column 'y': class label 2.00001 is not an integer"),
+    ])
+    def test_label_off_an_integer_named(self, labels, named):
+        undeclared = ColumnDescriptor("y", "outcome", task_index=0, task="classification")
+        table = RawTable((NUM_A, undeclared), ([1.0, 2.0, 3.0, 4.0], labels))
+        with pytest.raises(DataError, match=re.escape(named)):
+            transform(table)
+
+    def test_label_within_1e_9_of_an_integer_kept(self):
+        undeclared = ColumnDescriptor("y", "outcome", task_index=0, task="classification")
+        table = RawTable((NUM_A, undeclared), ([1.0, 2.0, 3.0], [0.0, 1.0 + 5e-10, 2.0]))
+        assert transform(table).outcomes[0].values.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("labels, named", [
         ([0.0, -1.0, 1.0], "row 1, column 'y': class label -1.0"),
