@@ -107,16 +107,18 @@ def validate_schema(schema: Sequence[ColumnDescriptor]) -> tuple[ColumnDescripto
     return cols
 
 
-def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.ndarray | None:
+def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]],
+            start: int = 0, seen: dict | None = None) -> np.ndarray | None:
     """Cells as a read-only float64 array, coded as ``RawTable`` says.
 
-    On a fault the row and message of the column's first go to ``faults``,
-    and no column is returned.
+    Rows are numbered from ``start``, and an identifier column continues the
+    first-seen codes in ``seen``. On a fault the row and message of the
+    column's first go to ``faults``, and no column is returned.
     """
     if not (isinstance(cells, np.ndarray) and cells.dtype == np.float64):
         cells = [None if c is None or c != c else c for c in cells]  # only NaN differs from itself
         if col.kind == IDENTIFIER:
-            seen: dict = {None: None}  # a missing cell stays missing
+            seen = {None: None} if seen is None else seen  # a missing cell stays missing
             cells = [seen.setdefault(c, len(seen) - 1) for c in cells]
         else:
             codes = (col.mapping or {}) if col.is_numeric_valued() else {
@@ -126,20 +128,27 @@ def _column(cells, col: ColumnDescriptor, faults: list[tuple[int, str]]) -> np.n
             if bad is not None:
                 value = cells[bad]
                 fault = (f"value {value!r} not in ordinal mapping" if col.kind == ORDINAL
-                         else f"non-numeric value {value!r}" if col.is_numeric_valued()
+                         else f"value {value!r} is not a finite number" if col.is_numeric_valued()
                          else f"value {value!r} not in declared levels {list(col.levels)}")
-                faults.append((bad, f"row {bad}, column {col.name!r}: {fault}"))
+                faults.append((start + bad, f"row {start + bad}, column {col.name!r}: {fault}"))
                 return None
             cells = [codes.get(c, c) for c in cells]
         cells = np.array(cells, dtype=np.float64)
     elif col.kind == CATEGORICAL:
         bad = np.flatnonzero(~(np.isnan(cells) | np.isin(cells, range(len(col.levels)))))
         if bad.size:
-            faults.append((int(bad[0]), f"row {bad[0]}, column {col.name!r}: code "
+            row = start + int(bad[0])
+            faults.append((row, f"row {row}, column {col.name!r}: code "
                            f"{float(cells[bad[0]])!r} is not a level index in [0, {len(col.levels)})"))
             return None
     cells.setflags(write=False)
     return cells
+
+
+def _raise_first(faults: list[tuple[int, str]]) -> None:
+    """Raise the first of the cell faults in row order, then in the order found."""
+    if faults:
+        raise DataError(min(faults, key=lambda fault: fault[0])[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +166,15 @@ class RawTable:
     any other categorical cell, or a categorical code that is no level's
     index raises DataError naming its row, the first in row order, then
     schema order.
+
+    ``rows`` holds each row's number in the input it was read from, ``0..n-1``
+    unless given. ``clean`` keeps the numbers of the rows it keeps, so a fault
+    found later names the input row.
     """
 
     schema: tuple[ColumnDescriptor, ...]
     columns: tuple[np.ndarray, ...]
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         schema, columns = validate_schema(self.schema), tuple(self.columns)
@@ -168,88 +182,80 @@ class RawTable:
             raise DataError(f"{len(columns)} columns for {len(schema)} schema entries")
         faults: list[tuple[int, str]] = []
         columns = tuple(_column(c, col, faults) for c, col in zip(columns, schema))
-        if faults:  # the first in row order, then in schema order
-            raise DataError(min(faults, key=lambda fault: fault[0])[1])
+        _raise_first(faults)  # found in schema order
         if len({len(c) for c in columns}) > 1:
             raise DataError(f"columns have unequal lengths {[len(c) for c in columns]}")
+        n = len(columns[0]) if columns else 0
+        rows = np.arange(n) if self.rows is None else np.asarray(self.rows, dtype=np.int64)
+        if rows.shape != (n,):
+            raise DataError(f"{rows.size} row numbers for {n} rows")
+        rows.setflags(write=False)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_rows(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.rows)
 
 
-def _parse_cell(text: str, col: ColumnDescriptor, row_idx: int):
-    if text in MISSING_TOKENS:
-        return None
-    if col.is_numeric_valued():
-        try:
-            value = float(text)
-        except ValueError:
-            if col.kind == ORDINAL:
-                return text  # a level label: RawTable maps it to its code
-            raise DataError(
-                f"row {row_idx}, column {col.name!r}: cannot parse {text!r} as a number"
-            ) from None
-        if not np.isfinite(value):
-            raise DataError(f"row {row_idx}, column {col.name!r}: non-finite value {text!r}")
-        return value
-    return text
-
-
-_BLOCK_ROWS = 64  # rows parsed at once: one block's text is held, never the whole file's
+_BLOCK_ROWS = 64  # rows coded at once: one block's text is held, never the whole file's
 _AS_NAN = dict.fromkeys(MISSING_TOKENS, "nan")
-_AS_NONE = dict.fromkeys(MISSING_TOKENS)
 
 
-def _parse_column(cells: tuple[str, ...], col: ColumnDescriptor, start: int) -> np.ndarray:
-    """One block of a column: float64 when every cell is a finite number or missing."""
-    if not col.is_numeric_valued():
-        return np.array(list(map(_AS_NONE.get, cells, cells)), dtype=object)
-    numbers = len(cells) - sum(map(cells.count, MISSING_TOKENS))
+def _floats(cells: tuple[str, ...]) -> np.ndarray | None:
+    """The cells as float64, NaN where missing; None if any other is not a finite number."""
     try:
         values = np.fromiter(map(float, map(_AS_NAN.get, cells, cells)), np.float64, len(cells))
-        if np.count_nonzero(np.isfinite(values)) == numbers:  # NaN only for a missing cell
-            return values
     except ValueError:  # not a number: an ordinal level label, or a bad cell
-        pass
-    # keeps ordinal labels as text, and raises for any other bad cell
-    return np.array([_parse_cell(c, col, r) for r, c in enumerate(cells, start)], dtype=object)
+        return None
+    numbers = len(cells) - sum(map(cells.count, MISSING_TOKENS))
+    return values if np.count_nonzero(np.isfinite(values)) == numbers else None
 
 
-def _parse_block(records: list[list[str]], start: int,
-                 fields: list[tuple[int, ColumnDescriptor]], columns: list[list]) -> None:
-    """Parse a block of rows, numbered from ``start``, a column at a time, and add
-    one part to each of ``columns``.
-
-    On a bad cell the block is parsed again a row at a time, so that the fault
-    named is the first in row order.
-    """
-    by_pos = tuple(zip(*records))
+def _number_or_text(text: str) -> float | str:
     try:
-        parts = [_parse_column(by_pos[pos], col, start) for pos, col in fields]
-    except DataError:
-        for row_idx, record in enumerate(records, start):
-            for pos, col in fields:
-                _parse_cell(record[pos], col, row_idx)
-        raise
-    for parts_of, part in zip(columns, parts):
-        parts_of.append(part)
+        value = float(text)
+    except ValueError:
+        return text
+    return value if math.isfinite(value) else text
+
+
+def _code_block(records: list[list[str]], start: int, fields: list[tuple[int, ColumnDescriptor]],
+                seen: list[dict], columns: list[list]) -> None:
+    """Code a block of rows, numbered from ``start``, and add one float64 part to
+    each of ``columns``; the first faulty cell in row order, then schema order,
+    raises.
+
+    A numeric-valued column of finite numbers and missing cells takes one pass.
+    Any other goes to ``_column`` with None for a missing cell and, in a
+    numeric-valued column, a float for a finite number's text.
+    """
+    by_pos, faults = tuple(zip(*records)), []
+    for (pos, col), codes, parts in zip(fields, seen, columns):
+        numeric = col.is_numeric_valued()
+        values = _floats(by_pos[pos]) if numeric else None
+        if values is None:
+            cells = [None if c in MISSING_TOKENS else _number_or_text(c) if numeric else c
+                     for c in by_pos[pos]]
+            values = _column(cells, col, faults, start, codes)
+        parts.append(values)
+    _raise_first(faults)
 
 
 def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
     """Parse a UTF-8 comma-separated file, with or without a BOM, against the schema.
 
     The header must contain exactly the schema's column names, in any order.
-    Empty cells and the literal "NA" are missing. Rows are parsed a column at
-    a time, in blocks of ``_BLOCK_ROWS``; a fault names the first bad cell or
-    row in row order. An ordinal label or categorical level becomes its code
-    as the table is built, so an unknown one is named after any such fault.
+    Empty cells and the literal "NA" are missing. Rows are coded a column at a
+    time, in blocks of ``_BLOCK_ROWS``, as ``RawTable`` codes a hand-built
+    table, where text in a numeric-valued column is a number if it is one and
+    finite; a fault names the first bad cell or row in row order.
     """
     cols = validate_schema(schema)
     path = Path(path)
-    columns: list[list] = [[np.empty(0)] for _ in cols]  # each column's parsed blocks
+    columns: list[list] = [[np.empty(0)] for _ in cols]  # each column's coded blocks
+    seen = [{None: None} for _ in cols]  # each identifier column's first-seen codes
     block, start, fault = [], 0, None
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -276,7 +282,7 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
                     break
                 block.append(record)
                 if len(block) == _BLOCK_ROWS:
-                    _parse_block(block, start, fields, columns)
+                    _code_block(block, start, fields, seen, columns)
                     block, start = [], row_idx + 1
     except UnicodeDecodeError as exc:
         fault = DataError(f"{path}: not valid UTF-8: {exc}")
@@ -284,8 +290,8 @@ def load_csv(path: str | Path, schema: Sequence[ColumnDescriptor]) -> RawTable:
         fault = DataError(f"cannot read {path}: {exc.strerror}")
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         fault = DataError(f"{path}: line {reader.line_num}: {exc}")
-    if block:  # parsed before a read fault is raised, so an earlier bad cell is named first
-        _parse_block(block, start, fields, columns)
+    if block:  # coded before a read fault is raised, so an earlier bad cell is named first
+        _code_block(block, start, fields, seen, columns)
     if fault is not None:
         raise fault
     return RawTable(cols, [np.concatenate(parts) for parts in columns])
@@ -313,7 +319,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     if not 0.0 <= max_missing_frac <= 1.0:
         raise ConfigError(f"max_missing_frac must be in [0, 1], got {max_missing_frac}")
     schema = list(table.schema)
-    columns = list(table.columns)
+    columns, rows = list(table.columns), table.rows
     report = CleaningReport()
 
     def attribute_indices() -> list[int]:
@@ -334,7 +340,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
         if len(keep) < len(key):
             report.duplicates_removed += len(key) - len(keep)
             changed = True
-            columns = [c[keep] for c in columns]
+            columns, rows = [c[keep] for c in columns], rows[keep]
             codes = {i: c[keep] for i, c in codes.items()}
         # constant and over-missing columns
         drop: dict[int, str] = {}
@@ -355,7 +361,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
         if not attribute_indices():
             raise DataError("cleaning dropped every input-attribute column")
 
-    return RawTable(schema, columns), report
+    return RawTable(schema, columns, rows), report
 
 
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
@@ -444,7 +450,7 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     for k, j in enumerate(numeric):
         if missing[:, k].any():
             columns[j] = np.where(missing[:, k], x[:, k] + col_means[k], table.columns[j])
-    return RawTable(table.schema, columns)
+    return RawTable(table.schema, columns, table.rows)
 
 
 @dataclass(frozen=True)
@@ -618,10 +624,10 @@ def apply_standardizer(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
 
 
 def _numbers(table: RawTable, j: int) -> np.ndarray:
-    """Column ``j``; its first missing cell raises DataError."""
+    """Column ``j``; its first missing cell raises DataError naming its input row."""
     missing = np.flatnonzero(np.isnan(table.columns[j]))
     if missing.size:
-        raise DataError(f"row {missing[0]}, column {table.schema[j].name!r}: "
+        raise DataError(f"row {table.rows[missing[0]]}, column {table.schema[j].name!r}: "
                         "missing value; impute before transforming")
     return table.columns[j]
 
@@ -636,7 +642,8 @@ def transform(table: RawTable) -> Dataset:
     population statistics. Features with std below 1e-12 are set identically
     to 0 and recorded with std = 1. A feature that overflows the float range,
     or whose mean or std does, a class label more than 1e-9 from an integer
-    and a class label outside [0, num_classes) raise DataError.
+    and a class label outside [0, num_classes) raise DataError. A missing
+    cell or a bad class label is named at its row in ``table.rows``.
     """
     n = table.n_rows
     if n == 0:
@@ -694,13 +701,13 @@ def transform(table: RawTable) -> Dataset:
             with np.errstate(invalid="ignore"):  # inf - inf: an infinite label is refused below
                 off = np.flatnonzero(np.abs(values - rounded) > 1e-9)
             if off.size:
-                raise DataError(f"row {off[0]}, column {col.name!r}: class label "
+                raise DataError(f"row {table.rows[off[0]]}, column {col.name!r}: class label "
                                 f"{float(values[off[0]])!r} is not an integer")
             # an undeclared class count is inferred; 2**53 keeps the cast exact
             bound = col.num_classes if col.num_classes is not None else 2**53
             bad = np.flatnonzero((rounded < 0) | (rounded >= bound))
             if bad.size:
-                raise DataError(f"row {bad[0]}, column {col.name!r}: class label "
+                raise DataError(f"row {table.rows[bad[0]]}, column {col.name!r}: class label "
                                 f"{float(values[bad[0]])!r} not in [0, {bound})")
             labels = rounded.astype(np.int64)
             k = col.num_classes if col.num_classes is not None else int(labels.max()) + 1
@@ -846,18 +853,29 @@ def save_schema(schema: Sequence[ColumnDescriptor], path: str | Path) -> None:
     Path(path).write_text(json.dumps(schema_to_json(schema), indent=2) + "\n")
 
 
-def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:
-    """Read a schema file written by ``save_schema``; any fault names the file."""
+def read_json(path: str | Path, kind: str, parse):
+    """``parse`` of the UTF-8 JSON document in ``path``, a ``kind`` file.
+
+    Any fault, in reading the file or in ``parse``, raises ConfigError naming
+    the file.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"cannot read schema file {path}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read {kind} file {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise ConfigError(f"{kind} file {path}: invalid JSON: {exc}") from None
     try:
-        return schema_from_json(doc)
+        return parse(doc)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{kind} file {path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # a malformed document
+        raise ConfigError(f"{kind} file {path}: {exc!r}") from None
+
+
+def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:
+    """Read a schema file written by ``save_schema``; any fault names the file."""
+    return read_json(path, "schema", schema_from_json)
 
 
 def dataset_schema(dataset: Dataset) -> tuple[ColumnDescriptor, ...]:

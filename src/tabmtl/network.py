@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION
+from .dataset import CLASSIFICATION, REGRESSION, read_json
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -769,13 +769,4 @@ def save_model(state: ModelState, path: str | Path, normalization_stats: dict | 
 
 def load_model(path: str | Path) -> tuple[ModelState, dict | None]:
     """Read a model file written by ``save_model``; any fault names the file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
-    try:
-        return model_from_dict(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"model file {path}: {exc}") from None
+    return read_json(path, "model", model_from_dict)

@@ -23,6 +23,7 @@ from .dataset import (
     Dataset,
     NormalizationStats,
     OutcomeVector,
+    read_json,
 )
 from .errors import ConfigError, DataError
 
@@ -130,18 +131,7 @@ def save_truth(truth: GroundTruth, path: str | Path) -> None:
 
 def load_truth(path: str | Path) -> GroundTruth:
     """Read a truth file written by ``save_truth``; any fault names the file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"cannot read truth file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        return GroundTruth.from_dict(doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{path}: malformed truth document: {exc!r}") from None
+    return read_json(path, "truth", GroundTruth.from_dict)
 
 
 def _draw_weights(rng: np.random.Generator, config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:

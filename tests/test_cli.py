@@ -275,6 +275,27 @@ class TestPreprocess:
                 in result.stderr)
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("last, named", [
+        ("5,,0", "row 5, column 'site': missing value; impute before transforming"),
+        ("5,n,0.5", "row 5, column 'y': class label 0.5 is not an integer"),
+    ], ids=["missing_level", "fractional_label"])
+    def test_fault_found_after_cleaning_names_its_csv_row(self, tmp_path, last, named):
+        # data row 1 duplicates row 0: these faults used to be named at their
+        # row in the cleaned table, row 4
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        data.write_text(f"a,site,y\n1,n,0\n1,n,0\n2,s,1\n3,n,0\n4,s,1\n{last}\n")
+        schema.write_text(json.dumps([
+            {"name": "a", "kind": "numeric"},
+            {"name": "site", "kind": "categorical", "params": {"levels": ["n", "s"]}},
+            {"name": "y", "kind": "outcome",
+             "params": {"task_index": 0, "task": "classification", "num_classes": 2}},
+        ]))
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from tabmtl import dataset as dataset_module
 from tabmtl.dataset import (
     MICE_RIDGE,
+    MISSING_TOKENS,
     ColumnDescriptor,
     Dataset,
     NormalizationStats,
@@ -36,6 +37,8 @@ from tabmtl.dataset import (
     write_dataset_csv,
 )
 from tabmtl.errors import ConfigError, DataError
+from tabmtl.network import load_model
+from tabmtl.synth import load_truth
 
 NUM_A = ColumnDescriptor("a", "numeric")
 NUM_B = ColumnDescriptor("b", "numeric")
@@ -84,6 +87,18 @@ class TestRawTable:
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(DataError, match="unequal lengths"):
             RawTable((NUM_A, NUM_B, OUT_CLS), ([1.0, 2.0], [3.0], [0.0, 1.0]))
+
+    def test_rows_keep_the_input_row_numbers_through_clean_and_mice(self):
+        # input rows 10 and 11 agree on every input attribute
+        table = RawTable((NUM_A, NUM_B, OUT_REG),
+                         ([1.0, 1.0, 2.0, 3.0], [5.0, 5.0, None, 4.0], [0.0, 1.0, 2.0, 3.0]),
+                         rows=[10, 11, 12, 13])
+        assert RawTable(table.schema, table.columns).rows.tolist() == [0, 1, 2, 3]
+        cleaned, _ = clean(table)
+        assert cleaned.rows.tolist() == [10, 12, 13]
+        assert mice_impute(cleaned).rows.tolist() == [10, 12, 13]
+        with pytest.raises(DataError, match="^3 row numbers for 4 rows$"):
+            RawTable(table.schema, table.columns, [0, 1, 2])
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -190,24 +205,42 @@ class TestRawTable:
 
 
 def reference_load_csv(path, schema):
-    """The per-cell loop that load_csv's block parser replaced: each row in turn,
-    each cell of it through ``_parse_cell``. Expects a header that matches the schema."""
+    """A per-cell loop for load_csv: each row in turn, each cell of it parsed
+    alone. The rows read before a read fault make a RawTable, so a bad cell among
+    them is named first; then that fault is raised. Expects a header that
+    matches the schema."""
+
+    def parse(text, col):
+        """None if missing, a float if a numeric-valued column's text is a finite
+        number, else the text for RawTable to code or refuse."""
+        if text in MISSING_TOKENS:
+            return None
+        try:
+            value = float(text)
+        except ValueError:
+            return text
+        return value if col.is_numeric_valued() and math.isfinite(value) else text
+
     cols = validate_schema(schema)
+    columns, fault = [[] for _ in cols], None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            fields = [(header.index(c.name), c, []) for c in cols]
             for row_idx, record in enumerate(reader):
                 if len(record) != len(header):
-                    raise DataError(
+                    fault = DataError(
                         f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
                     )
-                for pos, col, column in fields:
-                    column.append(dataset_module._parse_cell(record[pos], col, row_idx))
+                    break
+                for col, column in zip(cols, columns):
+                    column.append(parse(record[header.index(col.name)], col))
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from None
-    return RawTable(cols, [column for _, _, column in fields])
+        fault = DataError(f"{path}: not valid UTF-8: {exc}")
+    table = RawTable(cols, columns)
+    if fault is not None:
+        raise fault
+    return table
 
 
 class TestLoadCsv:
@@ -238,7 +271,7 @@ class TestLoadCsv:
 
     def test_nonfinite_rejected(self, tmp_path):
         path = write(tmp_path, "a,b,label\ninf,2.0,1\n")
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match=r"^row 0, column 'a': value 'inf' is not a finite number$"):
             load_csv(path, (NUM_A, NUM_B, OUT_CLS))
 
     def test_categorical_cells_become_level_indices(self, tmp_path):
@@ -266,7 +299,7 @@ class TestLoadCsv:
         rows = ["1,2,0"] * 7
         rows[2], rows[5] = "1,oops,0", "1,2"
         path = write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DataError, match=r"^row 2, column 'b': cannot parse 'oops'"):
+        with pytest.raises(DataError, match=r"^row 2, column 'b': value 'oops' is not a finite number$"):
             load_csv(path, (NUM_A, NUM_B, OUT_CLS))
 
     @pytest.mark.parametrize("block_rows", [1, 3, 64])
@@ -283,8 +316,17 @@ class TestLoadCsv:
         rows = ["1,2,0"] * 7
         rows[4], rows[5] = "1,-Infinity,0", "x,2,0"
         path = write(tmp_path, "a,b,label\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DataError, match=r"^row 4, column 'b': non-finite value '-Infinity'"):
+        with pytest.raises(DataError, match=r"^row 4, column 'b': value '-Infinity' is not a finite number$"):
             load_csv(path, (NUM_A, NUM_B, OUT_CLS))
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_unknown_label_named_before_a_later_bad_number(self, tmp_path, monkeypatch, block_rows):
+        # the grade used to be checked only after every cell had parsed as a number
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", block_rows)
+        grade = ColumnDescriptor("grade", "ordinal", mapping={"low": 0, "high": 1})
+        path = write(tmp_path, "a,grade,label\n1,low,0\n1,zz,1\n2,high,0\noops,low,1\n")
+        with pytest.raises(DataError, match=r"^row 1, column 'grade': value 'zz' not in ordinal mapping$"):
+            load_csv(path, (NUM_A, grade, OUT_CLS))
 
     def test_bad_cell_named_before_a_later_invalid_byte(self, tmp_path):
         # past the text decoder's first chunk, so the rows before the byte are read first
@@ -308,6 +350,14 @@ class TestLoadCsv:
         column = load_csv(path, (grade, OUT_CLS)).columns[0]
         assert column.dtype == np.float64
         np.testing.assert_array_equal(column, [1.0, np.nan, 0.0, np.nan])
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 64])
+    def test_identifier_codes_continue_across_blocks(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", block_rows)
+        ident = ColumnDescriptor("id", "identifier")
+        path = write(tmp_path, "id,label\np1,0\np2,1\np1,0\nNA,1\np3,0\np2,1\n")
+        column = load_csv(path, (ident, OUT_CLS)).columns[0]
+        np.testing.assert_array_equal(column, [0.0, 1.0, 0.0, np.nan, 2.0, 1.0])
 
     @pytest.mark.parametrize("block_rows", [1, 3, 64])
     @settings(max_examples=120, deadline=None)
@@ -354,8 +404,7 @@ class TestLoadCsv:
                 table = load(path, schema)
             except DataError as exc:
                 return str(exc)
-            return [(c.dtype.str, c.tolist() if c.dtype == object else c.tobytes())
-                    for c in table.columns]
+            return [(c.dtype.str, c.tobytes()) for c in table.columns]
 
         with mock.patch.object(dataset_module, "_BLOCK_ROWS", block_rows):
             assert outcome(load_csv) == outcome(reference_load_csv)
@@ -587,7 +636,7 @@ class TestMice:
 
     def test_non_numeric_column_rejected(self):
         # a numeric-kind column holding text, as only a hand-built table can
-        with pytest.raises(DataError, match="non-numeric value 'x'"):
+        with pytest.raises(DataError, match=r"^row 1, column 'b': value 'x' is not a finite number$"):
             RawTable((NUM_A, NUM_B), ([1.0, None, 3.0], [1.0, "x", 2.0]))
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
@@ -933,6 +982,20 @@ class TestSchemaJson:
                 {"name": "y", "kind": "outcome",
                  "params": {"task_index": 1, "task": "regression"}},
             ])
+
+
+@pytest.mark.parametrize("kind, load", [("schema", load_schema), ("model", load_model),
+                                        ("truth", load_truth)])
+@pytest.mark.parametrize("content", [None, "directory", b"{", b"[1, 2]"],
+                         ids=["missing", "directory", "invalid_json", "malformed"])
+def test_json_file_faults_name_the_file(tmp_path, kind, load, content):
+    path = tmp_path / f"{kind}.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"{kind} file {re.escape(str(path))}"):
+        load(path)
 
 
 def reference_write_dataset_csv(dataset, path):

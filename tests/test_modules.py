@@ -1,5 +1,6 @@
-"""Module boundaries: no module reaches into a sibling's private names, and
-each module-level constant is assigned in one module only."""
+"""Module boundaries: no module reaches into a sibling's private names, each
+module-level constant is assigned in one module only, and one function parses
+JSON."""
 
 import ast
 from collections import defaultdict
@@ -76,3 +77,38 @@ def test_the_check_sees_a_constant_assigned_twice(tmp_path):
     (tmp_path / "a.py").write_text("KIND = 'x'\nA, (B, _c) = 1, (2, 3)\nlower = 1\n")
     (tmp_path / "b.py").write_text("from .a import KIND\nB: int = 2\nlower = 1\n")
     assert _assigned_twice([tmp_path / "a.py", tmp_path / "b.py"]) == {"B": ["a", "b"]}
+
+
+def _json_loads_uses(path: Path) -> list[str]:
+    """Where a module uses ``json.loads``: the qualified name of the enclosing
+    function or class, or the module's name at its top level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "loads"
+                    and isinstance(child.value, ast.Name) and child.value.id == "json") or (
+                    isinstance(child, ast.ImportFrom) and child.module == "json"
+                    and any(a.name == "loads" for a in child.names)):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_json_loads_is_used_in_one_function():
+    # every JSON file is read through it, so each names its file on any fault
+    uses = {use for path in sorted(PACKAGE.glob("*.py")) for use in _json_loads_uses(path)}
+    assert uses == {"dataset.read_json"}
+
+
+def test_the_check_sees_every_json_loads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\nfrom json import dumps, loads\nDOC = json.loads('1')\n"
+                     "class Doc:\n    def read(s):\n        def inner():\n"
+                     "            return json.loads(s)\n        return inner, json.dumps(s)\n")
+    assert _json_loads_uses(probe) == ["probe", "probe", "probe.Doc.read.inner"]
