@@ -17,7 +17,7 @@ space = SearchSpace(
     primary_task="task_a",
     seed=0,
 )
-print(f"grid size: {space.n_combinations()} configurations")
+print(f"grid size: {len(space.grid())} configurations")
 
 result = grid_search(dataset, space, k=3)
 

@@ -31,7 +31,6 @@ from .dataset import (
     CLASSIFICATION,
     CleaningReport,
     Dataset,
-    NormalizationStats,
     apply_standardizer,
     dataset_schema,
     load_csv,
@@ -41,7 +40,7 @@ from .dataset import (
     write_dataset_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, TabmtlError
-from .network import LossWeights, load_model, save_model
+from .network import LossWeights, load_model, save_model, stats_record
 from .synth import SynthConfig, generate, save_truth
 from .train import (
     GRID_AXES,
@@ -135,33 +134,6 @@ def _train_config(dataset: Dataset, args) -> TrainConfig:
                        **{name: getattr(args, name) for name in TRAIN_OPTIONS})
 
 
-def _stats_dict(dataset: Dataset) -> dict:
-    return {"feature_names": list(dataset.feature_names), **dataset.normalization_stats.to_dict()}
-
-
-def _scaled_by_model(dataset: Dataset, path, stats: dict) -> Dataset:
-    """The dataset z-scored with the mean and std a model file records, not its own."""
-    arrays = []
-    for key in ("mean", "std"):
-        values = stats.get(key)
-        # type() rules out bools; the bound rules out NaN, infinities and huge integers
-        if not (isinstance(values, list) and len(values) == dataset.n_features
-                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                        for v in values)):
-            raise ConfigError(f"model file {path}: normalization_stats {key!r} must be "
-                              f"a list of {dataset.n_features} finite numbers")
-        arrays.append(np.array(values, dtype=np.float64))
-    if np.any(arrays[1] <= 0):
-        raise ConfigError(f"model file {path}: normalization_stats 'std' must be > 0")
-    model_stats = NormalizationStats(*arrays)
-    with np.errstate(over="ignore"):
-        features = apply_standardizer(dataset.raw_features(), model_stats)
-    if not np.all(np.isfinite(features)):
-        raise ConfigError(f"model file {path}: normalization_stats scale this data's "
-                          "features beyond the float range")
-    return Dataset(features, dataset.feature_names, dataset.outcomes, model_stats)
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -184,7 +156,7 @@ def cmd_preprocess(args) -> tuple[dict, str]:
         "dataset.csv": lambda path: write_dataset_csv(dataset, path),
         "dataset_schema.json": lambda path: save_schema(dataset_schema(dataset), path),
         "cleaning_report.json": report.to_dict(),
-        "normalization.json": _stats_dict(dataset),
+        "normalization.json": stats_record(dataset.feature_names, dataset.normalization_stats),
     }
     return outputs, (f"wrote model-ready table ({dataset.n_rows} rows, "
                      f"{dataset.n_features} features), "
@@ -197,7 +169,8 @@ def cmd_train(args) -> tuple[dict, str]:
     config = _train_config(dataset, args)
     result = train_model(dataset, config)
     outputs = {
-        "model.json": lambda path: save_model(result.state, path, _stats_dict(dataset)),
+        "model.json": lambda path: save_model(result.state, path, dataset.feature_names,
+                                              dataset.normalization_stats),
         "history.json": result.history,
         "train_metrics.json": evaluate(result.state, dataset),
     }
@@ -233,14 +206,17 @@ def cmd_attribute(args) -> tuple[dict, str]:
     if args.top_k < 1:  # checked before the data and the model are read
         raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     dataset, _ = _load_dataset(args)
-    state, stats = load_model(args.model)
-    if stats is None:
-        raise ConfigError(f"model file {args.model} has no normalization_stats, so this data "
-                          "cannot be scaled as the training data was; save the model with "
-                          "its stats or retrain it with `tabmtl train`")
-    if stats.get("feature_names") != list(dataset.feature_names):
-        raise ConfigError("model was trained on different features than this data produces")
-    dataset = _scaled_by_model(dataset, args.model, stats)
+    state, feature_names, stats = load_model(args.model)
+    if feature_names != dataset.feature_names:
+        raise ConfigError(f"model file {args.model}: the model was trained on different "
+                          "features than this data produces")
+    # z-scored with the mean and std the model records, not the data's own
+    with np.errstate(over="ignore"):
+        features = apply_standardizer(dataset.raw_features(), stats)
+    if not np.all(np.isfinite(features)):
+        raise ConfigError(f"model file {args.model}: normalization_stats scale this data's "
+                          "features beyond the float range")
+    dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
     task_names = list(dataset.task_names())
     if args.task not in task_names:
         raise ConfigError(f"no task named {args.task!r}; tasks are {task_names}")

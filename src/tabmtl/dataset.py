@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -38,14 +40,26 @@ CONSTANT_STD_FLOOR = 1e-12
 MICE_RIDGE = 1e-8
 
 
+# the fields each column kind takes besides its name and kind, in field order
+KIND_PARAMS = {NUMERIC: (), CATEGORICAL: ("levels",), ORDINAL: ("mapping",), TIMESERIES: ("group",),
+               IDENTIFIER: (), OUTCOME: ("task_index", "task", "num_classes")}
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy's included, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ColumnDescriptor:
     """Declares how one raw column is typed and transformed.
 
-    ``kind`` is one of numeric, categorical (with ``levels``), ordinal (with
-    a string-to-number ``mapping``), timeseries (with a ``group`` label),
-    identifier, or outcome (with ``task_index``, ``task`` kind, and
-    ``num_classes`` for classification).
+    ``kind`` is one of numeric, categorical (with string ``levels``), ordinal
+    (with a string-to-number ``mapping``), timeseries (with a ``group`` label),
+    identifier, or outcome (with integer ``task_index``, ``task`` kind, and
+    ``num_classes`` for classification). Fields of other kinds must be None.
     """
 
     name: str
@@ -58,18 +72,29 @@ class ColumnDescriptor:
     num_classes: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"column name must be a string, got {self.name!r}")
+        if not isinstance(self.kind, str) or self.kind not in KIND_PARAMS:
+            raise ConfigError(f"unknown column kind {self.kind!r} for {self.name!r}")
+        for f in fields(self)[2:]:
+            if getattr(self, f.name) is not None and f.name not in KIND_PARAMS[self.kind]:
+                raise ConfigError(f"{self.kind} column {self.name!r} takes no {f.name}")
         if self.kind == CATEGORICAL:
-            if not self.levels:
-                raise ConfigError(f"categorical column {self.name!r} needs non-empty levels")
+            if not (isinstance(self.levels, (list, tuple)) and self.levels
+                    and all(isinstance(v, str) for v in self.levels)):
+                raise ConfigError(f"categorical column {self.name!r} needs non-empty levels, "
+                                  f"a list of strings, got {self.levels!r}")
             object.__setattr__(self, "levels", tuple(self.levels))
             if len(set(self.levels)) != len(self.levels):
                 raise ConfigError(f"categorical column {self.name!r} has duplicate levels")
         elif self.kind == ORDINAL:
-            if not self.mapping:
-                raise ConfigError(f"ordinal column {self.name!r} needs a mapping")
+            if not (isinstance(self.mapping, dict) and self.mapping):
+                raise ConfigError(f"ordinal column {self.name!r} needs a mapping, "
+                                  f"a non-empty object, got {self.mapping!r}")
             for key, value in self.mapping.items():
-                if (isinstance(value, bool) or not isinstance(value, (int, float))
-                        or not math.isfinite(value)):
+                # the bound rules out NaN, the infinities and integers past the float range
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not abs(value) <= sys.float_info.max):
                     raise ConfigError(
                         f"ordinal column {self.name!r}: mapping value for {key!r} "
                         f"is {value!r}, not a finite number"
@@ -80,16 +105,19 @@ class ColumnDescriptor:
             if not self.group or not isinstance(self.group, str):
                 raise ConfigError(f"timeseries column {self.name!r} needs a group name")
         elif self.kind == OUTCOME:
-            if self.task_index is None or self.task_index < 0:
-                raise ConfigError(f"outcome column {self.name!r} needs task_index >= 0")
+            what = f"outcome column {self.name!r}"
+            object.__setattr__(self, "task_index", as_int(self.task_index, f"{what}: task_index"))
+            if self.task_index < 0:
+                raise ConfigError(f"{what} needs task_index >= 0")
             if self.task not in (CLASSIFICATION, REGRESSION):
-                raise ConfigError(
-                    f"outcome column {self.name!r} needs task 'classification' or 'regression'"
-                )
-            if self.task == CLASSIFICATION and self.num_classes is not None and self.num_classes < 2:
-                raise ConfigError(f"outcome column {self.name!r} needs num_classes >= 2")
-        elif self.kind not in (NUMERIC, IDENTIFIER):
-            raise ConfigError(f"unknown column kind {self.kind!r} for {self.name!r}")
+                raise ConfigError(f"{what} needs task 'classification' or 'regression'")
+            if self.num_classes is not None:
+                if self.task != CLASSIFICATION:
+                    raise ConfigError(f"{what}: a regression task takes no num_classes")
+                object.__setattr__(self, "num_classes",
+                                   as_int(self.num_classes, f"{what}: num_classes"))
+                if self.num_classes < 2:
+                    raise ConfigError(f"{what} needs num_classes >= 2")
 
     def is_numeric_valued(self) -> bool:
         return self.kind in _NUMERIC_VALUED
@@ -641,9 +669,10 @@ def transform(table: RawTable) -> Dataset:
     dropped, and every resulting feature is z-score normalized with
     population statistics. Features with std below 1e-12 are set identically
     to 0 and recorded with std = 1. A feature that overflows the float range,
-    or whose mean or std does, a class label more than 1e-9 from an integer
-    and a class label outside [0, num_classes) raise DataError. A missing
-    cell or a bad class label is named at its row in ``table.rows``.
+    or whose mean or std does, a class label more than 1e-9 from an integer,
+    a declared ``num_classes`` above the row count and a class label outside
+    [0, num_classes), or [0, row count) when undeclared, raise DataError. A
+    missing cell or a bad class label is named at its row in ``table.rows``.
     """
     n = table.n_rows
     if n == 0:
@@ -703,8 +732,11 @@ def transform(table: RawTable) -> Dataset:
             if off.size:
                 raise DataError(f"row {table.rows[off[0]]}, column {col.name!r}: class label "
                                 f"{float(values[off[0]])!r} is not an integer")
-            # an undeclared class count is inferred; 2**53 keeps the cast exact
-            bound = col.num_classes if col.num_classes is not None else 2**53
+            # a class count, declared or inferred, is at most the row count
+            if col.num_classes is not None and col.num_classes > n:
+                raise DataError(
+                    f"column {col.name!r}: {col.num_classes} classes for a table of {n} rows")
+            bound = n if col.num_classes is None else col.num_classes
             bad = np.flatnonzero((rounded < 0) | (rounded >= bound))
             if bad.size:
                 raise DataError(f"row {table.rows[bad[0]]}, column {col.name!r}: class label "
@@ -792,60 +824,27 @@ def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
 
 
 def schema_to_json(schema: Sequence[ColumnDescriptor]) -> list[dict]:
-    out = []
-    for c in validate_schema(schema):
-        params: dict = {}
-        if c.kind == CATEGORICAL:
-            params["levels"] = list(c.levels)
-        elif c.kind == ORDINAL:
-            params["mapping"] = dict(c.mapping)
-        elif c.kind == TIMESERIES:
-            params["group"] = c.group
-        elif c.kind == OUTCOME:
-            params["task_index"] = c.task_index
-            params["task"] = c.task
-            if c.task == CLASSIFICATION and c.num_classes is not None:
-                params["num_classes"] = c.num_classes
-        out.append({"name": c.name, "kind": c.kind, "params": params})
-    return out
+    """Each column as ``{"name", "kind", "params"}``, ``params`` its kind's set fields."""
+    return [{"name": c.name, "kind": c.kind,
+             "params": {k: getattr(c, k) for k in KIND_PARAMS[c.kind] if getattr(c, k) is not None}}
+            for c in validate_schema(schema)]
 
 
 def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
+    """The schema of a ``schema_to_json`` document; ``ColumnDescriptor`` checks each field."""
     if not isinstance(doc, list):
         raise ConfigError("schema document must be a JSON array")
     cols = []
     for entry in doc:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and "kind" in entry):
-            raise ConfigError(f"schema entry {entry!r} needs a string 'name' and a 'kind'")
+        if not (isinstance(entry, dict) and "name" in entry and "kind" in entry):
+            raise ConfigError(f"schema entry {entry!r} needs a 'name' and a 'kind'")
         params = entry.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError(f"schema entry {entry['name']!r}: params must be a JSON object")
-        levels = params.get("levels")
-        if levels is not None and not (
-            isinstance(levels, list) and all(isinstance(v, str) for v in levels)
-        ):
-            raise ConfigError(f"schema entry {entry['name']!r}: levels must be a list of strings")
-        for key in ("task_index", "num_classes"):
-            value = params.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(
-                    f"schema entry {entry['name']!r}: {key} must be an integer, got {value!r}")
-        try:
-            cols.append(
-                ColumnDescriptor(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    levels=None if levels is None else tuple(levels),
-                    mapping=params.get("mapping"),
-                    group=params.get("group"),
-                    task_index=params.get("task_index"),
-                    task=params.get("task"),
-                    num_classes=params.get("num_classes"),
-                )
-            )
-        except (TypeError, ValueError, AttributeError) as exc:  # e.g. levels given as a number
-            raise ConfigError(f"schema entry {entry['name']!r}: malformed params: {exc}") from None
+        unknown = sorted(set(params) - {f.name for f in fields(ColumnDescriptor)[2:]})
+        if unknown:
+            raise ConfigError(f"schema entry {entry['name']!r}: unknown params {unknown}")
+        cols.append(ColumnDescriptor(entry["name"], entry["kind"], **params))
     return validate_schema(cols)
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION, read_json
+from .dataset import CLASSIFICATION, REGRESSION, NormalizationStats, as_int, read_json
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -36,9 +36,9 @@ class HeadSpec:
     num_classes: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
-        if any(w < 1 for w in self.hidden_layers):
-            raise ConfigError(f"head hidden widths must be >= 1, got {self.hidden_layers}")
+        object.__setattr__(self, "hidden_layers",
+                           _widths(self.hidden_layers, "head hidden_layers"))
+        object.__setattr__(self, "num_classes", as_int(self.num_classes, "head num_classes"))
         if self.kind == CLASSIFICATION:
             if self.num_classes < 2:
                 raise ConfigError(f"classification head needs num_classes >= 2, got {self.num_classes}")
@@ -51,6 +51,14 @@ class HeadSpec:
     @property
     def output_dim(self) -> int:
         return self.num_classes if self.kind == CLASSIFICATION else 1
+
+
+def _widths(widths, what: str) -> tuple[int, ...]:
+    """``widths`` as a tuple of ints, each >= 1; else a ConfigError naming ``what``."""
+    widths = tuple(as_int(w, f"{what} width") for w in widths)
+    if any(w < 1 for w in widths):
+        raise ConfigError(f"{what} widths must be >= 1, got {widths}")
+    return widths
 
 
 @dataclass(frozen=True)
@@ -66,12 +74,12 @@ class NetworkTopology:
     heads: tuple[HeadSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "shared_layers", tuple(int(w) for w in self.shared_layers))
+        object.__setattr__(self, "input_dim", as_int(self.input_dim, "topology input_dim"))
+        object.__setattr__(self, "shared_layers",
+                           _widths(self.shared_layers, "topology shared_layers"))
         object.__setattr__(self, "heads", tuple(self.heads))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(w < 1 for w in self.shared_layers):
-            raise ConfigError(f"shared layer widths must be >= 1, got {self.shared_layers}")
         if len(self.heads) < 1:
             raise ConfigError("topology needs at least one head")
 
@@ -130,24 +138,13 @@ class NetworkTopology:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
-        """The topology of a ``to_dict`` document; every size must be a JSON integer."""
+        """The topology of a ``to_dict`` document; the constructors check every size."""
         heads = []
-        for j, h in enumerate(d["heads"]):
-            out = h["output"]
-            kind = out["kind"]
-            num_classes = (_json_int(out.get("num_classes", 2), f"heads[{j}].output.num_classes")
-                           if kind == CLASSIFICATION else 1)
-            hidden = [_json_int(w, f"heads[{j}].hidden_layers") for w in h.get("hidden_layers", ())]
-            heads.append(HeadSpec(tuple(hidden), kind, num_classes))
-        shared = [_json_int(w, "shared_layers") for w in d.get("shared_layers", ())]
-        return cls(_json_int(d["input_dim"], "input_dim"), tuple(shared), tuple(heads))
-
-
-def _json_int(value, field: str) -> int:
-    """``value`` if it is an integer and not a bool, else a ConfigError naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"topology {field} must be an integer, got {value!r}")
-    return value
+        for h in d["heads"]:
+            kind = h["output"]["kind"]
+            num_classes = h["output"].get("num_classes", 2 if kind == CLASSIFICATION else 1)
+            heads.append(HeadSpec(h.get("hidden_layers", ()), kind, num_classes))
+        return cls(d["input_dim"], d.get("shared_layers", ()), heads)
 
 
 @dataclass(frozen=True)
@@ -688,37 +685,63 @@ def output_gradient(
 MODEL_FORMAT_VERSION = 2
 
 
-def model_to_dict(state: ModelState, normalization_stats: dict | None = None) -> dict:
+def stats_record(feature_names: Sequence[str], stats: NormalizationStats) -> dict:
+    """The ``{feature_names, mean, std}`` record of ``normalization.json`` and of a model."""
+    return {"feature_names": list(feature_names), **stats.to_dict()}
+
+
+def model_to_dict(state: ModelState, feature_names: Sequence[str],
+                  stats: NormalizationStats) -> dict:
     """JSON-ready model dict; float values survive the round trip exactly.
 
     ``params`` is the flat vector as one list, in ``topology.param_layout`` order.
     """
-    return _model_doc(state, state.params.flat.tolist(), normalization_stats)
+    return _model_doc(state, state.params.flat.tolist(), feature_names, stats)
 
 
-def _model_doc(state: ModelState, params: list, normalization_stats: dict | None) -> dict:
-    d = {
+def _model_doc(state: ModelState, params: list, feature_names: Sequence[str],
+               stats: NormalizationStats) -> dict:
+    return {
         "version": MODEL_FORMAT_VERSION,
         "topology": state.topology.to_dict(),
         "params": params,
+        "normalization_stats": stats_record(feature_names, stats),
     }
-    if normalization_stats is not None:
-        d["normalization_stats"] = normalization_stats
-    return d
 
 
-def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
-    """Model state and normalization stats from a model dict.
+def _numbers(values, what: str, size: int, where=None) -> np.ndarray:
+    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool;
+    ``where``, given the mask of non-finite values, names the part that holds them."""
+    try:
+        flat = np.array(values)
+    except ValueError:  # lists nested to unequal depths
+        flat = np.array(None)
+    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
+    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, values)):
+        raise ConfigError(f"{what} must be a flat list of numbers")
+    if flat.size != size:
+        raise ConfigError(f"{what} has {flat.size} values, the topology needs {size}")
+    flat = flat.astype(np.float64, copy=False)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise ConfigError(f"{where(bad) if where else what} has non-finite values")
+    return flat
 
-    Parameters enter the program from outside only through here, so they
-    are checked: a flat list of numbers, none of them a boolean, as many as
-    the topology's layout holds, every one finite.
+
+def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:
+    """Model state, feature names and normalization stats from a model dict.
+
+    A model enters the program from outside only through here, so it is
+    checked: ``params`` holds as many numbers as the topology's layout, and
+    ``normalization_stats`` ``input_dim`` feature names, means and stds;
+    every number is finite and none a boolean, and every std is > 0.
     """
     if not isinstance(d, dict):
         raise ConfigError("model document must be a JSON object")
-    for key in ("version", "topology", "params"):
+    for key in ("version", "topology", "params", "normalization_stats"):
         if key not in d:
-            raise ConfigError(f"model document has no {key!r} entry")
+            raise ConfigError(f"model document has no {key!r} entry; "
+                              "retrain the model with `tabmtl train`")
     if d["version"] != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {d['version']!r}; this version "
                           f"reads only version {MODEL_FORMAT_VERSION}, so retrain the model")
@@ -727,37 +750,36 @@ def model_from_dict(d: dict) -> tuple[ModelState, dict | None]:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed topology: {exc!r}") from None
     layout = topo.param_layout
-    try:
-        flat = np.array(d["params"])
-    except ValueError:  # lists nested to unequal depths
-        flat = np.array(None)
-    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
-    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, d["params"])):
-        raise ConfigError("model params must be a flat list of numbers")
-    if flat.size != layout.size:
-        raise ConfigError(f"model params has {flat.size} values, the topology needs {layout.size}")
-    params = ParamVector(layout, flat.astype(np.float64, copy=False))
-    bad = ~np.isfinite(params.flat)
-    if bad.any():
-        name = next(name for name, view in layout.views(bad).items() if view.any())
-        raise ConfigError(f"parameter {name} has non-finite values")
-    stats = d.get("normalization_stats")
-    if stats is not None and not isinstance(stats, dict):
-        raise ConfigError("model normalization_stats must be a JSON object")
-    return ModelState(topo, params), stats
+    params = _numbers(d["params"], "params", layout.size, lambda bad: "parameter " + next(
+        name for name, view in layout.views(bad).items() if view.any()))
+    stats, n = d["normalization_stats"], topo.input_dim
+    if not isinstance(stats, dict):
+        raise ConfigError("normalization_stats must be a JSON object")
+    names = stats.get("feature_names")
+    if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
+        raise ConfigError(
+            f"normalization_stats 'feature_names' must be a list of {n} strings")
+    mean, std = (_numbers(stats.get(key), f"normalization_stats {key!r}", n)
+                 for key in ("mean", "std"))
+    if np.any(std <= 0):
+        raise ConfigError("normalization_stats 'std' must be > 0")
+    return (ModelState(topo, ParamVector(layout, params)), tuple(names),
+            NormalizationStats(mean, std))
 
 
 _SAVE_VALUES = 4096  # parameters encoded at once: one block's text is held, never the model's
 
 
-def save_model(state: ModelState, path: str | Path, normalization_stats: dict | None = None) -> None:
-    """Write ``json.dumps(model_to_dict(state, normalization_stats)) + "\\n"`` to ``path``.
+def save_model(state: ModelState, path: str | Path, feature_names: Sequence[str],
+               stats: NormalizationStats) -> None:
+    """Write ``json.dumps(model_to_dict(state, feature_names, stats)) + "\\n"`` to ``path``.
 
     The parameter list goes to the file ``_SAVE_VALUES`` values at a time,
     each block through the same ``json.dumps``, so the bytes are the same.
     """
     # the topology holds no "params" key, so the first match is the document's own
-    head, _, tail = json.dumps(_model_doc(state, [], normalization_stats)).partition('"params": []')
+    doc = _model_doc(state, [], feature_names, stats)
+    head, _, tail = json.dumps(doc).partition('"params": []')
     flat = state.params.flat
     with open(path, "w") as fh:
         fh.write(head + '"params": [')
@@ -767,6 +789,6 @@ def save_model(state: ModelState, path: str | Path, normalization_stats: dict | 
         fh.write("]" + tail + "\n")
 
 
-def load_model(path: str | Path) -> tuple[ModelState, dict | None]:
+def load_model(path: str | Path) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:
     """Read a model file written by ``save_model``; any fault names the file."""
     return read_json(path, "model", model_from_dict)

@@ -519,9 +519,6 @@ class SearchSpace:
         """Every combination of the axes' values, in the nested order of ``GRID_AXES``."""
         return list(itertools.product(*(getattr(self, name) for name in GRID_AXES)))
 
-    def n_combinations(self) -> int:
-        return math.prod(len(getattr(self, name)) for name in GRID_AXES)
-
 
 @dataclass
 class GridSearchResult:

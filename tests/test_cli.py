@@ -1,18 +1,24 @@
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import itertools
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabmtl.cli import _parse_list, build_parser, main
 from tabmtl.dataset import preprocess_pipeline
@@ -20,11 +26,11 @@ from tabmtl.synth import SynthConfig
 from tabmtl.train import GRID_AXES, SearchSpace, TrainConfig, cross_validate, grid_search
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """The CLI in a subprocess, where a numpy RuntimeWarning is an error as in-process."""
     return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "tabmtl", *map(str, args)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -325,10 +331,9 @@ class TestTrain:
     def test_model_loads_and_has_stats(self, trained_dir):
         from tabmtl.network import load_model
 
-        state, stats = load_model(trained_dir / "model.json")
-        assert stats is not None
+        state, feature_names, stats = load_model(trained_dir / "model.json")
         assert state.topology.num_tasks == 3
-        assert len(stats["feature_names"]) == state.topology.input_dim
+        assert len(feature_names) == len(stats.mean) == state.topology.input_dim
 
     def test_history_has_epochs(self, trained_dir):
         history = json.loads((trained_dir / "history.json").read_text())
@@ -520,7 +525,7 @@ class TestAttribute:
             # the layout of a version-1 file: one nested list per named array
             from tabmtl.network import load_model
 
-            state, _ = load_model(trained_dir / "model.json")
+            state, _, _ = load_model(trained_dir / "model.json")
             doc["params"] = {name: arr.tolist() for name, arr in state.params.items()}
             doc["version"] = 1 if mutate == "version_1" else doc["version"]
             model.write_text(json.dumps(doc, indent=2))
@@ -584,7 +589,7 @@ class TestAttribute:
 
     def test_model_without_normalization_stats_exits_2(self, synth_dir, trained_dir, tmp_path,
                                                        capsys):
-        # what save_model writes when given no stats
+        # what save_model wrote when given no stats
         doc = json.loads((trained_dir / "model.json").read_text())
         del doc["normalization_stats"]
         model = tmp_path / "model.json"
@@ -620,7 +625,7 @@ class TestAttribute:
 
         schema = load_schema(synth_dir / "schema.json")
         training, _ = preprocess_pipeline(load_csv(synth_dir / "data.csv", schema))
-        state, _ = load_model(trained_dir / "model.json")
+        state, _, _ = load_model(trained_dir / "model.json")
         want = grad_cam_features(state, subset_rows(training, picked)).scores
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -674,6 +679,89 @@ class TestReport:
         assert "column 'task_c'" in result.stderr
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_class_count_above_the_row_count_exits_2(synth_dir, tmp_path, command):
+    # was exit 1 ("array is too big") for train, and report counted to 10**18
+    entries = json.loads((synth_dir / "schema.json").read_text())
+    next(e for e in entries if e["name"] == "task_a")["params"]["num_classes"] = 10**18
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(entries))
+    result = run_cli(command, "--data", synth_dir / "data.csv", "--schema", schema,
+                     "--out", tmp_path / "o", timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "column 'task_a'" in result.stderr and "60 rows" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def json_nodes(doc) -> list[tuple]:
+    """The (container, key) of every value inside a JSON document, depth first."""
+    nodes, stack = [], [doc]
+    while stack:
+        container = stack.pop()
+        for key, value in (container.items() if isinstance(container, dict)
+                           else enumerate(container)):
+            nodes.append((container, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+    return nodes
+
+
+JSON_FAULTS = {
+    "wrong type": lambda value: {} if isinstance(value, list) else [value],
+    "bool": lambda value: True,
+    "huge int": lambda value: 10**400,
+    "NaN": lambda value: math.nan,
+    "Infinity": lambda value: -math.inf,
+    "string": lambda value: "1",
+}
+
+
+@pytest.mark.parametrize("target", ["schema", "model"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_schema_or_model_exits_0_or_2_naming_the_fault(synth_dir, trained_dir, target,
+                                                               data):
+    """One fault in a synth schema.json (run through preprocess) or a trained
+    model.json (run through attribute): a deleted key or item, a value of
+    another JSON type, a bool, a huge int, NaN or Infinity, an unknown key,
+    or the file cut short."""
+    source = {"schema": synth_dir / "schema.json", "model": trained_dir / "model.json"}[target]
+    text = source.read_text()
+    doc = json.loads(text)
+    fault = data.draw(st.sampled_from(["delete", "unknown key", "truncate", *JSON_FAULTS]))
+    if fault == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        nodes = json_nodes(doc)
+        container, key = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        if fault == "delete":
+            del container[key]
+        elif fault == "unknown key":
+            holder = container[key] if isinstance(container[key], dict) else container
+            if isinstance(holder, dict):
+                holder["zz"] = 1
+        else:
+            container[key] = JSON_FAULTS[fault](container[key])
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, source.name)
+        path.write_text(text)
+        args = ["--data", str(synth_dir / "data.csv"), "--out", str(Path(tmp, "o"))]
+        if target == "schema":
+            args = ["preprocess", "--schema", str(path), *args]
+        else:
+            args = ["attribute", "--schema", str(synth_dir / "schema.json"), "--model", str(path),
+                    "--task", "task_a", *args]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(args)
+    err = err.getvalue()
+    assert code in (0, 2), err
+    # a schema fault may surface as the CSV's, or as a column's in the table it reads
+    assert code == 0 or any(name in err for name in (str(path), "data.csv", "column '")), err
+    assert "Traceback" not in err
 
 
 def test_closed_stdout_still_exits_0(tmp_path):

@@ -375,11 +375,13 @@ class TestLoadCsv:
         numbers = ["1.5", "-2", "0", "1e3", " 7 ", "", "NA"]
         texts = {
             "identifier": ["p1", "x" * 3000, "", "NA", "1"],  # long cells spread the file
-            "categorical": ["n", "s", "w", "", "NA", "nan"],
-            "ordinal": numbers + ["low", "high", "mid"],
+            "categorical": ["n", "s", "", "NA"],
+            "ordinal": numbers + ["low", "high"],
         }
-        faults = ["oops", "inf", "nan", "-Infinity", "1e999", "1,5"]
-        # no faults, a bad cell in about one of ten, or in about one of six
+        # refused in every column but the identifier: "w" and "nan" are no site
+        # level and "mid" no grade
+        faults = ["oops", "inf", "nan", "-Infinity", "1e999", "1,5", "w", "mid"]
+        # no faults, or a bad cell in about one of eight, or of five
         rate = data.draw(st.sampled_from([0, 1, 2]))
         header = data.draw(st.permutations([c.name for c in schema]))
         kinds = {c.name: c.kind for c in schema}
@@ -797,7 +799,7 @@ class TestTransform:
 
     @pytest.mark.parametrize("labels, named", [
         ([0.0, -1.0, 1.0], "row 1, column 'y': class label -1.0"),
-        # the count is inferred, so only a label the int64 cast cannot keep is refused
+        # the count is inferred, and a label of the row count or more is refused
         ([0.0, 1.0, 1e300], "row 2, column 'y': class label 1e+300"),
     ])
     def test_label_out_of_range_named(self, labels, named):
@@ -982,6 +984,67 @@ class TestSchemaJson:
                 {"name": "y", "kind": "outcome",
                  "params": {"task_index": 1, "task": "regression"}},
             ])
+
+    @pytest.mark.parametrize("name, kind, params, match", [
+        ("a", "numeric", {"levelz": ["x"]}, r"schema entry 'a': unknown params \['levelz'\]"),
+        ("a", "numeric", {"levels": ["x"]}, "numeric column 'a' takes no levels"),
+        ("c", "categorical", {"levels": ["x"], "group": "g"}, "column 'c' takes no group"),
+        ("y", "outcome", {"task_index": 0, "task": "regression", "num_classes": 2},
+         "'y': a regression task takes no num_classes"),
+        ("g", "ordinal", {"mapping": {"low": 10**400}}, "mapping value for 'low'"),
+    ])
+    def test_fields_the_kind_does_not_take_rejected(self, name, kind, params, match):
+        with pytest.raises(ConfigError, match=match):
+            schema_from_json([{"name": name, "kind": kind, "params": params}])
+
+
+# what a schema field might be given: JSON's types and Python's, of every kind
+_ANY = (st.none() | st.booleans() | st.integers(-2, 3) | st.integers(-2, 3).map(np.int64)
+        | st.sampled_from([2.5, 3.0, math.nan, math.inf, 10**400]) | st.text(max_size=2))
+FIELD_VALUES = {
+    "levels": _ANY | st.lists(st.text(max_size=2) | _ANY, max_size=3)
+    | st.lists(st.text(max_size=2), min_size=1, max_size=3).map(tuple),
+    "mapping": _ANY | st.lists(st.text(max_size=2), max_size=2)
+    | st.dictionaries(st.text(max_size=2), _ANY | st.floats(), max_size=3),
+    "group": _ANY | st.lists(st.text(max_size=2), max_size=2),
+    # a lone outcome saves only as task 0
+    "task_index": st.sampled_from([0, np.int64(0), False, 0.0, -1, "0", None]),
+    "task": st.sampled_from(["classification", "regression", "outcome", None]) | _ANY,
+    "num_classes": st.sampled_from([2, 3, np.int64(3), 2.5, 3.0, True, 1, 10**18]) | _ANY,
+}
+
+
+@st.composite
+def column_fields(draw):
+    """A kind, its own fields, and at times one field of another kind."""
+    kind = draw(st.sampled_from(sorted(dataset_module.KIND_PARAMS)) | _ANY)
+    own = dataset_module.KIND_PARAMS.get(kind, ()) if isinstance(kind, str) else ()
+    params = {name: draw(FIELD_VALUES[name]) for name in own}
+    stray = draw(st.none() | st.sampled_from(sorted(FIELD_VALUES)))
+    if stray is not None:
+        params[stray] = draw(FIELD_VALUES[stray])
+    return kind, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(fields=column_fields())
+def test_column_is_refused_or_saves_and_loads_unchanged(tmp_path_factory, fields):
+    """A ColumnDescriptor raises ConfigError, or keeps every value it is given
+    and comes back from its schema file equal, saving the same bytes again."""
+    kind, params = fields
+    try:
+        col = ColumnDescriptor("c", kind, **params)
+    except ConfigError:
+        return
+    for name, value in params.items():
+        assert getattr(col, name) == (tuple(value) if isinstance(value, list) else value)
+    first = tmp_path_factory.getbasetemp() / "column.json"
+    second = tmp_path_factory.getbasetemp() / "column_again.json"
+    save_schema([col], first)
+    loaded = load_schema(first)
+    save_schema(loaded, second)
+    assert loaded == (col,)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("kind, load", [("schema", load_schema), ("model", load_model),

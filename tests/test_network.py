@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tabmtl import network
+from tabmtl.dataset import NormalizationStats
 from tabmtl.errors import ConfigError, DataError
 from tabmtl.network import (
     CLASSIFICATION,
@@ -113,6 +114,28 @@ class TestTopology:
     def test_round_trip_dict(self):
         topo = NetworkTopology(5, (8, 4), (HeadSpec((3,), CLASSIFICATION, 4), REG))
         assert NetworkTopology.from_dict(topo.to_dict()) == topo
+
+    SIZES = st.sampled_from([1, 3, np.int64(2), 2.9, 3.0, True, False, 0, -1, "3", None])
+    WIDTHS = st.lists(SIZES, max_size=2) | st.lists(SIZES, max_size=2).map(tuple) | st.text(
+        "12x", max_size=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(input_dim=SIZES, shared=WIDTHS, heads=st.lists(st.tuples(
+        WIDTHS, st.sampled_from([CLASSIFICATION, REGRESSION, "x"]), SIZES), min_size=1, max_size=2))
+    def test_refused_or_saves_and_loads_unchanged(self, input_dim, shared, heads):
+        """A topology raises ConfigError, or keeps every size it is given and
+        comes back from its JSON text equal, giving the same text again."""
+        try:
+            topo = NetworkTopology(input_dim, shared, tuple(HeadSpec(*h) for h in heads))
+        except ConfigError:
+            return
+        assert topo.input_dim == input_dim and list(topo.shared_layers) == list(shared)
+        for head, (hidden, _, num_classes) in zip(topo.heads, heads):
+            assert list(head.hidden_layers) == list(hidden) and head.num_classes == num_classes
+        text = json.dumps(topo.to_dict())
+        loaded = NetworkTopology.from_dict(json.loads(text))
+        assert loaded == topo
+        assert json.dumps(loaded.to_dict()) == text
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -559,43 +582,57 @@ def saved_models(draw):
     return ModelState(topo, ParamVector(topo.param_layout, flat))
 
 
+def identity_scaling(topology):
+    """Feature names and identity normalization stats for the topology's inputs."""
+    d = topology.input_dim
+    return tuple(f"x{i}" for i in range(d)), NormalizationStats.identity(d)
+
+
+def model_doc(state):
+    return model_to_dict(state, *identity_scaling(state.topology))
+
+
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
         topo = NetworkTopology(4, (3,), (HeadSpec((2,), CLASSIFICATION, 2), REG))
         state = init_params(topo, 42)
-        stats = {"feature_names": ["a", "b", "c", "d"],
-                 "mean": [0.1, -2.5, 0.0, 1e-17],
-                 "std": [1.0, 0.3333333333333333, 2.0, 1.0]}
+        record = {"feature_names": ["a", "b", "c", "d"],
+                  "mean": [0.1, -2.5, 0.0, 1e-17],
+                  "std": [1.0, 0.3333333333333333, 2.0, 1.0]}
+        stats = NormalizationStats(record["mean"], record["std"])
         path = tmp_path / "model.json"
-        save_model(state, path, stats)
-        loaded, loaded_stats = load_model(path)
+        save_model(state, path, ("a", "b", "c", "d"), stats)
+        loaded, loaded_names, loaded_stats = load_model(path)
         assert loaded.topology == topo
         for name in state.params:
             assert np.array_equal(loaded.params[name], state.params[name])
-        assert loaded_stats == stats
+        assert loaded_names == ("a", "b", "c", "d")
+        assert loaded_stats.mean.tolist() == record["mean"]
+        assert loaded_stats.std.tolist() == record["std"]
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")  # one line, no indentation
         doc = json.loads(text)
         assert list(doc) == ["version", "topology", "params", "normalization_stats"]
         assert doc["version"] == 2
         assert doc["params"] == state.params.flat.tolist()
+        assert doc["normalization_stats"] == record
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
     def test_wrong_parameter_count_rejected(self, change):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
         doc["params"] = doc["params"][:change] if change < 0 else doc["params"] + [0.0]
         with pytest.raises(ConfigError, match=f"{3 + change} values.* 3"):
             model_from_dict(doc)
 
     def test_version_checked(self):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
         doc["version"] = 99
         with pytest.raises(ConfigError):
             model_from_dict(doc)
 
     def test_version_1_document_asks_for_retraining(self):
         state = init_params(NetworkTopology(2, (3,), (REG,)), 0)
-        doc = model_to_dict(state)
+        doc = model_doc(state)
         doc["version"] = 1
         doc["params"] = {name: arr.tolist() for name, arr in state.params.items()}
         with pytest.raises(ConfigError, match="version 1.*retrain"):
@@ -603,7 +640,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameter_rejected(self, bad):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
         doc["params"][1] = bad  # head.0.0.W[1][0]
         with pytest.raises(ConfigError, match="head.0.0.W"):
             model_from_dict(doc)
@@ -611,7 +648,7 @@ class TestSerialization:
     def test_non_finite_value_names_its_array(self):
         topo = NetworkTopology(3, (4, 2), (HeadSpec((2,), CLASSIFICATION, 3), REG))
         layout = topo.param_layout
-        doc = model_to_dict(init_params(topo, 0))
+        doc = model_doc(init_params(topo, 0))
         marks = ParamVector(layout, np.arange(layout.size))  # each value's flat index
         for name in layout.names:
             bad = dict(doc, params=list(doc["params"]))
@@ -630,13 +667,13 @@ class TestSerialization:
         ("params", [0.0, True, 0.0]),
     ])
     def test_malformed_entry_rejected(self, key, value):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
         doc[key] = value
         with pytest.raises(ConfigError):
             model_from_dict(doc)
 
     def test_non_numeric_parameter_rejected(self):
-        doc = model_to_dict(init_params(NetworkTopology(2, (), (REG,)), 0))
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
         doc["params"][2] = "x"
         with pytest.raises(ConfigError, match="params"):
             model_from_dict(doc)
@@ -648,32 +685,39 @@ class TestSerialization:
         flat = state.params.flat
         for i in non_finite.draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
             flat[i] = non_finite.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-        stats = non_finite.draw(st.none() | st.just({"feature_names": ['"params": []'],
-                                                     "mean": [1e16], "std": [1e-5]}))
+        d = state.topology.input_dim
+        names = non_finite.draw(st.sampled_from([identity_scaling(state.topology)[0],
+                                                 ('"params": []',) * d]))
+        stats = NormalizationStats(np.full(d, 1e16), np.full(d, 1e-5))
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(network, "_SAVE_VALUES", block):
             path = Path(tmp, "model.json")
-            save_model(state, path, stats)
-            assert path.read_text() == json.dumps(model_to_dict(state, stats)) + "\n"
+            save_model(state, path, names, stats)
+            assert path.read_text() == json.dumps(model_to_dict(state, names, stats)) + "\n"
 
     def test_large_model_saved_in_blocks_within_a_megabyte(self, tmp_path):
-        # 32 blocks of network._SAVE_VALUES values and 5 more
-        state = init_params(NetworkTopology(131_076, (), (REG,)), 0)
+        # 32 blocks of network._SAVE_VALUES values and 5 more, from one input
+        # feature, whose normalization stats are written whole
+        state = init_params(NetworkTopology(1, (43_692,), (REG,)), 0)
         assert state.params.flat.size == 131_077
         path = tmp_path / "model.json"
-        assert traced_peak(save_model, state, path) < 2**20
-        assert path.read_text() == json.dumps(model_to_dict(state)) + "\n"
+        scaling = identity_scaling(state.topology)
+        assert traced_peak(save_model, state, path, *scaling) < 2**20
+        assert path.read_text() == json.dumps(model_to_dict(state, *scaling)) + "\n"
 
     @settings(max_examples=60, deadline=None)
     @given(saved_models())
     def test_save_then_load_is_bitwise_exact(self, state):
         with tempfile.TemporaryDirectory() as tmp:
             first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
-            save_model(state, first)
-            save_model(state, second)
-            loaded, stats = load_model(first)
+            names, stats = identity_scaling(state.topology)
+            save_model(state, first, names, stats)
+            save_model(state, second, names, stats)
+            loaded, loaded_names, loaded_stats = load_model(first)
             assert first.read_bytes() == second.read_bytes()
             assert json.loads(first.read_text())["params"] == state.params.flat.tolist()
         assert loaded.topology == state.topology
         assert loaded.params.flat.tobytes() == state.params.flat.tobytes()
-        assert stats is None
+        assert loaded_names == names
+        assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+        assert loaded_stats.std.tobytes() == stats.std.tobytes()

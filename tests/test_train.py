@@ -287,9 +287,9 @@ class TestGridSearch:
             for epochs in space.epochs_values for lam in space.loss_weight_values
         ]
         assert space.grid() == nested
-        assert len(nested) == space.n_combinations() == 64
+        assert len(space.grid()) == 64
         default = SearchSpace()
-        assert len(default.grid()) == default.n_combinations() == 2 * 2 * 3 * 3 * 3 * 4
+        assert len(default.grid()) == 2 * 2 * 3 * 3 * 3 * 4
 
     def test_grid_axes_are_the_search_space_fields(self):
         space = SearchSpace()
