@@ -114,13 +114,16 @@ def _out_dir(args) -> Path:
 
 def _load_dataset(args) -> tuple[Dataset, CleaningReport]:
     schema = load_schema(args.schema)
-    raw = load_csv(args.data, schema)
-    return preprocess_pipeline(
-        raw,
-        max_missing_frac=args.max_missing_frac,
-        mice_sweeps=args.mice_sweeps,
-        mice_tol=args.mice_tol,
-    )
+    raw = load_csv(args.data, schema)  # a fault names the file, or its row and column
+    try:
+        return preprocess_pipeline(
+            raw,
+            max_missing_frac=args.max_missing_frac,
+            mice_sweeps=args.mice_sweeps,
+            mice_tol=args.mice_tol,
+        )
+    except DataError as exc:  # e.g. every column dropped: no row to name
+        raise DataError(f"{args.data}: {exc}") from None
 
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:

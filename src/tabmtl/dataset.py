@@ -359,25 +359,25 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     changed = True
     while changed:
         changed = False
-        # integer codes, equal exactly where the cells are; missing cells share one
-        codes = {i: np.unique(columns[i], return_inverse=True)[1]
-                 for i, c in enumerate(schema) if c.kind != OUTCOME}
-        # duplicate rows: the first row of each distinct attribute key stays
-        key = np.column_stack([codes[i] for i in attribute_indices()])
-        keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        # duplicate rows: the first row of each distinct attribute key stays. With
+        # one NaN for every NaN and 0.0 for -0.0, cells equal as numbers, or both
+        # missing, are equal as bytes, so a row compares as one void value
+        key = np.column_stack([columns[i] for i in attribute_indices()])
+        key[np.isnan(key)] = np.nan
+        key += 0.0
+        key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        keep = np.sort(np.unique(key, return_index=True)[1])
         if len(keep) < len(key):
             report.duplicates_removed += len(key) - len(keep)
             changed = True
             columns, rows = [c[keep] for c in columns], rows[keep]
-            codes = {i: c[keep] for i, c in codes.items()}
         # constant and over-missing columns
         drop: dict[int, str] = {}
-        for i, col_codes in codes.items():
+        for i in [i for i, c in enumerate(schema) if c.kind != OUTCOME]:
             missing = np.isnan(columns[i])
-            # distinct codes, less the one the missing cells share
-            observed = np.count_nonzero(np.bincount(col_codes)) - bool(missing.any())
-            if observed <= 1:
-                drop[i] = "constant" if observed else "no observed values"
+            observed = columns[i][~missing]
+            if (observed == observed[:1]).all():  # one value, or none
+                drop[i] = "constant" if observed.size else "no observed values"
             elif (frac := int(missing.sum()) / len(keep)) > max_missing_frac:
                 drop[i] = f"missing fraction {frac:.4f} > {max_missing_frac}"
         if drop:
@@ -447,25 +447,25 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
         raise DataError(f"column {name!r}: values too large to impute "
                         "(the column's sum of squares overflows)")
 
-    # each link of the chain fixes a column's missing rows and its predictors
-    # (the intercept and the other columns)
+    # each link of the chain fixes a column's missing rows, its predictors (the intercept
+    # and the other columns) and their normal equations' flat indices into the Gram matrix
     ridge = MICE_RIDGE * np.eye(p)
     chain = []
     incomplete = np.flatnonzero(missing.any(axis=0))
     for k in sorted(incomplete, key=lambda k: (int(missing[:, k].sum()), k)):
         predictors = np.array([0] + [c + 1 for c in range(p) if c != k])
         chain.append((k + 1, np.flatnonzero(missing[:, k]), predictors,
-                      np.ix_(predictors, predictors)))
+                      predictors[:, None] * (p + 1) + predictors, predictors * (p + 1) + k + 1))
 
     # the observed rows' normal equations are the whole design's Gram matrix less
     # the missing rows' part; a link changes only its own column of the design,
     # so only that row and column of the Gram matrix are recomputed
     for _ in range(max_sweeps):
         max_change = 0.0
-        for c, miss_rows, predictors, block in chain:
+        for c, miss_rows, predictors, lhs, rhs in chain:
             d_miss = design[miss_rows]
             g_obs = gram - d_miss.T @ d_miss
-            beta = np.linalg.solve(g_obs[block] + ridge, g_obs[predictors, c])
+            beta = np.linalg.solve(g_obs.take(lhs) + ridge, g_obs.take(rhs))
             preds = d_miss[:, predictors] @ beta
             max_change = max(max_change, float(np.max(np.abs(preds - d_miss[:, c]))))
             design[miss_rows, c] = preds
@@ -838,6 +838,7 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
     for entry in doc:
         if not (isinstance(entry, dict) and "name" in entry and "kind" in entry):
             raise ConfigError(f"schema entry {entry!r} needs a 'name' and a 'kind'")
+        json_object(entry, ("name", "kind", "params"), f"schema entry {entry['name']!r}")
         params = entry.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError(f"schema entry {entry['name']!r}: params must be a JSON object")
@@ -872,6 +873,17 @@ def read_json(path: str | Path, kind: str, parse):
         raise ConfigError(f"{kind} file {path}: {exc!r}") from None
 
 
+def json_object(doc, keys: Sequence[str], what: str) -> dict:
+    """``doc`` if it is a JSON object whose keys are all in ``keys``; else
+    ConfigError naming ``what`` and each unknown key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys {unknown}")
+    return doc
+
+
 def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:
     """Read a schema file written by ``save_schema``; any fault names the file."""
     return read_json(path, "schema", schema_from_json)
@@ -899,23 +911,17 @@ _CSV_BLOCK_ROWS = 64  # rows formatted at once, so the table's text is never hel
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write features and outcomes as CSV; NaN cells become "NA".
 
-    Cells are formatted a column at a time, one block of rows after another,
-    as the ``repr`` of a float or of an integer class label. Only the header
-    goes through ``csv.writer``, since a name may need quoting; no cell does.
+    Cells are formatted a row at a time, one block of rows after another, as
+    the ``repr`` of a float or of an integer class label. Only the header goes
+    through ``csv.writer``, since a name may need quoting; no cell does.
     """
     header = list(dataset.feature_names) + list(dataset.task_names())
-    columns = [*dataset.features.T, *(o.values for o in dataset.outcomes)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
-            cells = [_cell_text(c[start:start + _CSV_BLOCK_ROWS]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-
-
-def _cell_text(block: np.ndarray) -> list[str]:
-    """Each value of a column block as its ``repr``, a NaN as "NA"."""
-    # one C-level repr of the whole list; a number's repr holds no ", "
-    cells = repr(block.tolist())[1:-1].split(", ")
-    if "nan" in cells:  # only a float NaN's repr
-        cells = ["NA" if c == "nan" else c for c in cells]
-    return cells
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            labels = zip(*(o.values[block].tolist() for o in dataset.outcomes))
+            text = "".join(",".join(map(repr, [*row, *y])) + "\r\n"
+                           for row, y in zip(dataset.features[block].tolist(), labels))
+            # only a float NaN's repr holds "nan", and a Dataset holds no inf
+            fh.write(text.replace("nan", "NA"))

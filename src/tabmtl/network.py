@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, REGRESSION, NormalizationStats, as_int, read_json
+from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, json_object,
+                      read_json)
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -139,10 +140,13 @@ class NetworkTopology:
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkTopology":
         """The topology of a ``to_dict`` document; the constructors check every size."""
+        json_object(d, ("input_dim", "shared_layers", "heads"), "topology")
         heads = []
         for h in d["heads"]:
-            kind = h["output"]["kind"]
-            num_classes = h["output"].get("num_classes", 2 if kind == CLASSIFICATION else 1)
+            json_object(h, ("hidden_layers", "output"), "head")
+            output = json_object(h["output"], ("kind", "num_classes"), "head output")
+            kind = output["kind"]
+            num_classes = output.get("num_classes", 2 if kind == CLASSIFICATION else 1)
             heads.append(HeadSpec(h.get("hidden_layers", ()), kind, num_classes))
         return cls(d["input_dim"], d.get("shared_layers", ()), heads)
 
@@ -284,11 +288,18 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
     """Glorot-uniform weights, zero biases; deterministic per seed.
 
     Each weight is drawn uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)),
-    in layout order, from one seeded generator.
+    in layout order, from one seeded generator. A vector too large to
+    allocate raises ConfigError.
     """
     rng = np.random.default_rng(seed)
     layout = topology.param_layout
-    params = ParamVector(layout, np.zeros(layout.size))
+    try:
+        flat = np.zeros(layout.size)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest shape
+        raise ConfigError(f"cannot allocate the model's {layout.size} parameters ({exc}); "
+                          "lower the widths (--trunk, --head, --trunk-widths, "
+                          "--head-widths)") from None
+    params = ParamVector(layout, flat)
     for name, shape, is_bias in layout:
         if not is_bias:
             fan_in, fan_out = shape
@@ -736,8 +747,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     ``normalization_stats`` ``input_dim`` feature names, means and stds;
     every number is finite and none a boolean, and every std is > 0.
     """
-    if not isinstance(d, dict):
-        raise ConfigError("model document must be a JSON object")
+    json_object(d, ("version", "topology", "params", "normalization_stats"), "model document")
     for key in ("version", "topology", "params", "normalization_stats"):
         if key not in d:
             raise ConfigError(f"model document has no {key!r} entry; "
@@ -752,9 +762,8 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     layout = topo.param_layout
     params = _numbers(d["params"], "params", layout.size, lambda bad: "parameter " + next(
         name for name, view in layout.views(bad).items() if view.any()))
-    stats, n = d["normalization_stats"], topo.input_dim
-    if not isinstance(stats, dict):
-        raise ConfigError("normalization_stats must be a JSON object")
+    stats, n = json_object(d["normalization_stats"], ("feature_names", "mean", "std"),
+                           "normalization_stats"), topo.input_dim
     names = stats.get("feature_names")
     if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
         raise ConfigError(

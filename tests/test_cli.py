@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -182,6 +183,20 @@ class TestPreprocess:
         assert result.returncode == 2, result.stderr
         assert str(bad) in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key", ["zz", "parms"])
+    def test_unknown_schema_entry_key_exits_2_naming_it(self, synth_dir, tmp_path, capsys, key):
+        # was ignored: a misspelt "parms" dropped the column's params without a word
+        entries = json.loads((synth_dir / "schema.json").read_text())
+        entry = next(e for e in entries if e["name"] == "task_a")
+        entry[key] = entry.pop("params") if key == "parms" else 1
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(entries))
+        code = main(["preprocess", "--data", str(synth_dir / "data.csv"),
+                     "--schema", str(schema), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"schema file {schema}: schema entry 'task_a': unknown keys [{key!r}]" in err
 
     @pytest.mark.parametrize("column, params", [
         ("grade", {"mapping": {"low": 0, "high": "nan"}}),
@@ -411,6 +426,26 @@ GRID = ["--trunk-depths", "1", "--trunk-widths", "4", "--head-depths", "1",
         "--k", "2"]
 
 
+# each vector is tens of TiB, so its allocation fails at once; a width whose
+# vector could be allocated lazily would page gigabytes in as training runs
+@pytest.mark.parametrize("command, widths", [
+    ("train", ["--trunk", "100000000000"]),
+    ("train", ["--trunk", "8", "--head", "100000000000"]),
+    ("train", ["--trunk", str(10**30)]),  # past numpy's largest shape
+    ("cv", ["--trunk", "100000000000", "--k", "2"]),
+    ("gridsearch", [*GRID[:2], "--trunk-widths", "100000000000", *GRID[4:]]),
+])
+def test_width_too_large_to_allocate_exits_2(synth_dir, tmp_path, capsys, command, widths):
+    # was exit 1: "unexpected error: Unable to allocate 74.9 TiB"
+    code = main([command, "--data", str(synth_dir / "data.csv"),
+                 "--schema", str(synth_dir / "schema.json"), "--out", str(tmp_path / "o"),
+                 "--epochs" if command != "gridsearch" else "--budget", "1", *widths])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert re.search(r"cannot allocate the model's \d{12,} parameters", err), err
+    assert "--trunk" in err and "--head" in err and "--trunk-widths" in err
+
+
 @pytest.mark.parametrize("command, options, named, value", [
     ("train", ["--loss-weights", "1,nan,1"], "loss weights", "nan"),
     ("train", ["--loss-weights", "1,inf,1"], "loss weights", "inf"),
@@ -587,6 +622,26 @@ class TestAttribute:
         if value != "1e-310":
             assert repr(key) in err
 
+    @pytest.mark.parametrize("holder", ["model", "topology", "head", "head output",
+                                        "normalization_stats"])
+    def test_unknown_model_key_exits_2_naming_it(self, synth_dir, trained_dir, tmp_path, capsys,
+                                                 holder):
+        # was ignored, and attribute exited 0
+        doc = json.loads((trained_dir / "model.json").read_text())
+        head = doc["topology"]["heads"][0]
+        {"model": doc, "topology": doc["topology"], "head": head, "head output": head["output"],
+         "normalization_stats": doc["normalization_stats"]}[holder]["zz"] = 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = main([
+            "attribute", "--data", str(synth_dir / "data.csv"),
+            "--schema", str(synth_dir / "schema.json"),
+            "--model", str(model), "--out", str(tmp_path / "o"), "--task", "task_a",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"model file {model}: {holder}" in err and "unknown keys ['zz']" in err
+
     def test_model_without_normalization_stats_exits_2(self, synth_dir, trained_dir, tmp_path,
                                                        capsys):
         # what save_model wrote when given no stats
@@ -762,6 +817,58 @@ def test_fuzzed_schema_or_model_exits_0_or_2_naming_the_fault(synth_dir, trained
     # a schema fault may surface as the CSV's, or as a column's in the table it reads
     assert code == 0 or any(name in err for name in (str(path), "data.csv", "column '")), err
     assert "Traceback" not in err
+
+
+CSV_FAULTS = ["truncate", "drop cell", "extra cell", "invalid UTF-8", "NUL", "non-finite text",
+              "duplicate row", "blank column"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_csv_exits_0_or_2_naming_the_fault(synth_dir, data):
+    """One or two faults in a synth data.csv run through preprocess: the file cut
+    mid-row, a row a cell short or long, an invalid UTF-8 byte or a NUL, ``nan``,
+    ``inf`` or ``1e999`` as a cell, a duplicated row, or a column of blank cells."""
+    header, *rows = (synth_dir / "data.csv").read_bytes().split(b"\r\n")[:-1]
+    rows = [row.split(b",") for row in rows]
+    faults = data.draw(st.lists(st.sampled_from(CSV_FAULTS), min_size=1, max_size=2))
+    for fault in faults:  # a truncation cuts the file's text below
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, len(rows[r]) - 1))
+        if fault == "drop cell":
+            del rows[r][c]
+        elif fault == "extra cell":
+            rows[r].insert(c, b"1")
+        elif fault in ("invalid UTF-8", "NUL"):
+            cell = rows[r][c]
+            at = data.draw(st.integers(0, len(cell)))
+            rows[r][c] = cell[:at] + (b"\xff" if fault == "invalid UTF-8" else b"\0") + cell[at:]
+        elif fault == "non-finite text":
+            rows[r][c] = data.draw(st.sampled_from([b"nan", b"inf", b"-inf", b"1e999", b"NaN"]))
+        elif fault == "duplicate row":
+            rows.insert(data.draw(st.integers(0, len(rows))), list(rows[r]))
+        elif fault == "blank column":
+            blank = data.draw(st.sampled_from([b"", b"NA"]))
+            for row in rows:
+                if c < len(row):
+                    row[c] = blank
+    text = b"\r\n".join([header, *(b",".join(row) for row in rows)]) + b"\r\n"
+    if "truncate" in faults:
+        text = text[:data.draw(st.integers(len(header) + 2, len(text) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "data.csv"), Path(tmp, "o")
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is a fault, here exit 1
+            code = main(["preprocess", "--data", str(path),
+                         "--schema", str(synth_dir / "schema.json"), "--out", str(out)])
+        outputs = [p.read_text() for p in out.glob("*.json")]
+    err = err.getvalue()
+    assert code in (0, 2), err
+    assert code == 0 or str(path) in err or re.search(r"\brow \d+, column '", err), err
+    assert "Traceback" not in err
+    assert not any("NaN" in doc or "Infinity" in doc for doc in outputs)
 
 
 def test_closed_stdout_still_exits_0(tmp_path):

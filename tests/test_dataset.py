@@ -13,6 +13,7 @@ from tabmtl import dataset as dataset_module
 from tabmtl.dataset import (
     MICE_RIDGE,
     MISSING_TOKENS,
+    CleaningReport,
     ColumnDescriptor,
     Dataset,
     NormalizationStats,
@@ -412,6 +413,48 @@ class TestLoadCsv:
             assert outcome(load_csv) == outcome(reference_load_csv)
 
 
+def reference_clean(table, max_missing_frac=0.8):
+    """``clean`` by integer codes: on every pass each non-outcome column is coded
+    by ``np.unique`` (cells equal as numbers share a code, and so do all missing
+    cells), duplicate rows are rows of equal attribute codes, and a column's
+    distinct observed values are its distinct codes less the missing cells' one."""
+    schema, columns, rows = list(table.schema), list(table.columns), table.rows
+    report = CleaningReport()
+
+    def attribute_indices():
+        return [i for i, c in enumerate(schema) if c.kind not in ("outcome", "identifier")]
+
+    changed = True
+    while changed:
+        changed = False
+        codes = {i: np.unique(columns[i], return_inverse=True)[1]
+                 for i, c in enumerate(schema) if c.kind != "outcome"}
+        key = np.column_stack([codes[i] for i in attribute_indices()])
+        keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        if len(keep) < len(key):
+            report.duplicates_removed += len(key) - len(keep)
+            changed = True
+            columns, rows = [c[keep] for c in columns], rows[keep]
+            codes = {i: c[keep] for i, c in codes.items()}
+        drop = {}
+        for i, col_codes in codes.items():
+            missing = np.isnan(columns[i])
+            observed = np.count_nonzero(np.bincount(col_codes)) - bool(missing.any())
+            if observed <= 1:
+                drop[i] = "constant" if observed else "no observed values"
+            elif (frac := int(missing.sum()) / len(keep)) > max_missing_frac:
+                drop[i] = f"missing fraction {frac:.4f} > {max_missing_frac}"
+        if drop:
+            changed = True
+            for i, reason in drop.items():
+                report.dropped_columns.append({"name": schema[i].name, "reason": reason})
+            schema = [c for i, c in enumerate(schema) if i not in drop]
+            columns = [c for i, c in enumerate(columns) if i not in drop]
+        if not attribute_indices():
+            raise DataError("cleaning dropped every input-attribute column")
+    return RawTable(schema, columns, rows), report
+
+
 class TestClean:
     def test_removes_duplicate_rows_on_attributes_only(self):
         # rows 0 and 2 agree on every input attribute, outcome differs
@@ -473,6 +516,37 @@ class TestClean:
         table = RawTable((NUM_A, OUT_CLS), ([1.0, 2.0], [0.0, 1.0]))
         with pytest.raises(ConfigError):
             clean(table, max_missing_frac=1.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference(self, data):
+        """Same schema, report, row numbers and column bytes, or the same DataError,
+        as cleaning by codes. Float64 columns keep each NaN's sign and -0.0, so a
+        row may equal another only as numbers."""
+        zeros_and_nans = [0.0, -0.0, np.nan, -np.nan]
+        pools = {"numeric": zeros_and_nans + [1.0, -2.5], "categorical": zeros_and_nans + [1.0, 2.0],
+                 "identifier": zeros_and_nans + [1.0, 2.0, 3.0], "outcome": [0.0, -0.0, 1.0, 2.0]}
+        kinds = ["numeric"] * data.draw(st.integers(1, 3)) + data.draw(
+            st.lists(st.sampled_from(["numeric", "categorical", "identifier"]), max_size=3))
+        schema = [ColumnDescriptor(f"c{j}", kind, levels=("x", "y", "z") if kind == "categorical" else None)
+                  for j, kind in enumerate(kinds)]
+        schema.insert(data.draw(st.integers(0, len(schema))),
+                      ColumnDescriptor("y", "outcome", task_index=0, task="regression"))
+        n = data.draw(st.integers(0, 12))
+        columns = [np.array(data.draw(st.lists(st.sampled_from(pools[c.kind]), min_size=n, max_size=n)),
+                   dtype=np.float64) for c in schema]
+        table = RawTable(tuple(schema), columns, np.arange(n) + 100)
+        max_missing_frac = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]) | st.floats(0.0, 1.0))
+
+        def outcome(clean_table):
+            try:
+                cleaned, report = clean_table(table, max_missing_frac)
+            except DataError as exc:
+                return str(exc)
+            return (cleaned.schema, report, cleaned.rows.tolist(),
+                    [c.tobytes() for c in cleaned.columns])
+
+        assert outcome(clean) == outcome(reference_clean)
 
     @settings(max_examples=150, deadline=None)
     @given(
