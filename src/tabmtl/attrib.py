@@ -81,15 +81,8 @@ def grad_cam_features(
     check_compatible(topo, dataset)
     if not 0 <= task_index < topo.num_tasks:
         raise ConfigError(f"task_index {task_index} out of range")
-    dataset.require_complete()
-
-    head = topo.heads[task_index]
-    if head.kind == CLASSIFICATION:
-        if target_class is None:
-            target_class = 1
-    elif target_class is not None:
-        raise ConfigError("target_class only applies to classification heads")
-
+    if target_class is None and topo.heads[task_index].kind == CLASSIFICATION:
+        target_class = 1
     grads = input_gradients(state, dataset.features, task_index, target_class)
     return AttributionReport(
         task_name=dataset.task_names()[task_index],

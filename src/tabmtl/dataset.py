@@ -481,6 +481,23 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     return RawTable(table.schema, columns, table.rows)
 
 
+def class_labels(values: np.ndarray, bound: int, where) -> np.ndarray:
+    """The float ``values`` rounded to int64 class labels, if each lies within 1e-9 of
+    an integer in [0, bound). Else DataError naming, by ``where(i)``, the first entry
+    ``i`` (in flat order) off an integer or, if none is, the first one out of range."""
+    labels = np.rint(values)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite label is out of range
+        off = np.flatnonzero(np.abs(values - labels) > 1e-9)
+    if off.size:
+        raise DataError(f"{where(off[0])}: class label {float(values.flat[off[0]])!r} "
+                        "is not an integer")
+    bad = np.flatnonzero(~((labels >= 0) & (labels < bound)))  # NaN is neither
+    if bad.size:
+        raise DataError(f"{where(bad[0])}: class label {float(values.flat[bad[0]])!r} "
+                        f"not in [0, {bound})")
+    return labels.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class OutcomeVector:
     """One task's targets: integer labels for classification, reals for regression."""
@@ -492,13 +509,10 @@ class OutcomeVector:
 
     def __post_init__(self):
         if self.kind == CLASSIFICATION:
-            values = np.asarray(self.values, dtype=np.int64)
             if self.num_classes is None or self.num_classes < 2:
                 raise ConfigError(f"task {self.task_name!r}: num_classes must be >= 2")
-            if values.size and (values.min() < 0 or values.max() >= self.num_classes):
-                raise DataError(
-                    f"task {self.task_name!r}: labels outside [0, {self.num_classes})"
-                )
+            values = class_labels(np.asarray(self.values, dtype=np.float64), self.num_classes,
+                                  lambda i: f"task {self.task_name!r}, row {i}")
         elif self.kind == REGRESSION:
             values = np.asarray(self.values, dtype=np.float64)
             if not np.all(np.isfinite(values)):
@@ -726,22 +740,12 @@ def transform(table: RawTable) -> Dataset:
     for task_index in sorted(outcome_cols):
         col, values = outcome_cols[task_index]
         if col.task == CLASSIFICATION:
-            rounded = np.rint(values)
-            with np.errstate(invalid="ignore"):  # inf - inf: an infinite label is refused below
-                off = np.flatnonzero(np.abs(values - rounded) > 1e-9)
-            if off.size:
-                raise DataError(f"row {table.rows[off[0]]}, column {col.name!r}: class label "
-                                f"{float(values[off[0]])!r} is not an integer")
             # a class count, declared or inferred, is at most the row count
             if col.num_classes is not None and col.num_classes > n:
                 raise DataError(
                     f"column {col.name!r}: {col.num_classes} classes for a table of {n} rows")
-            bound = n if col.num_classes is None else col.num_classes
-            bad = np.flatnonzero((rounded < 0) | (rounded >= bound))
-            if bad.size:
-                raise DataError(f"row {table.rows[bad[0]]}, column {col.name!r}: class label "
-                                f"{float(values[bad[0]])!r} not in [0, {bound})")
-            labels = rounded.astype(np.int64)
+            labels = class_labels(values, n if col.num_classes is None else col.num_classes,
+                                  lambda i: f"row {table.rows[i]}, column {col.name!r}")
             k = col.num_classes if col.num_classes is not None else int(labels.max()) + 1
             if k < 2:
                 raise DataError(f"column {col.name!r}: need at least 2 classes, inferred {k}")
@@ -882,6 +886,25 @@ def json_object(doc, keys: Sequence[str], what: str) -> dict:
     if unknown:
         raise ConfigError(f"{what}: unknown keys {unknown}")
     return doc
+
+
+def json_numbers(values, what: str, size: int, where=None) -> np.ndarray:
+    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool;
+    ``where``, given the mask of non-finite values, names the part that holds them."""
+    try:
+        flat = np.array(values)
+    except ValueError:  # lists nested to unequal depths
+        flat = np.array(None)
+    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
+    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, values)):
+        raise ConfigError(f"{what} must be a flat list of numbers")
+    if flat.size != size:
+        raise ConfigError(f"{what} has {flat.size} values, expected {size}")
+    flat = flat.astype(np.float64, copy=False)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise ConfigError(f"{where(bad) if where else what} has non-finite values")
+    return flat
 
 
 def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:

@@ -84,10 +84,10 @@ def mse_metric(preds, targets) -> float:
     return loss_reg(preds, targets)
 
 
-def classification_metrics(probs: np.ndarray, labels: np.ndarray, positive_class: int = 1) -> dict:
+def classification_metrics(probs: np.ndarray, labels: np.ndarray) -> dict:
     """F1 and AUC for one classification task from predicted probabilities.
 
-    Binary tasks score the designated positive class. Tasks with K > 2 fall
+    Binary tasks score class 1 as the positive class. Tasks with K > 2 fall
     back to macro-averaged one-vs-rest (non-default mode); classes absent from
     ``labels`` are skipped for AUC. AUC is ``None`` when undefined (single
     observed class).
@@ -97,9 +97,9 @@ def classification_metrics(probs: np.ndarray, labels: np.ndarray, positive_class
     k = p.shape[1]
     pred = np.argmax(p, axis=1)
     if k == 2:
-        f1 = f1_score(confusion_counts(pred, y, positive_class))
+        f1 = f1_score(confusion_counts(pred, y))
         try:
-            auc = roc_auc(p[:, positive_class], (y == positive_class).astype(np.int64))
+            auc = roc_auc(p[:, 1], (y == 1).astype(np.int64))
         except DataError:
             auc = None
         return {"f1": f1, "auc": auc}

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, json_object,
-                      read_json)
+from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, class_labels,
+                      json_numbers, json_object, read_json)
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -153,7 +153,10 @@ class NetworkTopology:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Per-task weights of the combined training objective."""
+    """Per-task weights of the combined training objective.
+
+    ``values`` may be any sequence of numbers, a ``LossWeights`` among them.
+    """
 
     values: tuple[float, ...]
 
@@ -172,12 +175,6 @@ class LossWeights:
 
     def scaled(self, c: float) -> "LossWeights":
         return LossWeights(tuple(c * v for v in self.values))
-
-
-def as_loss_weights(weights: LossWeights | Sequence[float]) -> LossWeights:
-    if isinstance(weights, LossWeights):
-        return weights
-    return LossWeights(tuple(weights))
 
 
 class ParamLayout:
@@ -474,31 +471,35 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return loss
 
 
+def _targets(target, n: int, num_classes: int | None, what: str) -> np.ndarray:
+    """A batch's ``n`` targets for one head, ``what``: class labels in [0, num_classes),
+    or reals where ``num_classes`` is None. A wrong shape, an empty batch or a label
+    that is no integer in range raises DataError."""
+    if num_classes is None:
+        y = np.asarray(target, dtype=np.float64).reshape(-1)
+    else:
+        y = np.asarray(target)
+    if y.shape != (n,):
+        raise DataError(f"{what} have shape {y.shape}, expected ({n},)")
+    if n == 0:
+        raise DataError(f"{what}: empty batch")
+    if num_classes is None:
+        return y
+    return class_labels(y, num_classes, lambda i: f"{what}, row {i}")
+
+
 def loss_cls(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class, floored at 1e-12."""
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
     if p.ndim != 2:
         raise DataError(f"probs must be 2-D, got shape {p.shape}")
-    if y.shape != (p.shape[0],):
-        raise DataError(f"labels shape {y.shape} does not match {p.shape[0]} rows")
-    if y.size == 0:
-        raise DataError("empty batch")
-    y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= p.shape[1]:
-        raise DataError(f"label out of range [0, {p.shape[1]})")
-    return float(_nll(p, y))
+    return float(_nll(p, _targets(labels, p.shape[0], p.shape[1], "labels")))
 
 
 def loss_reg(preds: np.ndarray, targets: np.ndarray) -> float:
     """Mean squared error."""
     a = np.asarray(preds, dtype=np.float64).reshape(-1)
-    b = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise DataError(f"length mismatch: {a.shape[0]} predictions vs {b.shape[0]} targets")
-    if a.size == 0:
-        raise DataError("empty batch")
-    return float(_mse(a, b))
+    return float(_mse(a, _targets(targets, a.size, None, "targets")))
 
 
 def batch_losses(
@@ -518,7 +519,7 @@ def batch_losses(
 
 def loss_mtl(task_losses: Sequence[float], weights: LossWeights | Sequence[float]) -> float:
     """Weighted sum of per-task losses."""
-    w = as_loss_weights(weights)
+    w = LossWeights(weights)
     losses = [float(v) for v in task_losses]
     if len(losses) != len(w):
         raise DataError(f"{len(losses)} task losses vs {len(w)} weights")
@@ -541,21 +542,6 @@ def _check_cache(state: ModelState, cache: ForwardCache) -> None:
     for j, head in enumerate(topo.heads):
         if cache.head_out[j].shape[1] != head.output_dim:
             raise DataError(f"cache output width mismatch for head {j}")
-
-
-def _check_targets(head: HeadSpec, j: int, target: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(target)
-    if head.kind == CLASSIFICATION:
-        y = y.astype(np.int64)
-        if y.shape != (n,):
-            raise DataError(f"labels for head {j} have shape {y.shape}, expected ({n},)")
-        if y.min() < 0 or y.max() >= head.num_classes:
-            raise DataError(f"label out of range [0, {head.num_classes}) for head {j}")
-        return y
-    y = y.astype(np.float64).reshape(-1)
-    if y.shape != (n,):
-        raise DataError(f"targets for head {j} have shape {y.shape}, expected ({n},)")
-    return y
 
 
 def _head_output_grad(
@@ -638,12 +624,14 @@ def backward(
     real targets for regression. The trunk gradient is the sum of the
     lambda-scaled back-flows of all heads.
     """
-    w = as_loss_weights(weights)
+    w = LossWeights(weights)
     topo = state.topology
     _check_cache(state, cache)
     if len(targets) != topo.num_tasks or len(w) != topo.num_tasks:
         raise DataError(f"expected {topo.num_tasks} targets and weights")
-    targets = [_check_targets(head, j, y, cache.batch_size)
+    targets = [_targets(y, cache.batch_size,
+                        head.num_classes if head.kind == CLASSIFICATION else None,
+                        f"targets of head {j}")
                for j, (head, y) in enumerate(zip(topo.heads, targets))]
     layout = topo.param_layout
     grads = ParamVector(layout, np.empty(layout.size))
@@ -657,8 +645,9 @@ def input_gradients(
     """Per-sample gradient of one head's raw output w.r.t. the input features.
 
     For classification heads the differentiated quantity is the pre-softmax
-    logit of ``target_class``; for regression heads it is the scalar output.
-    Returns an (N, D) matrix, computed ``ROW_BLOCK`` rows at a time.
+    logit of ``target_class``; for regression heads it is the scalar output,
+    and ``target_class`` must be None. Returns an (N, D) matrix, computed
+    ``ROW_BLOCK`` rows at a time.
     """
     topo = state.topology
     if not 0 <= task_index < topo.num_tasks:
@@ -669,6 +658,8 @@ def input_gradients(
             raise ConfigError("target_class is required for classification heads")
         if not 0 <= target_class < head.num_classes:
             raise ConfigError(f"target_class {target_class} out of range [0, {head.num_classes})")
+    elif target_class is not None:
+        raise ConfigError("target_class only applies to classification heads")
     x = _checked_batch(topo, batch)
     grads = np.empty_like(x)
     for rows in _row_blocks(len(x)):  # no name holds a block's cache into the next block
@@ -720,25 +711,6 @@ def _model_doc(state: ModelState, params: list, feature_names: Sequence[str],
     }
 
 
-def _numbers(values, what: str, size: int, where=None) -> np.ndarray:
-    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool;
-    ``where``, given the mask of non-finite values, names the part that holds them."""
-    try:
-        flat = np.array(values)
-    except ValueError:  # lists nested to unequal depths
-        flat = np.array(None)
-    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
-    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, values)):
-        raise ConfigError(f"{what} must be a flat list of numbers")
-    if flat.size != size:
-        raise ConfigError(f"{what} has {flat.size} values, the topology needs {size}")
-    flat = flat.astype(np.float64, copy=False)
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        raise ConfigError(f"{where(bad) if where else what} has non-finite values")
-    return flat
-
-
 def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:
     """Model state, feature names and normalization stats from a model dict.
 
@@ -760,7 +732,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed topology: {exc!r}") from None
     layout = topo.param_layout
-    params = _numbers(d["params"], "params", layout.size, lambda bad: "parameter " + next(
+    params = json_numbers(d["params"], "params", layout.size, lambda bad: "parameter " + next(
         name for name, view in layout.views(bad).items() if view.any()))
     stats, n = json_object(d["normalization_stats"], ("feature_names", "mean", "std"),
                            "normalization_stats"), topo.input_dim
@@ -768,7 +740,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
         raise ConfigError(
             f"normalization_stats 'feature_names' must be a list of {n} strings")
-    mean, std = (_numbers(stats.get(key), f"normalization_stats {key!r}", n)
+    mean, std = (json_numbers(stats.get(key), f"normalization_stats {key!r}", n)
                  for key in ("mean", "std"))
     if np.any(std <= 0):
         raise ConfigError("normalization_stats 'std' must be > 0")

@@ -23,6 +23,7 @@ from .dataset import (
     Dataset,
     NormalizationStats,
     OutcomeVector,
+    json_numbers,
     read_json,
 )
 from .errors import ConfigError, DataError
@@ -117,10 +118,12 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
+        config = SynthConfig.from_dict(d["config"])
         return cls(
-            SynthConfig.from_dict(d["config"]),
-            np.asarray(d["shared_weights"], dtype=np.float64),
-            np.asarray(d["task_weights"], dtype=np.float64),
+            config,
+            json_numbers(d["shared_weights"], "shared_weights", config.n_features),
+            np.array([json_numbers(row, f"task_weights row {i}", N_TASKS)
+                      for i, row in enumerate(d["task_weights"])]),
             d["thresholds"],
         )
 

@@ -31,7 +31,6 @@ from .network import (
     ModelState,
     NetworkTopology,
     ParamVector,
-    as_loss_weights,
     backward_pass,
     batch_losses,
     forward_pass,
@@ -75,6 +74,8 @@ GRID_AXES = {
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings; ``loss_weights`` becomes a LossWeights, all ones if None."""
+
     topology: NetworkTopology
     loss_weights: LossWeights | None = None
     lr0: float = 1e-2
@@ -89,29 +90,22 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
-            raise ConfigError(f"lr0 must be finite and >= 0, got {self.lr0}")
-        if not 0.0 <= self.lr_min <= self.lr0:
-            raise ConfigError(f"lr_min must be in [0, lr0], got {self.lr_min}")
+        ScheduleConfig(self.lr0, self.lr_min, 1)  # refuses a bad lr0 or lr_min
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.loss_weights is not None:
-            weights = as_loss_weights(self.loss_weights)
-            if len(weights) != self.topology.num_tasks:
-                raise ConfigError(
-                    f"{len(weights)} loss weights for {self.topology.num_tasks} tasks"
-                )
-            object.__setattr__(self, "loss_weights", weights)
-
-    def resolved_weights(self) -> LossWeights:
-        if self.loss_weights is not None:
-            return self.loss_weights
-        return LossWeights((1.0,) * self.topology.num_tasks)
+        n_tasks = self.topology.num_tasks
+        weights = LossWeights((1.0,) * n_tasks if self.loss_weights is None else self.loss_weights)
+        if len(weights) != n_tasks:
+            raise ConfigError(f"{len(weights)} loss weights for {n_tasks} tasks")
+        object.__setattr__(self, "loss_weights", weights)
 
 
 def check_compatible(topology: NetworkTopology, dataset: Dataset) -> None:
+    """Refuse, as ConfigError or DataError, a dataset with missing features or one the
+    topology does not fit: its feature count, task count, head kinds and class counts."""
+    dataset.require_complete()
     if topology.input_dim != dataset.n_features:
         raise ConfigError(
             f"topology expects {topology.input_dim} features, dataset has {dataset.n_features}"
@@ -157,7 +151,6 @@ def train_model(dataset: Dataset, config: TrainConfig) -> TrainResult:
     loss of the first step, or times ``DIVERGENCE_FLOOR`` (1) if that is
     larger.
     """
-    dataset.require_complete()
     check_compatible(config.topology, dataset)
     ((_, result),) = _train_jobs([(dataset, config)])
     return result
@@ -184,7 +177,7 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
                          for c in configs)
     ])
     weight_decay = np.array([c.weight_decay for c in configs])
-    lam = np.array([c.resolved_weights().values for c in configs])
+    lam = np.array([c.loss_weights.values for c in configs])
 
     # the loop owns all its storage: each row of these is one model's flat vector
     layout = topology.param_layout
@@ -272,7 +265,6 @@ def _task_metrics(
 
 def evaluate(state: ModelState, dataset: Dataset) -> dict:
     """Per-task metrics: f1/auc for classification heads, mse for regression."""
-    dataset.require_complete()
     check_compatible(state.topology, dataset)
     return {"tasks": _task_metrics(predict(state, dataset.features), dataset.outcomes)}
 
@@ -471,7 +463,6 @@ def cross_validate(
     results each gets alone; if any diverges, the error raised is the one
     training the folds in order meets first.
     """
-    dataset.require_complete()
     check_compatible(config.topology, dataset)
     (report,) = _cross_validate_cells([_Cell(dataset, _folds(dataset, k, seed), config, seed)])
     return report

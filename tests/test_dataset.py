@@ -755,13 +755,24 @@ class TestMice:
         again = np.column_stack(mice_impute(table).columns[:p])
         assert np.array_equal(again.view(np.uint64), out.view(np.uint64))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_shift_moves_imputations_by_the_constant(self, data):
-        """Adding a constant to a column adds it to the column's imputed cells."""
-        x = draw_incomplete_matrix(data, collinear=False)
-        col = data.draw(st.integers(0, x.shape[1] - 1))
-        shift = data.draw(st.floats(-1e4, 1e4))
+    @staticmethod
+    def assert_shift_moves_imputations(x: np.ndarray, col: int, shift: float) -> None:
+        """Adding ``shift`` to column ``col`` adds it to the column's imputed cells.
+
+        In exact arithmetic centering makes the chain blind to the shift. In
+        floats the shifted column's cells round to the spacing of their
+        magnitude, and so does its mean, the center where its missing cells
+        start: near 1e6 that spacing is 1.2e-10. A chain that has not
+        converged (at ``tol=0`` it runs all 10 sweeps) depends on where its
+        missing cells start, and carries that rounding into them amplified:
+        45-fold, 4.9e-9 of a std of 1.07, in the draw of
+        ``test_shift_of_a_column_1e6_stds_from_0``, and up to 1140-fold over
+        20000 draws of its shape. The textbook chain of ``reference_mice`` on
+        the same two matrices rounds the same way and moves its imputed cells
+        by the same amount, bit for bit in those draws. So the bound is that
+        movement, the rounding's part, plus 1e-9 x std, all of the bound
+        where the shift rounds nothing.
+        """
         shifted = x.copy()
         shifted[:, col] += shift
         before = impute_matrix(x, tol=0.0)
@@ -770,7 +781,23 @@ class TestMice:
         assert np.array_equal(after[observed].view(np.uint64), shifted[observed].view(np.uint64))
         filled = ~observed[:, col]
         moved = after[filled, col] - before[filled, col] - shift
-        assert np.all(np.abs(moved) <= 1e-9 * np.nanstd(x[:, col]))
+        rounding = (reference_mice(shifted, 10) - reference_mice(x, 10))[filled, col] - shift
+        assert np.all(np.abs(moved) <= 1e-9 * np.nanstd(x[:, col]) + np.abs(rounding))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shift_moves_imputations_by_the_constant(self, data):
+        x = draw_incomplete_matrix(data, collinear=False)
+        col = data.draw(st.integers(0, x.shape[1] - 1))
+        self.assert_shift_moves_imputations(x, col, data.draw(st.floats(-1e4, 1e4)))
+
+    def test_shift_of_a_column_1e6_stds_from_0(self):
+        # a draw that fails a bound of 1e-9 x std alone: p=5, n=21, column 2
+        # 1e6 from 0 with std 1.07, a 0.258 mask and a shift of 1.745
+        rng = np.random.default_rng(826)
+        x = rng.normal(size=(21, 5)) + np.array([0.0, 0.0, 1e6, 0.0, 0.0])
+        x[rng.random((21, 5)) < 0.258] = np.nan
+        self.assert_shift_moves_imputations(x, 2, 1.745)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -958,6 +985,15 @@ class TestDataset:
     def test_label_range_checked(self):
         with pytest.raises(DataError):
             OutcomeVector("y", "classification", np.array([0, 2]), 2)
+
+    def test_fractional_label_refused(self):
+        # both were truncated, to classes 0 and 1
+        with pytest.raises(DataError, match="task 'y', row 0: class label 0.7 is not an integer"):
+            OutcomeVector("y", "classification", [0.7, 1.2], 2)
+
+    def test_label_within_1e_9_of_a_class_rounded_to_it(self):
+        labels = OutcomeVector("y", "classification", [1e-10, 1.0 - 1e-10], 2).values
+        assert labels.dtype == np.int64 and labels.tolist() == [0, 1]
 
     def test_require_complete(self):
         x = np.array([[1.0], [np.nan]])

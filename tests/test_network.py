@@ -332,6 +332,16 @@ class TestLosses:
         with pytest.raises(DataError):
             loss_cls(np.array([[0.5, 0.5]]), np.array([2]))
 
+    @pytest.mark.parametrize("label", [0.7, 1.2, 1 - 1e-8, np.nan])
+    def test_loss_cls_refuses_a_fractional_label(self, label):
+        # each was truncated to a class (NaN to an out-of-range one)
+        with pytest.raises(DataError, match="labels, row 0: class label"):
+            loss_cls(np.array([[0.5, 0.5]]), np.array([label]))
+
+    def test_loss_cls_rounds_a_label_within_1e_9_of_a_class(self):
+        probs = np.array([[0.9, 0.1]])
+        assert loss_cls(probs, np.array([1.0 - 1e-10])) == loss_cls(probs, np.array([1]))
+
     def test_loss_reg_hand_value(self):
         assert loss_reg([1.0, 2.0], [2.0, 4.0]) == pytest.approx(2.5)
 
@@ -392,6 +402,20 @@ class TestBackward:
         scaled = backward(state, cache, targets, (0.8 * 3, 1.4 * 3))
         for name in base:
             assert np.allclose(scaled[name], 3.0 * base[name], rtol=1e-12, atol=0)
+
+    def test_empty_batch_refused(self):
+        topo = GRADCHECK_TOPOLOGIES[0]
+        state = init_params(topo, 0)
+        _, cache = forward(state, np.zeros((0, topo.input_dim)))
+        with pytest.raises(DataError, match="targets of head 0: empty batch"):
+            backward(state, cache, [np.zeros(0, dtype=np.int64), np.zeros(0)], (1.0, 1.0))
+
+    def test_fractional_label_refused(self):
+        topo = GRADCHECK_TOPOLOGIES[0]
+        state = init_params(topo, 0)
+        _, cache = forward(state, np.zeros((2, topo.input_dim)))
+        with pytest.raises(DataError, match="targets of head 0, row 1: class label 0.7"):
+            backward(state, cache, [np.array([1.0, 0.7]), np.zeros(2)], (1.0, 1.0))
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # a trunk layer, then a head hidden layer, whose weight and bias are
@@ -460,6 +484,12 @@ class TestInputGradients:
         state = init_params(NetworkTopology(3, (), (CLS2,)), 0)
         with pytest.raises(ConfigError):
             input_gradients(state, np.zeros((2, 3)), 0)
+
+    def test_regression_head_refuses_a_target_class(self):
+        # it was ignored: the scalar output's gradient came back for any class
+        state = init_params(NetworkTopology(3, (), (REG,)), 0)
+        with pytest.raises(ConfigError, match="only applies to classification heads"):
+            input_gradients(state, np.zeros((2, 3)), 0, target_class=0)
 
 
 # the topologies of the `train` goldens (tests/test_golden.py), on their five inputs
