@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASSIFICATION, Dataset
+from .dataset import CLASSIFICATION, Dataset, as_int
 from .errors import ConfigError
 from .network import ModelState, input_gradients
 from .train import check_compatible
@@ -79,9 +79,12 @@ def grad_cam_features(
     """
     topo = state.topology
     check_compatible(topo, dataset)
+    task_index = as_int(task_index, "task_index")
     if not 0 <= task_index < topo.num_tasks:
         raise ConfigError(f"task_index {task_index} out of range")
-    if target_class is None and topo.heads[task_index].kind == CLASSIFICATION:
+    if target_class is not None:
+        target_class = as_int(target_class, "target_class")
+    elif topo.heads[task_index].kind == CLASSIFICATION:
         target_class = 1
     grads = input_gradients(state, dataset.features, task_index, target_class)
     return AttributionReport(

@@ -31,13 +31,13 @@ from .dataset import (
     CLASSIFICATION,
     CleaningReport,
     Dataset,
-    apply_standardizer,
     dataset_schema,
     load_csv,
     load_schema,
     preprocess_pipeline,
     save_schema,
     write_dataset_csv,
+    write_json,
 )
 from .errors import ConfigError, DataError, NumericalError, TabmtlError
 from .network import LossWeights, load_model, save_model, stats_record
@@ -67,10 +67,6 @@ def _parse_list(text: str, kind: type) -> tuple:
         ) from None
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
-
-
 def _write_outputs(out_dir: Path, outputs: dict) -> None:
     """Write each output: a callable writes its own file, a str is text, else JSON."""
     for name, content in outputs.items():
@@ -80,7 +76,7 @@ def _write_outputs(out_dir: Path, outputs: dict) -> None:
         elif isinstance(content, str):
             path.write_text(content + "\n")
         else:
-            _write_json(path, content)
+            write_json(path, content)
 
 
 def _sha256(path: Path) -> str:
@@ -100,7 +96,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace, names, started: flo
         "outputs": {name: _sha256(out_dir / name) for name in names},
         "elapsed_seconds": time.perf_counter() - started,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -213,21 +209,12 @@ def cmd_attribute(args) -> tuple[dict, str]:
     if feature_names != dataset.feature_names:
         raise ConfigError(f"model file {args.model}: the model was trained on different "
                           "features than this data produces")
-    # z-scored with the mean and std the model records, not the data's own
-    with np.errstate(over="ignore"):
-        features = apply_standardizer(dataset.raw_features(), stats)
-    if not np.all(np.isfinite(features)):
-        raise ConfigError(f"model file {args.model}: normalization_stats scale this data's "
-                          "features beyond the float range")
-    dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
-    task_names = list(dataset.task_names())
-    if args.task not in task_names:
-        raise ConfigError(f"no task named {args.task!r}; tasks are {task_names}")
-    report = grad_cam_features(
-        state, dataset,
-        task_index=task_names.index(args.task),
-        target_class=args.target_class,
-    )
+    try:  # z-scored with the mean and std the model records, not the data's own
+        dataset = dataset.rescaled(stats)
+    except DataError as exc:
+        raise ConfigError(f"model file {args.model}: normalization_stats: {exc}") from None
+    report = grad_cam_features(state, dataset, task_index=dataset.task_index(args.task),
+                               target_class=args.target_class)
     text = report.render_text(args.top_k)
     return {"attribution.json": report.to_dict(), "attribution.txt": text}, text
 

@@ -52,6 +52,15 @@ def as_int(value, what: str) -> int:
     return int(value)
 
 
+def as_real(value, what: str) -> float:
+    """``value`` as a ``float`` if it is a finite real number, numpy's included, and not a bool."""
+    # the bound rules out NaN, the infinities and integers past the float range
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ColumnDescriptor:
     """Declares how one raw column is typed and transformed.
@@ -91,16 +100,9 @@ class ColumnDescriptor:
             if not (isinstance(self.mapping, dict) and self.mapping):
                 raise ConfigError(f"ordinal column {self.name!r} needs a mapping, "
                                   f"a non-empty object, got {self.mapping!r}")
-            for key, value in self.mapping.items():
-                # the bound rules out NaN, the infinities and integers past the float range
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not abs(value) <= sys.float_info.max):
-                    raise ConfigError(
-                        f"ordinal column {self.name!r}: mapping value for {key!r} "
-                        f"is {value!r}, not a finite number"
-                    )
-            object.__setattr__(self, "mapping",
-                               {str(k): float(v) for k, v in self.mapping.items()})
+            object.__setattr__(self, "mapping", {
+                str(k): as_real(v, f"ordinal column {self.name!r}: mapping value for {k!r}")
+                for k, v in self.mapping.items()})
         elif self.kind == TIMESERIES:
             if not self.group or not isinstance(self.group, str):
                 raise ConfigError(f"timeseries column {self.name!r} needs a group name")
@@ -604,11 +606,11 @@ class Dataset:
     def task_names(self) -> tuple[str, ...]:
         return tuple(o.task_name for o in self.outcomes)
 
-    def outcome_by_name(self, name: str) -> OutcomeVector:
-        for o in self.outcomes:
-            if o.task_name == name:
-                return o
-        raise ConfigError(f"no task named {name!r}; tasks are {list(self.task_names())}")
+    def task_index(self, name: str) -> int:
+        names = self.task_names()
+        if name not in names:
+            raise ConfigError(f"no task named {name!r}; tasks are {list(names)}")
+        return names.index(name)
 
     def is_complete(self) -> bool:
         return not np.isnan(self.features).any()
@@ -620,6 +622,17 @@ class Dataset:
     def raw_features(self) -> np.ndarray:
         """Undo the recorded z-scoring."""
         return self.features * self.normalization_stats.std + self.normalization_stats.mean
+
+    def rescaled(self, stats: NormalizationStats) -> "Dataset":
+        """The same rows z-scored from ``raw_features()`` with ``stats``; DataError if
+        a value leaves the float range."""
+        with np.errstate(over="ignore"):
+            features = apply_standardizer(self.raw_features(), stats)
+        bad = np.isinf(features).any(axis=0)
+        if bad.any():
+            raise DataError(f"feature {self.feature_names[bad.argmax()]!r} leaves the float "
+                            "range when rescaled")
+        return Dataset(features, self.feature_names, self.outcomes, stats)
 
 
 def subset_rows(dataset: Dataset, indices: np.ndarray) -> Dataset:
@@ -643,11 +656,10 @@ def subset_rows(dataset: Dataset, indices: np.ndarray) -> Dataset:
 
 def select_task(dataset: Dataset, task_name: str) -> Dataset:
     """A single-task view of the dataset (for single-task baselines)."""
-    outcome = dataset.outcome_by_name(task_name)
     return Dataset(
         dataset.features,
         dataset.feature_names,
-        (outcome,),
+        (dataset.outcomes[dataset.task_index(task_name)],),
         dataset.normalization_stats,
     )
 
@@ -799,10 +811,6 @@ class FoldPlan:
         a.setflags(write=False)
         object.__setattr__(self, "assignments", a)
 
-    @property
-    def n(self) -> int:
-        return len(self.assignments)
-
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
 
@@ -854,7 +862,12 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
 
 
 def save_schema(schema: Sequence[ColumnDescriptor], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema_to_json(schema), indent=2) + "\n")
+    write_json(path, schema_to_json(schema))
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as indented JSON and a newline: every JSON file but ``model.json``."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def read_json(path: str | Path, kind: str, parse):

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import class_labels
 from .errors import DataError
 from .network import loss_reg
 
@@ -93,8 +94,8 @@ def classification_metrics(probs: np.ndarray, labels: np.ndarray) -> dict:
     observed class).
     """
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels).astype(np.int64)
     k = p.shape[1]
+    y = class_labels(np.asarray(labels, dtype=np.float64), k, lambda i: f"labels, row {i}")
     pred = np.argmax(p, axis=1)
     if k == 2:
         f1 = f1_score(confusion_counts(pred, y))

@@ -650,12 +650,14 @@ def input_gradients(
     ``ROW_BLOCK`` rows at a time.
     """
     topo = state.topology
+    task_index = as_int(task_index, "task_index")
     if not 0 <= task_index < topo.num_tasks:
         raise ConfigError(f"task_index {task_index} out of range for {topo.num_tasks} heads")
     head = topo.heads[task_index]
     if head.kind == CLASSIFICATION:
         if target_class is None:
             raise ConfigError("target_class is required for classification heads")
+        target_class = as_int(target_class, "target_class")
         if not 0 <= target_class < head.num_classes:
             raise ConfigError(f"target_class {target_class} out of range [0, {head.num_classes})")
     elif target_class is not None:

@@ -10,9 +10,7 @@ orthogonal.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +21,12 @@ from .dataset import (
     Dataset,
     NormalizationStats,
     OutcomeVector,
+    as_int,
+    as_real,
     json_numbers,
+    json_object,
     read_json,
+    write_json,
 )
 from .errors import ConfigError, DataError
 
@@ -45,6 +47,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # each field is typed by its default, as the CLI options are
+            convert = as_int if type(f.default) is int else as_real
+            object.__setattr__(self, f.name, convert(getattr(self, f.name), f.name))
         if self.n_samples < 4:
             raise ConfigError(f"n_samples must be >= 4, got {self.n_samples}")
         if self.n_informative < 3:
@@ -56,8 +61,8 @@ class SynthConfig:
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.noise_std < 0.0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if not 0.0 < self.class_balance < 1.0:
             raise ConfigError(f"class_balance must be in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.missing_frac < 1.0:
@@ -70,7 +75,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
+        return cls(**json_object(d, [f.name for f in fields(cls)], "config"))
 
 
 @dataclass(frozen=True)
@@ -93,16 +98,14 @@ class GroundTruth:
             raise ConfigError("shared_weights and task_weights must be finite")
         names = [name for name, kind in zip(TASK_NAMES, TASK_KINDS) if kind == CLASSIFICATION]
         thresholds = dict(self.thresholds)
-        if set(thresholds) != set(names) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in thresholds.values()):
-            raise ConfigError(f"thresholds must map exactly {names} to finite numbers, "
-                              f"got {thresholds!r}")
+        if set(thresholds) != set(names):
+            raise ConfigError(f"thresholds must map exactly {names}, got {thresholds!r}")
         shared.setflags(write=False)
         tasks.setflags(write=False)
         object.__setattr__(self, "shared_weights", shared)
         object.__setattr__(self, "task_weights", tasks)
-        object.__setattr__(self, "thresholds", {k: float(v) for k, v in thresholds.items()})
+        object.__setattr__(self, "thresholds",
+                           {k: as_real(v, f"threshold {k!r}") for k, v in thresholds.items()})
 
     @property
     def informative_indices(self) -> tuple[int, ...]:
@@ -129,7 +132,7 @@ class GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(truth.to_dict(), indent=2) + "\n")
+    write_json(path, truth.to_dict())
 
 
 def load_truth(path: str | Path) -> GroundTruth:

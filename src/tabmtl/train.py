@@ -18,7 +18,6 @@ from .dataset import (
     CLASSIFICATION,
     Dataset,
     OutcomeVector,
-    apply_standardizer,
     fit_standardizer,
     kfold_split,
     subset_rows,
@@ -335,9 +334,7 @@ def _folds(dataset: Dataset, k: int, seed: int) -> list[_Fold]:
         test_idx = plan.test_indices(fold)
         # refit normalization on the training rows only, so nothing about the
         # held-out rows leaks into the transform
-        stats = fit_standardizer(raw[train_idx])
-        features = apply_standardizer(raw, stats)
-        fold_dataset = Dataset(features, dataset.feature_names, dataset.outcomes, stats)
+        fold_dataset = dataset.rescaled(fit_standardizer(raw[train_idx]))
         folds.append(_Fold(subset_rows(fold_dataset, train_idx),
                            subset_rows(fold_dataset, test_idx), test_idx))
     return folds
@@ -552,8 +549,8 @@ def grid_search(
     """
     if not space.primary_task:
         raise ConfigError("search space needs a primary_task name")
-    primary = dataset.outcome_by_name(space.primary_task)
-    primary_index = dataset.task_names().index(space.primary_task)
+    primary_index = dataset.task_index(space.primary_task)
+    primary = dataset.outcomes[primary_index]
 
     combos = space.grid()
     indices = list(range(len(combos)))

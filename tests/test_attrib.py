@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from tabmtl.attrib import AttributionReport, grad_cam_features, top_k
 from tabmtl.dataset import Dataset, NormalizationStats, OutcomeVector
 from tabmtl.errors import ConfigError
-from tabmtl.network import HeadSpec, ModelState, NetworkTopology, init_params
+from tabmtl.network import HeadSpec, ModelState, NetworkTopology, init_params, input_gradients
 from tabmtl.synth import SynthConfig, generate
 from tabmtl.train import TrainConfig, evaluate, train_model
 
@@ -75,6 +77,36 @@ class TestValidation:
         ds = single_cls_dataset(np.ones((4, 3)))
         with pytest.raises(ConfigError):
             grad_cam_features(state, ds, target_class=2)
+
+    @staticmethod
+    def two_head_case():
+        topo = NetworkTopology(3, (4,), (HeadSpec((), "classification", 2),) * 2)
+        labels = np.array([0, 1, 0, 1])
+        ds = Dataset(
+            np.random.default_rng(3).normal(size=(4, 3)), ("a", "b", "c"),
+            (OutcomeVector("y", "classification", labels, 2),
+             OutcomeVector("z", "classification", labels, 2)),
+            NormalizationStats.identity(3),
+        )
+        return init_params(topo, 0), ds
+
+    @pytest.mark.parametrize("call", [
+        lambda state, ds, **kw: input_gradients(state, ds.features, **kw), grad_cam_features,
+    ], ids=["input_gradients", "grad_cam_features"])
+    @pytest.mark.parametrize("field", ["task_index", "target_class"])
+    @pytest.mark.parametrize("value", [1.5, True, 0.0])
+    def test_a_non_integer_index_is_refused(self, call, field, value):
+        # a bool is refused too: as an index, True selects every class's logit
+        state, ds = self.two_head_case()
+        kwargs = {"task_index": 1, "target_class": 1, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            call(state, ds, **kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        state, ds = self.two_head_case()
+        report = grad_cam_features(state, ds, np.int64(1), np.int64(0))
+        assert np.array_equal(report.scores, grad_cam_features(state, ds, 1, 0).scores)
+        assert json.loads(json.dumps(report.to_dict()))["target"] == 0
 
     def test_feature_count_mismatch(self):
         state = linear_cls_state(np.zeros((4, 2)))

@@ -537,6 +537,7 @@ class TestAttribute:
             "--out", tmp_path / "o", "--task", "task_z",
         )
         assert result.returncode == 2
+        assert "no task named 'task_z'; tasks are ['task_a', 'task_b', 'task_c']" in result.stderr
 
     @pytest.mark.parametrize("mutate", [
         "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",

@@ -962,6 +962,21 @@ class TestDataset:
                      (OutcomeVector("y", "regression", np.zeros(20)),), stats)
         assert np.allclose(ds.raw_features(), x, atol=1e-12)
 
+    def test_rescaled_zscores_the_raw_features_with_the_given_stats(self):
+        ds = self.make()
+        stats = NormalizationStats(np.array([1.0, -2.0]), np.array([4.0, 0.5]))
+        out = ds.rescaled(stats)
+        assert out.normalization_stats is stats and out.task_names() == ds.task_names()
+        assert np.array_equal(out.features, apply_standardizer(ds.raw_features(), stats))
+        tiny = NormalizationStats(np.zeros(2), np.array([1.0, 1e-310]))
+        with pytest.raises(DataError, match="^feature 'f2' leaves the float range"):
+            ds.rescaled(tiny)
+
+    def test_task_index(self):
+        assert self.make().task_index("y2") == 1
+        with pytest.raises(ConfigError, match=r"^no task named 'y3'; tasks are \['y1', 'y2'\]$"):
+            self.make().task_index("y3")
+
     def test_subset_rows(self):
         ds = subset_rows(self.make(), np.array([2, 0]))
         assert ds.n_rows == 2

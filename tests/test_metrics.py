@@ -145,3 +145,15 @@ class TestClassificationMetrics:
         aucs = [roc_auc(probs[:, c], (labels == c).astype(int)) for c in range(3)]
         assert m["f1"] == pytest.approx(np.mean(f1s))
         assert m["auc"] == pytest.approx(np.mean(aucs))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0.0, 1.0, 0.7], r"^labels, row 2: class label 0\.7 is not an integer$"),
+        ([0, 2, 1], r"^labels, row 1: class label 2\.0 not in \[0, 2\)$"),
+        ([0, -1, 1], r"^labels, row 1: class label -1\.0 not in \[0, 2\)$"),
+        ([0.0, float("nan"), 1.0], r"^labels, row 1: class label nan not in \[0, 2\)$"),
+    ], ids=["fractional", "too_large", "negative", "nan"])
+    def test_labels_are_refused_not_truncated(self, labels, message):
+        # a label that is not a class is refused, not truncated to one
+        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
+        with pytest.raises(DataError, match=message):
+            classification_metrics(probs, labels)

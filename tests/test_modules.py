@@ -1,6 +1,6 @@
 """Module boundaries: no module reaches into a sibling's private names, each
-module-level constant is assigned in one module only, and one function parses
-JSON."""
+module-level constant is assigned in one module only, one function parses
+JSON and one writes it indented."""
 
 import ast
 from collections import defaultdict
@@ -79,9 +79,9 @@ def test_the_check_sees_a_constant_assigned_twice(tmp_path):
     assert _assigned_twice([tmp_path / "a.py", tmp_path / "b.py"]) == {"B": ["a", "b"]}
 
 
-def _json_loads_uses(path: Path) -> list[str]:
-    """Where a module uses ``json.loads``: the qualified name of the enclosing
-    function or class, or the module's name at its top level."""
+def _uses(path: Path, match) -> list[str]:
+    """Where a module has a node that ``match`` accepts: the qualified name of the
+    enclosing function or class, or the module's name at its top level."""
     found = []
 
     def visit(node, where):
@@ -89,15 +89,35 @@ def _json_loads_uses(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "loads"
-                    and isinstance(child.value, ast.Name) and child.value.id == "json") or (
-                    isinstance(child, ast.ImportFrom) and child.module == "json"
-                    and any(a.name == "loads" for a in child.names)):
+            if match(child):
                 found.append(where)
             visit(child, where)
 
     visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
     return found
+
+
+def _json_loads_uses(path: Path) -> list[str]:
+    """Where a module uses ``json.loads``."""
+    return _uses(path, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "loads"
+        and isinstance(node.value, ast.Name) and node.value.id == "json") or (
+        isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(a.name == "loads" for a in node.names)))
+
+
+def _indented_dumps_uses(path: Path) -> list[str]:
+    """Where a module calls ``json.dumps`` (or a bare ``dumps``) with an ``indent``."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        dumps = (isinstance(f, ast.Attribute) and f.attr == "dumps"
+                 and isinstance(f.value, ast.Name) and f.value.id == "json") or (
+                 isinstance(f, ast.Name) and f.id == "dumps")
+        return dumps and any(k.arg == "indent" for k in node.keywords)
+
+    return _uses(path, match)
 
 
 def test_json_loads_is_used_in_one_function():
@@ -112,3 +132,18 @@ def test_the_check_sees_every_json_loads(tmp_path):
                      "class Doc:\n    def read(s):\n        def inner():\n"
                      "            return json.loads(s)\n        return inner, json.dumps(s)\n")
     assert _json_loads_uses(probe) == ["probe", "probe", "probe.Doc.read.inner"]
+
+
+def test_indented_json_is_written_in_one_function():
+    # every JSON file but model.json is written through it, in one format
+    uses = {use for path in sorted(PACKAGE.glob("*.py")) for use in _indented_dumps_uses(path)}
+    assert uses == {"dataset.write_json"}
+
+
+def test_the_check_sees_every_indented_dumps(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import json\nfrom json import dumps\nTEXT = json.dumps(1, indent=2)\n"
+                     "class Doc:\n    def write(s):\n        def inner():\n"
+                     "            return dumps(s, indent=None)\n"
+                     "        return inner, json.dumps(s), json.loads(s)\n")
+    assert _indented_dumps_uses(probe) == ["probe", "probe.Doc.write.inner"]

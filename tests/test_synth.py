@@ -162,6 +162,24 @@ class TestGroundTruth:
                                                         "a flat list of numbers")):
             load_truth(path)
 
+    @pytest.mark.parametrize("field, named", [
+        ({"n_samples": 200.5}, "n_samples must be an integer, got 200.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n_features": 3.0}, "n_features must be an integer, got 3.0"),
+        ({"rho": "0.5"}, "rho must be a finite number, got '0.5'"),
+        ({"noise_std": False}, "noise_std must be a finite number, got False"),
+        ({"missing_frac": None}, "missing_frac must be a finite number, got None"),
+        ({"rho_": 0.5}, "config: unknown keys ['rho_']"),
+    ], ids=["fractional_n_samples", "bool_seed", "fractional_seed", "float_n_features",
+            "string_rho", "bool_noise_std", "null_missing_frac", "unknown_key"])
+    def test_config_fields_name_the_file_and_field(self, tmp_path, field, named):
+        # each field is checked by its type, so the fault names the field
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({**VALID_TRUTH, "config": {**VALID_TRUTH["config"], **field}}))
+        with pytest.raises(ConfigError, match=re.escape(f"truth file {path}: {named}")):
+            load_truth(path)
+
     def test_clean_scores_formula(self):
         cfg = SynthConfig(n_samples=10, n_features=6, n_informative=4, rho=0.4, seed=12)
         ds, truth = generate(cfg)
