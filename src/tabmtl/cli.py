@@ -40,7 +40,7 @@ from .dataset import (
     write_json,
 )
 from .errors import ConfigError, DataError, NumericalError, TabmtlError
-from .network import LossWeights, load_model, save_model, stats_record
+from .network import load_model, save_model, stats_record
 from .synth import SynthConfig, generate, save_truth
 from .train import (
     GRID_AXES,
@@ -126,9 +126,7 @@ def _train_config(dataset: Dataset, args) -> TrainConfig:
     topology = build_topology(
         dataset, _parse_list(args.trunk, int), _parse_list(args.head, int)
     )
-    weights = None
-    if args.loss_weights:
-        weights = LossWeights(_parse_list(args.loss_weights, float))
+    weights = _parse_list(args.loss_weights, float) if args.loss_weights else None
     return TrainConfig(topology, loss_weights=weights,
                        **{name: getattr(args, name) for name in TRAIN_OPTIONS})
 

@@ -397,31 +397,34 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
 def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
     """Fill the missing cells of the numeric-valued columns by chained regressions.
 
-    Numeric, ordinal, timeseries and outcome columns are imputed;
-    categorical and identifier columns pass through unchanged and are not
-    used as predictors. Each column is centered by the mean of its
-    observed cells, and missing cells start at that mean. Incomplete columns
-    are then swept in ascending order of missing count (ties by schema
-    order); each is regressed, with an intercept, on the other centered
-    columns over its observed rows, with ridge damping 1e-8*I on these
-    centered normal equations, and its missing cells are overwritten by the
-    fit's predictions. Centering keeps the fits independent of the columns'
-    offsets: adding a constant to a column adds it to that column's imputed
-    cells. Sweeps stop when the largest absolute change of any imputed cell
-    drops below ``tol`` or after ``max_sweeps`` sweeps. Only missing cells
-    are written, as prediction plus column mean; observed cells come back
-    bit for bit. The chain is deterministic: a single run with
-    ordinary-least-squares imputers and no posterior noise. A column whose
-    centered sum of squares overflows the float range raises DataError.
+    Numeric, ordinal, timeseries and outcome columns are imputed, but an
+    outcome's imputed cells only serve as predictors inside the chain: they
+    stay missing in the result. Categorical and identifier columns pass
+    through unchanged and are not used as predictors. A table with no
+    missing numeric-valued cell is returned as it is. Each column is
+    centered by the mean of its observed cells, and missing cells start at
+    that mean. Incomplete columns are then swept in ascending order of
+    missing count (ties by schema order); each is regressed, with an
+    intercept, on the other centered columns over its observed rows, with
+    ridge damping 1e-8*I on these centered normal equations, and its missing
+    cells are overwritten by the fit's predictions. Centering keeps the fits
+    independent of the columns' offsets: adding a constant to a column adds
+    it to that column's imputed cells. Sweeps stop when the largest absolute
+    change of any imputed cell drops below ``tol`` or after ``max_sweeps``
+    sweeps. Only missing cells are written, as prediction plus column mean;
+    observed cells come back bit for bit. The chain is deterministic: a
+    single run with ordinary-least-squares imputers and no posterior noise.
+    A column whose centered sum of squares overflows the float range raises
+    DataError.
     """
     if max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     numeric = [j for j, c in enumerate(table.schema) if c.is_numeric_valued()]
-    n, p = table.n_rows, len(numeric)
-    if n == 0 or p == 0:
+    if not any(np.isnan(table.columns[j]).any() for j in numeric):
         return table
+    n, p = table.n_rows, len(numeric)
     # one [1, X] design matrix: numeric column k is x's column k, design's k + 1
     design = np.column_stack([np.ones(n), *(table.columns[j] for j in numeric)])
     x = design[:, 1:]
@@ -432,8 +435,6 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
             raise DataError(
                 f"column {table.schema[j].name!r} has {count} observed values; need at least 2"
             )
-    if not missing.any():
-        return table
 
     # center each column on its observed mean (missing cells start at 0, that
     # mean) and form the design's Gram matrix, refusing a column whose sum of
@@ -475,10 +476,10 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
         if max_change < tol:
             break
 
-    # only missing cells are written: (v - mean) + mean need not give back v
+    # only missing feature cells are written: (v - mean) + mean need not give back v
     columns = list(table.columns)
     for k, j in enumerate(numeric):
-        if missing[:, k].any():
+        if missing[:, k].any() and table.schema[j].kind != OUTCOME:
             columns[j] = np.where(missing[:, k], x[:, k] + col_means[k], table.columns[j])
     return RawTable(table.schema, columns, table.rows)
 
@@ -681,8 +682,9 @@ def _numbers(table: RawTable, j: int) -> np.ndarray:
     """Column ``j``; its first missing cell raises DataError naming its input row."""
     missing = np.flatnonzero(np.isnan(table.columns[j]))
     if missing.size:
-        raise DataError(f"row {table.rows[missing[0]]}, column {table.schema[j].name!r}: "
-                        "missing value; impute before transforming")
+        what = ("missing outcome" if table.schema[j].kind == OUTCOME
+                else "missing value; impute before transforming")
+        raise DataError(f"row {table.rows[missing[0]]}, column {table.schema[j].name!r}: {what}")
     return table.columns[j]
 
 
@@ -698,7 +700,8 @@ def transform(table: RawTable) -> Dataset:
     or whose mean or std does, a class label more than 1e-9 from an integer,
     a declared ``num_classes`` above the row count and a class label outside
     [0, num_classes), or [0, row count) when undeclared, raise DataError. A
-    missing cell or a bad class label is named at its row in ``table.rows``.
+    missing cell (``missing outcome`` in an outcome column) or a bad class
+    label is named at its row in ``table.rows``.
     """
     n = table.n_rows
     if n == 0:
@@ -778,18 +781,16 @@ def preprocess_pipeline(
 
     Imputation runs on the numeric-valued columns (numeric, ordinal,
     timeseries, outcome) before one-hot expansion; categorical columns pass
-    through and must already be complete. ``mice_sweeps`` and ``mice_tol``
-    are checked even when no cell is missing.
+    through and must already be complete. Outcomes are predictors only: a
+    missing outcome cell is refused by ``transform``. ``mice_sweeps`` and
+    ``mice_tol`` are checked even when no cell is missing.
     """
     if mice_sweeps < 1:
         raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")
     if not (math.isfinite(mice_tol) and mice_tol >= 0.0):
         raise ConfigError(f"mice_tol must be finite and >= 0, got {mice_tol}")
     cleaned, report = clean(raw, max_missing_frac)
-    if any(np.isnan(v).any() for c, v in zip(cleaned.schema, cleaned.columns)
-           if c.is_numeric_valued()):
-        cleaned = mice_impute(cleaned, mice_sweeps, mice_tol)
-    return transform(cleaned), report
+    return transform(mice_impute(cleaned, mice_sweeps, mice_tol)), report
 
 
 @dataclass(frozen=True)

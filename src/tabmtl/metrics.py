@@ -88,25 +88,18 @@ def mse_metric(preds, targets) -> float:
 def classification_metrics(probs: np.ndarray, labels: np.ndarray) -> dict:
     """F1 and AUC for one classification task from predicted probabilities.
 
-    Binary tasks score class 1 as the positive class. Tasks with K > 2 fall
-    back to macro-averaged one-vs-rest (non-default mode); classes absent from
-    ``labels`` are skipped for AUC. AUC is ``None`` when undefined (single
-    observed class).
+    Each score is one-vs-rest: binary tasks score class 1 alone, tasks with
+    K > 2 take the macro mean over all K classes. A class's AUC is skipped
+    when the class is absent from ``labels`` or is the only one present; the
+    AUC is ``None`` when every class's is skipped.
     """
     p = np.asarray(probs, dtype=np.float64)
     k = p.shape[1]
     y = class_labels(np.asarray(labels, dtype=np.float64), k, lambda i: f"labels, row {i}")
     pred = np.argmax(p, axis=1)
-    if k == 2:
-        f1 = f1_score(confusion_counts(pred, y))
-        try:
-            auc = roc_auc(p[:, 1], (y == 1).astype(np.int64))
-        except DataError:
-            auc = None
-        return {"f1": f1, "auc": auc}
     f1s = []
     aucs = []
-    for c in range(k):
+    for c in (1,) if k == 2 else range(k):
         f1s.append(f1_score(confusion_counts(pred, y, c)))
         bin_labels = (y == c).astype(np.int64)
         if 0 < bin_labels.sum() < len(bin_labels):

@@ -190,17 +190,12 @@ class ParamLayout:
         self.entries = tuple(entries)
         self.names = tuple(name for name, _, _ in self.entries)
         self.n_weights = sum(math.prod(shape) for _, shape, is_bias in self.entries if not is_bias)
-        offsets = {False: 0, True: self.n_weights}
-        self._matrices: list[tuple[str, slice, tuple[int, ...]]] = []
-        self._vectors: list[tuple[str, slice]] = []
-        for name, shape, is_bias in self.entries:
-            span = slice(offsets[is_bias], offsets[is_bias] + math.prod(shape))
-            offsets[is_bias] = span.stop
-            if is_bias:
-                self._vectors.append((name, span))
-            else:
-                self._matrices.append((name, span, shape))
-        self.size = offsets[True]
+        self.spans = []  # (name, span, shape) in vector order: the stable sort puts weights first
+        start = 0
+        for name, shape, _ in sorted(self.entries, key=lambda entry: entry[2]):
+            self.spans.append((name, slice(start, start + math.prod(shape)), shape))
+            start += math.prod(shape)
+        self.size = start
 
     def __iter__(self):
         return iter(self.entries)
@@ -213,9 +208,7 @@ class ParamLayout:
         the leading model axis too, ``(M, fan_in, fan_out)`` or ``(M, width)``.
         """
         lead = flat.shape[:-1]
-        views = {name: flat[..., s].reshape(lead + shape) for name, s, shape in self._matrices}
-        views.update({name: flat[..., s] for name, s in self._vectors})
-        return views
+        return {name: flat[..., s].reshape(lead + shape) for name, s, shape in self.spans}
 
     def as_vector(self, named: Mapping[str, np.ndarray]) -> "ParamVector":
         """``named`` itself if it is a vector of this layout, else a checked copy of it."""

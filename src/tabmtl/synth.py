@@ -29,6 +29,7 @@ from .dataset import (
     write_json,
 )
 from .errors import ConfigError, DataError
+from .metrics import confusion_counts, f1_score, roc_auc
 
 TASK_NAMES = ("task_a", "task_b", "task_c")
 TASK_KINDS = (CLASSIFICATION, CLASSIFICATION, REGRESSION)
@@ -75,7 +76,12 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**json_object(d, [f.name for f in fields(cls)], "config"))
+        """The config of a truth file, which must record every field."""
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in json_object(d, names, "config")]
+        if missing:
+            raise ConfigError(f"config: missing keys {missing}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -167,10 +173,12 @@ def clean_scores(truth: GroundTruth, features: np.ndarray) -> np.ndarray:
         )
     if np.isnan(x).any():
         raise DataError("features contain missing values; oracle scores need complete rows")
-    rho = truth.config.rho
-    shared_part = x @ truth.shared_weights
-    task_part = x @ truth.task_weights
-    return rho * shared_part[:, None] + (1.0 - rho) * task_part
+    return _signal(x, truth.config.rho, truth.shared_weights, truth.task_weights)
+
+
+def _signal(x: np.ndarray, rho: float, shared: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+    """The noise-free scores (n, 3): rho * (x . w_shared) + (1 - rho) * (x . w_j)."""
+    return rho * (x @ shared)[:, None] + (1.0 - rho) * (x @ tasks)
 
 
 def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
@@ -184,19 +192,20 @@ def generate(config: SynthConfig) -> tuple[Dataset, GroundTruth]:
     to all of them. Binary labels threshold each score at its empirical
     (1 - class_balance) quantile. ``missing_frac`` masks an exact count of
     feature cells, round(frac * n * d), chosen uniformly without replacement
-    and set to NaN; outcomes are never masked.
+    and set to NaN; outcomes are never masked. A table too large to allocate
+    raises ConfigError.
     """
     rng = np.random.default_rng(config.seed)
-    shared, task_w = _draw_weights(rng, config)
     n, d = config.n_samples, config.n_features
-    features = rng.standard_normal((n, d))
-    noise = rng.standard_normal((n, N_TASKS)) * config.noise_std
+    try:
+        shared, task_w = _draw_weights(rng, config)
+        features = rng.standard_normal((n, d))
+        noise = rng.standard_normal((n, N_TASKS)) * config.noise_std
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest shape
+        raise ConfigError(f"cannot allocate the {n} x {d} feature table ({exc}); "
+                          "lower --n-samples or --n-features") from None
 
-    truth_scores = (
-        config.rho * (features @ shared)[:, None]
-        + (1.0 - config.rho) * (features @ task_w)
-    )
-    scores = truth_scores + noise
+    scores = _signal(features, config.rho, shared, task_w) + noise
 
     thresholds: dict[str, float] = {}
     outcomes = []
@@ -234,8 +243,6 @@ def oracle_bayes_metrics(truth: GroundTruth, dataset: Dataset) -> dict:
     of the clean score, i.e. the realized noise power. Trained models cannot
     beat these except by luck.
     """
-    from .metrics import confusion_counts, f1_score, roc_auc
-
     if dataset.n_tasks != N_TASKS or dataset.task_names() != TASK_NAMES:
         raise DataError(f"expected tasks {TASK_NAMES}, got {dataset.task_names()}")
     scores = clean_scores(truth, dataset.raw_features())

@@ -569,7 +569,7 @@ def grid_search(
         )
         config = TrainConfig(
             topology,
-            loss_weights=LossWeights(weights),
+            loss_weights=weights,
             lr0=lr0,
             weight_decay=wd,
             epochs=epochs,

@@ -263,6 +263,27 @@ class TestPreprocess:
         assert "Warning" not in result.stderr and "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("blanks, named", [
+        ({"task_a": 24}, "row 24, column 'task_a': missing outcome"),
+        ({"task_c": 24}, "row 24, column 'task_c': missing outcome"),
+        ({"task_a": 31, "task_c": 7}, "row 31, column 'task_a': missing outcome"),
+    ], ids=["binary", "regression", "both"])
+    def test_blank_outcome_exits_2_naming_it(self, gappy_dir, tmp_path, blanks, named):
+        # MICE's guess was written as the label: a blank task_c cell was trained
+        # on, and a blank task_a cell was refused as a fractional class label
+        header, *rows = [line.split(",") for line in
+                         (gappy_dir / "data.csv").read_text().splitlines()]
+        for column, r in blanks.items():
+            rows[r][header.index(column)] = ""
+        data, out = tmp_path / "data.csv", tmp_path / "o"
+        data.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        result = run_cli("preprocess", "--data", data, "--schema", gappy_dir / "schema.json",
+                         "--out", out)
+        assert result.returncode == 2, result.stderr
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+        assert list(out.iterdir()) == []
+
     def test_unknown_ordinal_label_names_its_csv_row(self, tmp_path):
         # data row 1 duplicates row 0: the label used to be named at its row
         # in the cleaned table, row 4
@@ -446,6 +467,16 @@ def test_width_too_large_to_allocate_exits_2(synth_dir, tmp_path, capsys, comman
     assert "--trunk" in err and "--head" in err and "--trunk-widths" in err
 
 
+@pytest.mark.parametrize("option", ["--n-samples", "--n-features"])
+def test_synth_table_too_large_to_allocate_exits_2(tmp_path, capsys, option):
+    # was exit 1: "unexpected error: Unable to allocate 21.8 TiB" at 1e11 rows;
+    # 2**60 is past numpy's largest array, so nothing is allocated
+    code = main(["synth", "--out", str(tmp_path / "o"), option, str(2**60)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "cannot allocate the" in err and "--n-samples or --n-features" in err
+
+
 @pytest.mark.parametrize("command, options, named, value", [
     ("train", ["--loss-weights", "1,nan,1"], "loss weights", "nan"),
     ("train", ["--loss-weights", "1,inf,1"], "loss weights", "inf"),
@@ -467,7 +498,7 @@ def test_width_too_large_to_allocate_exits_2(synth_dir, tmp_path, capsys, comman
     ("preprocess", ["--mice-tol", "inf"], "mice_tol", "inf"),
     # named before the model file, which does not exist, is read
     ("attribute", ["--task", "task_a", "--model", "absent-model.json", "--top-k", "0"],
-     "--top-k", "0"),
+     "--top-k", "0"),    ("train", ["--loss-weights", "none"], "at least one loss weight", "positive"),
 ])
 def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named, value):
     """Non-finite values, negative seeds and tolerances, negative search depths and

@@ -696,6 +696,22 @@ class TestMice:
         table = numeric_table([np.arange(5.0), np.arange(5.0) ** 2], set())
         assert mice_impute(table) is table
 
+    def test_complete_one_row_table_is_returned_as_it_is(self):
+        # the no-op is decided before any column is counted: this raised
+        # "column 'a' has 1 observed values"
+        table = numeric_table([np.array([1.0]), np.array([2.0])], set())
+        assert mice_impute(table) is table
+
+    def test_outcome_cells_predict_but_stay_missing(self):
+        rng = np.random.default_rng(4)
+        a, b, y = rng.normal(size=(3, 20))
+        a[[2, 9]], y[[5, 9]] = np.nan, np.nan
+        imputed = mice_impute(RawTable((NUM_A, NUM_B, OUT_REG), (a, b, y)))
+        as_feature = mice_impute(RawTable((NUM_A, NUM_B, ColumnDescriptor("y", "numeric")),
+                                          (a, b, y)))
+        assert cells(imputed)[:2] == cells(as_feature)[:2]
+        assert cells(imputed)[2] == [None if v != v else v for v in y.tolist()]
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a, b, c = rng.normal(size=(3, 25))

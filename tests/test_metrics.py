@@ -146,6 +146,15 @@ class TestClassificationMetrics:
         assert m["f1"] == pytest.approx(np.mean(f1s))
         assert m["auc"] == pytest.approx(np.mean(aucs))
 
+    @pytest.mark.parametrize("probs, labels", [
+        ([[np.nan, np.nan], [0.4, 0.6], [0.7, 0.3]], [0, 1, 0]),
+        ([[np.nan] * 3, [0.4, 0.5, 0.1], [0.7, 0.2, 0.1]], [0, 1, 2]),
+    ], ids=["binary", "three_classes"])
+    def test_nan_probability_is_refused(self, probs, labels):
+        # the binary case scored {"f1": 1.0, "auc": None}: its AUC's error was dropped
+        with pytest.raises(DataError, match="non-finite"):
+            classification_metrics(probs, labels)
+
     @pytest.mark.parametrize("labels, message", [
         ([0.0, 1.0, 0.7], r"^labels, row 2: class label 0\.7 is not an integer$"),
         ([0, 2, 1], r"^labels, row 1: class label 2\.0 not in \[0, 2\)$"),

@@ -686,6 +686,17 @@ class TestSerialization:
             with pytest.raises(ConfigError, match=f"parameter {name} "):
                 model_from_dict(bad)
 
+    def test_first_non_finite_array_in_the_vector_is_named(self):
+        # the vector holds every weight before every bias, so trunk.1.W comes
+        # before trunk.0.b although the layout lists trunk.0.b first
+        topo = NetworkTopology(3, (4, 2), (REG,))
+        doc = model_doc(init_params(topo, 0))
+        marks = ParamVector(topo.param_layout, np.arange(topo.param_layout.size))
+        for name in ("trunk.0.b", "trunk.1.W"):
+            doc["params"][int(marks[name].reshape(-1)[0])] = math.nan
+        with pytest.raises(ConfigError, match="parameter trunk.1.W "):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("key, value", [
         ("topology", [1]),
         ("topology", {"input_dim": 2}),

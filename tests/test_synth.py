@@ -17,8 +17,11 @@ from tabmtl.synth import (
 )
 
 # a truth document that loads: each fault case changes one field of it
-VALID_TRUTH = {"config": {"n_features": 3, "n_informative": 3}, "shared_weights": [0.0] * 3,
-               "task_weights": [[0.0] * 3] * 3, "thresholds": {"task_a": 0.0, "task_b": 0.0}}
+VALID_TRUTH = {"config": {"n_samples": 200, "n_features": 3, "n_informative": 3, "rho": 0.8,
+                          "noise_std": 0.8, "class_balance": 0.5, "missing_frac": 0.0,
+                          "seed": 0},
+               "shared_weights": [0.0] * 3, "task_weights": [[0.0] * 3] * 3,
+               "thresholds": {"task_a": 0.0, "task_b": 0.0}}
 
 
 class TestConfig:
@@ -178,6 +181,22 @@ class TestGroundTruth:
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({**VALID_TRUTH, "config": {**VALID_TRUTH["config"], **field}}))
         with pytest.raises(ConfigError, match=re.escape(f"truth file {path}: {named}")):
+            load_truth(path)
+
+    def test_valid_truth_loads(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(VALID_TRUTH))
+        assert load_truth(path).config == SynthConfig(n_features=3, n_informative=3)
+
+    @pytest.mark.parametrize("field", list(VALID_TRUTH["config"]))
+    def test_a_missing_config_field_is_refused(self, tmp_path, field):
+        # a missing field was filled with its default, so a truth file without
+        # "seed" and "rho" loaded as seed 0 and rho 0.8
+        config = {k: v for k, v in VALID_TRUTH["config"].items() if k != field}
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({**VALID_TRUTH, "config": config}))
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"truth file {path}: config: missing keys ['{field}']")):
             load_truth(path)
 
     def test_clean_scores_formula(self):
