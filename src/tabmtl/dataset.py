@@ -401,7 +401,9 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     outcome's imputed cells only serve as predictors inside the chain: they
     stay missing in the result. Categorical and identifier columns pass
     through unchanged and are not used as predictors. A table with no
-    missing numeric-valued cell is returned as it is. Each column is
+    missing feature cell (a numeric-valued cell outside the outcomes) is
+    returned as it is. Each feature column needs at least 2 observed values;
+    an outcome column with fewer is left out of the chain. Each column is
     centered by the mean of its observed cells, and missing cells start at
     that mean. Incomplete columns are then swept in ascending order of
     missing count (ties by schema order); each is regressed, with an
@@ -421,20 +423,23 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
         raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+    n = table.n_rows
     numeric = [j for j, c in enumerate(table.schema) if c.is_numeric_valued()]
-    if not any(np.isnan(table.columns[j]).any() for j in numeric):
+    observed = {j: n - int(np.isnan(table.columns[j]).sum()) for j in numeric}
+    features = [j for j in numeric if table.schema[j].kind != OUTCOME]
+    if all(observed[j] == n for j in features):  # no cell of the result would change
         return table
-    n, p = table.n_rows, len(numeric)
+    for j in features:
+        if observed[j] < 2:
+            raise DataError(
+                f"column {table.schema[j].name!r} has {observed[j]} observed values; "
+                "need at least 2")
+    numeric = [j for j in numeric if observed[j] >= 2]  # drops only outcomes
+    p = len(numeric)
     # one [1, X] design matrix: numeric column k is x's column k, design's k + 1
     design = np.column_stack([np.ones(n), *(table.columns[j] for j in numeric)])
     x = design[:, 1:]
     missing = np.isnan(x)
-    observed_counts = n - missing.sum(axis=0)
-    for j, count in zip(numeric, observed_counts):
-        if count < 2:
-            raise DataError(
-                f"column {table.schema[j].name!r} has {count} observed values; need at least 2"
-            )
 
     # center each column on its observed mean (missing cells start at 0, that
     # mean) and form the design's Gram matrix, refusing a column whose sum of
@@ -902,9 +907,8 @@ def json_object(doc, keys: Sequence[str], what: str) -> dict:
     return doc
 
 
-def json_numbers(values, what: str, size: int, where=None) -> np.ndarray:
-    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool;
-    ``where``, given the mask of non-finite values, names the part that holds them."""
+def json_numbers(values, what: str, size: int) -> np.ndarray:
+    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool."""
     try:
         flat = np.array(values)
     except ValueError:  # lists nested to unequal depths
@@ -915,9 +919,8 @@ def json_numbers(values, what: str, size: int, where=None) -> np.ndarray:
     if flat.size != size:
         raise ConfigError(f"{what} has {flat.size} values, expected {size}")
     flat = flat.astype(np.float64, copy=False)
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        raise ConfigError(f"{where(bad) if where else what} has non-finite values")
+    if not np.isfinite(flat).all():
+        raise ConfigError(f"{what} has non-finite values")
     return flat
 
 

@@ -9,6 +9,7 @@ at zero taken as zero. All arithmetic is float64.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections.abc import Mapping
@@ -679,7 +680,7 @@ def output_gradient(
     return _backprop(params, trunk, cache.trunk_acts, grad)
 
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def stats_record(feature_names: Sequence[str], stats: NormalizationStats) -> dict:
@@ -687,16 +688,22 @@ def stats_record(feature_names: Sequence[str], stats: NormalizationStats) -> dic
     return {"feature_names": list(feature_names), **stats.to_dict()}
 
 
+def _encode_params(flat: np.ndarray) -> str:
+    """The base64 text of ``flat``'s little-endian float64 bytes."""
+    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+
+
 def model_to_dict(state: ModelState, feature_names: Sequence[str],
                   stats: NormalizationStats) -> dict:
     """JSON-ready model dict; float values survive the round trip exactly.
 
-    ``params`` is the flat vector as one list, in ``topology.param_layout`` order.
+    ``params`` is the flat vector, in ``topology.param_layout`` order, as one
+    base64 string of its little-endian float64 bytes.
     """
-    return _model_doc(state, state.params.flat.tolist(), feature_names, stats)
+    return _model_doc(state, _encode_params(state.params.flat), feature_names, stats)
 
 
-def _model_doc(state: ModelState, params: list, feature_names: Sequence[str],
+def _model_doc(state: ModelState, params: str, feature_names: Sequence[str],
                stats: NormalizationStats) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -706,13 +713,32 @@ def _model_doc(state: ModelState, params: list, feature_names: Sequence[str],
     }
 
 
+def _decode_params(text, layout: ParamLayout) -> np.ndarray:
+    """The parameter vector whose base64 ``text`` ``model_to_dict`` wrote; a
+    ConfigError unless it holds ``layout.size`` finite values."""
+    if not isinstance(text, str):
+        raise ConfigError("params must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ConfigError("params is not valid base64") from None
+    if len(raw) != 8 * layout.size:
+        raise ConfigError(f"params has {len(raw) / 8:.15g} values, expected {layout.size}")
+    flat = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable, native-order copy
+    bad = ~np.isfinite(flat)
+    if bad.any():  # name the first array in vector order that holds one
+        name = next(name for name, view in layout.views(bad).items() if view.any())
+        raise ConfigError(f"parameter {name} has non-finite values")
+    return flat
+
+
 def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:
     """Model state, feature names and normalization stats from a model dict.
 
     A model enters the program from outside only through here, so it is
-    checked: ``params`` holds as many numbers as the topology's layout, and
-    ``normalization_stats`` ``input_dim`` feature names, means and stds;
-    every number is finite and none a boolean, and every std is > 0.
+    checked: ``params`` decodes to as many finite values as the topology's
+    layout, and ``normalization_stats`` holds ``input_dim`` feature names,
+    means and stds, every number finite and none a boolean, every std > 0.
     """
     json_object(d, ("version", "topology", "params", "normalization_stats"), "model document")
     for key in ("version", "topology", "params", "normalization_stats"):
@@ -727,8 +753,7 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed topology: {exc!r}") from None
     layout = topo.param_layout
-    params = json_numbers(d["params"], "params", layout.size, lambda bad: "parameter " + next(
-        name for name, view in layout.views(bad).items() if view.any()))
+    params = _decode_params(d["params"], layout)
     stats, n = json_object(d["normalization_stats"], ("feature_names", "mean", "std"),
                            "normalization_stats"), topo.input_dim
     names = stats.get("feature_names")
@@ -743,26 +768,28 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
             NormalizationStats(mean, std))
 
 
-_SAVE_VALUES = 4096  # parameters encoded at once: one block's text is held, never the model's
+# parameters encoded at once: one block's text is held, never the model's. A
+# multiple of 3 values is a multiple of 24 bytes, which base64 encodes with no
+# padding, so the blocks' texts join into the whole vector's text
+_SAVE_VALUES = 3 * 4096
 
 
 def save_model(state: ModelState, path: str | Path, feature_names: Sequence[str],
                stats: NormalizationStats) -> None:
     """Write ``json.dumps(model_to_dict(state, feature_names, stats)) + "\\n"`` to ``path``.
 
-    The parameter list goes to the file ``_SAVE_VALUES`` values at a time,
-    each block through the same ``json.dumps``, so the bytes are the same.
+    The parameter text goes to the file ``_SAVE_VALUES`` values at a time,
+    so the bytes are the same without the whole text held at once.
     """
     # the topology holds no "params" key, so the first match is the document's own
-    doc = _model_doc(state, [], feature_names, stats)
-    head, _, tail = json.dumps(doc).partition('"params": []')
+    doc = _model_doc(state, "", feature_names, stats)
+    head, _, tail = json.dumps(doc).partition('"params": ""')
     flat = state.params.flat
     with open(path, "w") as fh:
-        fh.write(head + '"params": [')
+        fh.write(head + '"params": "')
         for start in range(0, flat.size, _SAVE_VALUES):
-            block = json.dumps(flat[start:start + _SAVE_VALUES].tolist())[1:-1]
-            fh.write(", " + block if start else block)
-        fh.write("]" + tail + "\n")
+            fh.write(_encode_params(flat[start:start + _SAVE_VALUES]))
+        fh.write('"' + tail + "\n")
 
 
 def load_model(path: str | Path) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:

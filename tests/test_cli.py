@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import hashlib
 import inspect
@@ -283,6 +284,28 @@ class TestPreprocess:
         assert named in result.stderr
         assert "Traceback" not in result.stderr
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("blanks", [
+        {"y": (0, 2, 3)}, {"y": (0, 3)}, {"y": (0, 2, 3), "b": (1,)},
+    ], ids=["3_outcome_blanks", "2_outcome_blanks", "with_a_feature_blank"])
+    def test_outcome_blanks_are_refused_as_missing_outcome(self, tmp_path, blanks):
+        # with 1 observed y value MICE refused the column as "need at least 2";
+        # with 2 it ran the chain over a table it would not change
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.json"
+        rows = [["1", "2", "0.5"], ["2", "1", "1.5"], ["3", "5", "2.5"], ["4", "4", "3.5"]]
+        for column, rs in blanks.items():
+            for r in rs:
+                rows[r]["aby".index(column)] = ""
+        data.write_text("a,b,y\n" + "".join(",".join(row) + "\n" for row in rows))
+        schema.write_text(json.dumps([
+            {"name": "a", "kind": "numeric"}, {"name": "b", "kind": "numeric"},
+            {"name": "y", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}},
+        ]))
+        result = run_cli("preprocess", "--data", data, "--schema", schema,
+                         "--out", tmp_path / "o")
+        assert result.returncode == 2, result.stderr
+        assert "row 0, column 'y': missing outcome" in result.stderr, result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unknown_ordinal_label_names_its_csv_row(self, tmp_path):
         # data row 1 duplicates row 0: the label used to be named at its row
@@ -573,6 +596,9 @@ class TestAttribute:
     @pytest.mark.parametrize("mutate", [
         "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",
         "version_1", "params_dict", "params_short",
+        # faults in the base64 text of a version-3 parameter vector
+        "version_2", "params_number", "params_not_base64", "params_byte_short",
+        "params_byte_long", "params_nan", "params_inf",
         # topology sizes that are not JSON integers
         "input_dim=1e999", "shared_layers=1e999", "hidden_layers=1e999", "num_classes=1e999",
         "input_dim=2.7", "num_classes=true",
@@ -596,8 +622,22 @@ class TestAttribute:
             doc["params"] = {name: arr.tolist() for name, arr in state.params.items()}
             doc["version"] = 1 if mutate == "version_1" else doc["version"]
             model.write_text(json.dumps(doc, indent=2))
-        elif mutate == "params_short":
-            doc["params"].pop()
+        elif mutate.startswith("params_") or mutate == "version_2":
+            raw = base64.b64decode(doc["params"])
+            flat = np.frombuffer(raw, "<f8").copy()
+            if mutate == "version_2":  # a version-2 file held the vector as a list of numbers
+                doc.update(version=2, params=flat.tolist())
+            elif mutate == "params_number":
+                doc["params"] = 0.5
+            elif mutate == "params_not_base64":
+                doc["params"] = "*" + doc["params"][1:]
+            else:
+                if mutate in ("params_nan", "params_inf"):
+                    flat[-1] = math.nan if mutate == "params_nan" else math.inf
+                    raw = flat.tobytes()
+                raw = {"params_short": raw[:-8], "params_byte_short": raw[:-1],
+                       "params_byte_long": raw + b"\0"}.get(mutate, raw)
+                doc["params"] = base64.b64encode(raw).decode("ascii")
             model.write_text(json.dumps(doc))
         elif "=" in mutate:
             field, value = mutate.split("=")
@@ -617,8 +657,12 @@ class TestAttribute:
         assert result.returncode == 2
         assert str(model) in result.stderr
         assert "Traceback" not in result.stderr
-        if mutate == "version_1":
+        if mutate.startswith("version_"):
             assert "retrain" in result.stderr
+        if mutate in ("params_nan", "params_inf"):  # the last value is the last head's bias
+            assert "parameter head.2.1.b has non-finite values" in result.stderr
+        elif mutate.startswith("params_"):
+            assert "params" in result.stderr
         if "=" in mutate:
             assert mutate.split("=")[0] in result.stderr
 
@@ -848,6 +892,61 @@ def test_fuzzed_schema_or_model_exits_0_or_2_naming_the_fault(synth_dir, trained
     assert code in (0, 2), err
     # a schema fault may surface as the CSV's, or as a column's in the table it reads
     assert code == 0 or any(name in err for name in (str(path), "data.csv", "column '")), err
+    assert "Traceback" not in err
+
+
+RUN_LR0 = ["1e300", "1e30", "1e10", "5e-324", "0", "-1", "nan", "inf", "1e999"]
+# an epoch count with no bound runs as long as it says, so none is drawn over 3
+RUN_EPOCHS = ["0", "-1", "-" + "9" * 30, "1", "3"]
+RUN_CELLS = ["", "NA", "nan", "-inf", "1e999", "x", "-1e308", "1e300", "0.5", "7"]
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_fuzzed_train_or_cv_exits_0_2_or_3_naming_the_fault(synth_dir, command, data):
+    """A synth-table train or cv run with one fault: an extreme ``--lr0`` or
+    ``--epochs``, one CSV cell replaced by a blank, non-finite, huge or
+    non-numeric text or an out-of-range label, or one schema.json fault as in
+    the schema fuzz. Exit 2 names the file, the row and column, or the option;
+    exit 3 is a numerical failure (a run that diverged)."""
+    options = {"lr0": "0.01", "epochs": "2"}
+    data_text = (synth_dir / "data.csv").read_text()
+    schema_text = (synth_dir / "schema.json").read_text()
+    fault = data.draw(st.sampled_from(["lr0", "epochs", "csv cell", "schema"]))
+    if fault in options:
+        options[fault] = data.draw(st.sampled_from(RUN_LR0 if fault == "lr0" else RUN_EPOCHS))
+    elif fault == "csv cell":
+        header, *rows = [line.split(",") for line in data_text.splitlines()]
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(RUN_CELLS))
+        data_text = "".join(",".join(line) + "\n" for line in [header, *rows])
+    else:
+        doc = json.loads(schema_text)
+        nodes = json_nodes(doc)
+        container, key = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+        kind = data.draw(st.sampled_from(["delete", *JSON_FAULTS]))
+        if kind == "delete":
+            del container[key]
+        else:
+            container[key] = JSON_FAULTS[kind](container[key])
+        schema_text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, schema_path = Path(tmp, "data.csv"), Path(tmp, "schema.json")
+        csv_path.write_text(data_text)
+        schema_path.write_text(schema_text)
+        args = [command, "--data", str(csv_path), "--schema", str(schema_path),
+                "--out", str(Path(tmp, "o")), "--trunk", "8", "--head", "4",
+                "--batch-size", "16", "--lr0", options["lr0"], "--epochs", options["epochs"]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is a fault, here exit 1
+            code = main(args)
+    err = err.getvalue()
+    assert code in (0, 2, 3), err
+    named = (str(csv_path), str(schema_path), "column '", "lr0", "epochs")
+    assert code != 2 or any(name in err for name in named), err
+    assert code != 3 or err.startswith("numerical error: "), err
     assert "Traceback" not in err
 
 

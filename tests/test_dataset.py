@@ -712,6 +712,22 @@ class TestMice:
         assert cells(imputed)[:2] == cells(as_feature)[:2]
         assert cells(imputed)[2] == [None if v != v else v for v in y.tolist()]
 
+    def test_outcome_blanks_alone_return_the_table_as_it_is(self):
+        a, b, y = np.random.default_rng(4).normal(size=(3, 6))
+        y[[0, 2, 3]] = np.nan
+        table = RawTable((NUM_A, NUM_B, OUT_REG), (a, b, y))
+        assert mice_impute(table) is table
+
+    @pytest.mark.parametrize("observed", [0, 1])
+    def test_outcome_with_too_few_observed_values_predicts_nothing(self, observed):
+        rng = np.random.default_rng(5)
+        a, b, y = rng.normal(size=(3, 20))
+        a[[2, 9]], y[observed:] = np.nan, np.nan
+        imputed = mice_impute(RawTable((NUM_A, NUM_B, OUT_REG), (a, b, y)))
+        alone = mice_impute(RawTable((NUM_A, NUM_B), (a, b)))
+        assert cells(imputed)[:2] == cells(alone)
+        assert cells(imputed)[2] == [None if v != v else v for v in y.tolist()]
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a, b, c = rng.normal(size=(3, 25))

@@ -9,10 +9,17 @@ one-hot encoding, z-scoring, the CSV writer and a short training run. Further
 threads. `attribute` is pinned on one of those models, and `train` and
 `attribute` on a table of several row blocks. A change that moves any of them
 on purpose re-pins the digests here and says so in CHANGES.md.
+
+Beside each `model.json` digest, `PARAMS` pins the sha256 of the parameter
+vector the file decodes to, as little-endian float64 bytes. Those hashes were
+taken from the files of model format version 2, which held the vector as a
+list of decimal numbers, so a change of the file's encoding alone moves the
+`model.json` digest and not this one.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import json
@@ -45,6 +52,8 @@ SCHEMA = [
     {"name": "stay", "kind": "outcome", "params": {"task_index": 1, "task": "regression"}},
 ]
 
+PARAMS = "model.json params"  # pseudo-file: the decoded parameter vector of model.json
+
 PREPROCESS_DIGESTS = {
     "dataset.csv":
         "42617da64f049b4386a01f9f87445d352b5f7fc9330c4af8cdf500771c6eafb6",
@@ -59,7 +68,9 @@ TRAIN_DIGESTS = {
     "history.json":
         "21222fb520913b4001a2740a6dcdcbc903a5515ad52ebbce2a1258ef18b297fd",
     "model.json":
-        "fd426f591983790fd35c4437017d7b88bb6bda1e69323c96f153153cb4e6a12c",
+        "9421e436542e45eff750e86148cbaef334f33f1ace69553b818802b3d24b0ac3",
+    PARAMS:
+        "f802a3d91b74b2ea6da3e33794b1afef404be16ab2c2f8a260e958455dfc1624",
 }
 
 
@@ -96,7 +107,14 @@ def _write_input(directory):
 
 
 def _digests(directory, names):
-    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+    return {name: hashlib.sha256(_pinned_bytes(directory, name)).hexdigest() for name in names}
+
+
+def _pinned_bytes(directory, name):
+    if name != PARAMS:
+        return (directory / name).read_bytes()
+    params = json.loads((directory / "model.json").read_text())["params"]
+    return np.frombuffer(base64.b64decode(params, validate=True), "<f8").tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -146,49 +164,65 @@ SHAPE_DIGESTS = {
         "history.json":
             "231a7cc8b88795c1378e87a86604ad718d198edafcca52567fb0ff7c15bf2831",
         "model.json":
-            "2d87e41cb696eb4f1e9ac99d208af8b4be39c10472062cccac2ce5ed38ab1a6c",
+            "69e84552a0d50ae4f3abcd769799f5f6c165da3d4b451e0cb21225616e417d70",
+        PARAMS:
+            "f4efeabf043281bee511916b50c73ebd8d4cef63b634d1b42ca7103223192946",
     },
     "mixed_heads": {
         "history.json":
             "48e9990bc144555fbed6a50173d01f0eb71bdfa8af19855de0301feabb427d93",
         "model.json":
-            "19ae7b99d1d1bcb939d2953dac256d666491700c072041232033a5965d3542a1",
+            "0e773ed3c97be99f60080efab547b227f8d9262573afe60d4ae44a046d36309b",
+        PARAMS:
+            "3fe97044b5aae4bbe33fa7eeaef7f7487c2e871c46c3bf7ec8ee87ef01f71c66",
     },
     "no_head_hidden": {
         "history.json":
             "159b701e2fc6a19952c25ebca2a25c4377c6eb9ed8e046dc1b5b7ade75798ec9",
         "model.json":
-            "9491bb37298e92d8eaa9374eb32f09f890aeed68b0545461348d83d9effd8fc5",
+            "e9b3b7cd82e3c58ba5383b602bcd297a8a475c88d863b5aef3a28f317f82bb99",
+        PARAMS:
+            "78dc3d45f5041e11d6f69285bc31df630502cd7717ab2c0c8deffc56c769d66b",
     },
     "no_trunk": {
         "history.json":
             "d54aa6d4773105eabc561d586a33901d91d70db8b6c5f72c41ff14a509665d1c",
         "model.json":
-            "a6fe0ca2c8799e5a162ca915af7b9f7f71a98eca38275a926a0996946e3ba29e",
+            "1529ca22585e244a42af81fcfefe13d22bc733b1e9efd4dafa4d9d7f619588f7",
+        PARAMS:
+            "49494ee83e29299676daf178b714f10c3b0792a8186acc6d348d58eaf5699e67",
     },
     "one_row_tail": {
         "history.json":
             "f86a85b9492890fcb77df10815b51c06372619b5e90b05634444fd8a3d1d54aa",
         "model.json":
-            "0fc8c89911699e347fab24d1612d22048d207e01650f566ce33e5615778dc11d",
+            "a06314a5a0b1e9afbffdbaa45446bac6fc948610aa5b246fc8645262c4c3f743",
+        PARAMS:
+            "a73d3a9b113fe54a29e476f9de2b2814d0d72b4c90337347dd365a1ccf78a456",
     },
     "regression_only": {
         "history.json":
             "9dfd6f0ee5f0e84b1f76f796ddf2bb47b28b3e443ef0fdba8630ce4ee65367b4",
         "model.json":
-            "a4a3b48c5a6b9b12531189e425871e0d9a61e4725d071bd6fa22f961db153ee1",
+            "ad258fbf82d912bd6674a8203500f966345b2476524e19d585d963a5b083abac",
+        PARAMS:
+            "30db9bbeaa419111c68b1d8720c7e405dbd9959fa919d65c2309927fe21a37b2",
     },
     "weight_decay": {
         "history.json":
             "a48d3d6eccfe073368cfdf177f850d985d94d7f94051354e77e744baf4e518fc",
         "model.json":
-            "db8a70745e097aa1ee94b8ae089483e923bf255eeafce358c1adacd59589ade1",
+            "65bf5b0b910e30911481547081d456111e1d09e75d3fd3a795ba6494460b1a32",
+        PARAMS:
+            "ca13062503062cd5753f22772b340a50bcb082159eaa1c26cbfcac6c5d9d4903",
     },
     "zero_loss_weight": {
         "history.json":
             "b0b11fb44fb03b1ca884f02972f1db9e7af39b72faaf730dccf19834d22c282d",
         "model.json":
-            "21c1f28275b43f2c59554d2e59326671d1e96dc93dda72e61966080cccee0719",
+            "8ab919cb22c9fc2efe9a64675b408016db469a4e323add8e7ef87303b5c95402",
+        PARAMS:
+            "7d2ccfd718723ffdad85e3271bb4a2487f8e2714acd89c54e4b64e8ec51bf4c8",
     },
 }
 
@@ -266,7 +300,9 @@ BLOCKED_TRAIN_DIGESTS = {
     "history.json":
         "9f694999b27c9918dbc3ed97fc41007e81b8092ee8d73c19005f711d27ab8665",
     "model.json":
-        "7e69bb62093b80363b9f77b8a21dd504e3fc12804ab0c9a45311de0595859244",
+        "2135b9bcfb4cafad6d7f15f2ac900028f90e144f2ca43b4a7a5c74a3fa0199f0",
+    PARAMS:
+        "2dda20792fd292febad67b42d4a1bc45016afb66f0be867860451976abe66fa8",
     "train_metrics.json":
         "54b9273a0cda87d05ec93380ddefb476aef26626d89f20188873bbf1ff6e99d4",
 }

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import tempfile
@@ -622,6 +623,16 @@ def model_doc(state):
     return model_to_dict(state, *identity_scaling(state.topology))
 
 
+def encoded(values) -> str:
+    """The base64 text of ``values``' little-endian float64 bytes, as ``params`` holds it."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def decoded(doc) -> np.ndarray:
+    """A writable copy of the parameter vector in a model document's ``params``."""
+    return np.frombuffer(base64.b64decode(doc["params"]), "<f8").copy()
+
+
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
         topo = NetworkTopology(4, (3,), (HeadSpec((2,), CLASSIFICATION, 2), REG))
@@ -643,15 +654,19 @@ class TestSerialization:
         assert text.count("\n") == 1 and text.endswith("\n")  # one line, no indentation
         doc = json.loads(text)
         assert list(doc) == ["version", "topology", "params", "normalization_stats"]
-        assert doc["version"] == 2
-        assert doc["params"] == state.params.flat.tolist()
+        assert doc["version"] == 3
+        assert doc["params"] == encoded(state.params.flat)
+        assert decoded(doc).tobytes() == state.params.flat.tobytes()
         assert doc["normalization_stats"] == record
 
-    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
-    def test_wrong_parameter_count_rejected(self, change):
+    @pytest.mark.parametrize("change, count", [(-8, "2"), (8, "4"), (-1, "2.875"), (1, "3.125")],
+                             ids=["short", "long", "byte_short", "byte_long"])
+    def test_wrong_parameter_count_rejected(self, change, count):
         doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"] = doc["params"][:change] if change < 0 else doc["params"] + [0.0]
-        with pytest.raises(ConfigError, match=f"{3 + change} values.* 3"):
+        raw = base64.b64decode(doc["params"])
+        raw = raw[:change] if change < 0 else raw + bytes(change)
+        doc["params"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ConfigError, match=f"params has {count} values, expected 3$"):
             model_from_dict(doc)
 
     def test_version_checked(self):
@@ -668,12 +683,20 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="version 1.*retrain"):
             model_from_dict(doc)
 
+    def test_version_2_document_asks_for_retraining(self):
+        # version 2 held the same vector as a list of decimal numbers
+        state = init_params(NetworkTopology(2, (3,), (REG,)), 0)
+        doc = dict(model_doc(state), version=2, params=state.params.flat.tolist())
+        with pytest.raises(ConfigError, match="version 2.*only version 3.*retrain"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameter_rejected(self, bad):
         doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"][1] = bad  # head.0.0.W[1][0]
-        with pytest.raises(ConfigError, match="head.0.0.W"):
-            model_from_dict(doc)
+        flat = decoded(doc)
+        flat[1] = bad  # head.0.0.W[1][0]
+        with pytest.raises(ConfigError, match="parameter head.0.0.W has non-finite values"):
+            model_from_dict(dict(doc, params=encoded(flat)))
 
     def test_non_finite_value_names_its_array(self):
         topo = NetworkTopology(3, (4, 2), (HeadSpec((2,), CLASSIFICATION, 3), REG))
@@ -681,10 +704,10 @@ class TestSerialization:
         doc = model_doc(init_params(topo, 0))
         marks = ParamVector(layout, np.arange(layout.size))  # each value's flat index
         for name in layout.names:
-            bad = dict(doc, params=list(doc["params"]))
-            bad["params"][int(marks[name].reshape(-1)[-1])] = -math.inf
+            flat = decoded(doc)
+            flat[int(marks[name].reshape(-1)[-1])] = -math.inf
             with pytest.raises(ConfigError, match=f"parameter {name} "):
-                model_from_dict(bad)
+                model_from_dict(dict(doc, params=encoded(flat)))
 
     def test_first_non_finite_array_in_the_vector_is_named(self):
         # the vector holds every weight before every bias, so trunk.1.W comes
@@ -692,10 +715,11 @@ class TestSerialization:
         topo = NetworkTopology(3, (4, 2), (REG,))
         doc = model_doc(init_params(topo, 0))
         marks = ParamVector(topo.param_layout, np.arange(topo.param_layout.size))
+        flat = decoded(doc)
         for name in ("trunk.0.b", "trunk.1.W"):
-            doc["params"][int(marks[name].reshape(-1)[0])] = math.nan
+            flat[int(marks[name].reshape(-1)[0])] = math.nan
         with pytest.raises(ConfigError, match="parameter trunk.1.W "):
-            model_from_dict(doc)
+            model_from_dict(dict(doc, params=encoded(flat)))
 
     @pytest.mark.parametrize("key, value", [
         ("topology", [1]),
@@ -713,14 +737,27 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             model_from_dict(doc)
 
-    def test_non_numeric_parameter_rejected(self):
+    @pytest.mark.parametrize("value", [None, True, 3, 1.5, [encoded([0.0, 0.5, 1.0])]])
+    def test_params_must_be_a_string(self, value):
         doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
-        doc["params"][2] = "x"
-        with pytest.raises(ConfigError, match="params"):
-            model_from_dict(doc)
+        with pytest.raises(ConfigError, match="^params must be a base64 string$"):
+            model_from_dict(dict(doc, params=value))
+
+    def test_non_numeric_parameter_rejected(self):
+        # 3 values are 24 bytes, 32 base64 characters with no padding: a
+        # character outside the alphabet, a URL-safe one, a space, a non-ASCII
+        # one, or a cut-off group is refused before any length check
+        doc = model_doc(init_params(NetworkTopology(2, (), (REG,)), 0))
+        text = doc["params"]
+        assert len(text) == 32
+        for bad in ("!" + text[1:], text[:5] + "-" + text[6:], text[:8] + " " + text[8:],
+                    text[:31] + "é", text[:30], text[:16] + "\n" + text[16:]):
+            with pytest.raises(ConfigError, match="^params is not valid base64$"):
+                model_from_dict(dict(doc, params=bad))
+        assert model_from_dict(dict(doc, params=text))[0].params.flat.size == 3
 
     @settings(max_examples=60, deadline=None)
-    @given(state=saved_models(), block=st.integers(1, 9), non_finite=st.data())
+    @given(state=saved_models(), block=st.sampled_from([3, 6, 9, 12288]), non_finite=st.data())
     def test_saved_bytes_are_the_documents_dumps(self, state, block, non_finite):
         # NaN and Infinity reach save_model only through the library API
         flat = state.params.flat
@@ -728,7 +765,7 @@ class TestSerialization:
             flat[i] = non_finite.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         d = state.topology.input_dim
         names = non_finite.draw(st.sampled_from([identity_scaling(state.topology)[0],
-                                                 ('"params": []',) * d]))
+                                                 ('"params": ""',) * d]))
         stats = NormalizationStats(np.full(d, 1e16), np.full(d, 1e-5))
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(network, "_SAVE_VALUES", block):
@@ -737,8 +774,8 @@ class TestSerialization:
             assert path.read_text() == json.dumps(model_to_dict(state, names, stats)) + "\n"
 
     def test_large_model_saved_in_blocks_within_a_megabyte(self, tmp_path):
-        # 32 blocks of network._SAVE_VALUES values and 5 more, from one input
-        # feature, whose normalization stats are written whole
+        # 10 blocks of network._SAVE_VALUES values and 8,197 more, from one
+        # input feature, whose normalization stats are written whole
         state = init_params(NetworkTopology(1, (43_692,), (REG,)), 0)
         assert state.params.flat.size == 131_077
         path = tmp_path / "model.json"
@@ -756,7 +793,7 @@ class TestSerialization:
             save_model(state, second, names, stats)
             loaded, loaded_names, loaded_stats = load_model(first)
             assert first.read_bytes() == second.read_bytes()
-            assert json.loads(first.read_text())["params"] == state.params.flat.tolist()
+            assert decoded(json.loads(first.read_text())).tobytes() == state.params.flat.tobytes()
         assert loaded.topology == state.topology
         assert loaded.params.flat.tobytes() == state.params.flat.tobytes()
         assert loaded_names == names
