@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .dataset import (
     CLASSIFICATION,
     CleaningReport,
     Dataset,
+    as_int,
     dataset_schema,
     load_csv,
     load_schema,
@@ -200,8 +202,7 @@ def cmd_gridsearch(args) -> tuple[dict, str]:
 
 
 def cmd_attribute(args) -> tuple[dict, str]:
-    if args.top_k < 1:  # checked before the data and the model are read
-        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
+    as_int(args.top_k, "--top-k", 1)  # checked before the data and the model are read
     dataset, _ = _load_dataset(args)
     state, feature_names, stats = load_model(args.model)
     if feature_names != dataset.feature_names:
@@ -315,19 +316,25 @@ def cmd_report(args) -> tuple[dict, str]:
 TRAIN_OPTIONS = ("lr0", "lr_min", "weight_decay", "epochs", "batch_size", "seed")
 
 
-def _add_options(p: argparse.ArgumentParser, defaults: dict) -> None:
+def _add_options(p: argparse.ArgumentParser, defaults: dict, helps: dict | None = None) -> None:
     """An option ``--field-name`` for each field, typed and defaulted by its default."""
     for name, default in defaults.items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       help=(helps or {}).get(name))
+
+
+def _signature_defaults(function, *names: str) -> dict:
+    """The defaults of ``function``'s parameters ``names``, by name."""
+    parameters = inspect.signature(function).parameters
+    return {name: parameters[name].default for name in names}
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, type=Path, help="input CSV file")
     p.add_argument("--schema", required=True, type=Path, help="column schema JSON")
-    p.add_argument("--max-missing-frac", type=float, default=0.8,
-                   help="drop columns missing more than this fraction")
-    p.add_argument("--mice-sweeps", type=int, default=10)
-    p.add_argument("--mice-tol", type=float, default=1e-6)
+    _add_options(p, _signature_defaults(preprocess_pipeline, "max_missing_frac", "mice_sweeps",
+                                        "mice_tol"),
+                 {"max_missing_frac": "drop columns missing more than this fraction"})
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_train_args(p)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--k", type=int, default=5)
+    _add_options(p, _signature_defaults(cross_validate, "k"))
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("gridsearch", help="grid search hyperparameters by cross-validation")
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primary-task", required=True)
     p.add_argument("--budget", type=int, default=space.budget,
                    help="evaluate at most this many configurations")
-    p.add_argument("--k", type=int, default=5)
+    _add_options(p, _signature_defaults(grid_search, "k"))
     p.add_argument("--seed", type=int, default=space.seed)
     p.set_defaults(func=cmd_gridsearch)
 

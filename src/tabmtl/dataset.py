@@ -45,20 +45,29 @@ KIND_PARAMS = {NUMERIC: (), CATEGORICAL: ("levels",), ORDINAL: ("mapping",), TIM
                IDENTIFIER: (), OUTCOME: ("task_index", "task", "num_classes")}
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an ``int`` if it is an integer, numpy's included, and not a bool."""
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy's included, not a bool, and
+    no smaller than ``least`` (when given); else a ConfigError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return _at_least(int(value), what, least)
 
 
-def as_real(value, what: str) -> float:
-    """``value`` as a ``float`` if it is a finite real number, numpy's included, and not a bool."""
+def as_real(value, what: str, least: float | None = None) -> float:
+    """``value`` as a ``float`` if it is a finite real number, numpy's included, not a
+    bool, and no smaller than ``least`` (when given); else a ConfigError naming ``what``."""
     # the bound rules out NaN, the infinities and integers past the float range
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    return _at_least(float(value), what, least)
+
+
+def _at_least(value, what: str, least):
+    """The one lower-bound check of ``as_int`` and ``as_real``."""
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -108,18 +117,15 @@ class ColumnDescriptor:
                 raise ConfigError(f"timeseries column {self.name!r} needs a group name")
         elif self.kind == OUTCOME:
             what = f"outcome column {self.name!r}"
-            object.__setattr__(self, "task_index", as_int(self.task_index, f"{what}: task_index"))
-            if self.task_index < 0:
-                raise ConfigError(f"{what} needs task_index >= 0")
+            object.__setattr__(self, "task_index",
+                               as_int(self.task_index, f"{what}: task_index", 0))
             if self.task not in (CLASSIFICATION, REGRESSION):
                 raise ConfigError(f"{what} needs task 'classification' or 'regression'")
             if self.num_classes is not None:
                 if self.task != CLASSIFICATION:
                     raise ConfigError(f"{what}: a regression task takes no num_classes")
                 object.__setattr__(self, "num_classes",
-                                   as_int(self.num_classes, f"{what}: num_classes"))
-                if self.num_classes < 2:
-                    raise ConfigError(f"{what} needs num_classes >= 2")
+                                   as_int(self.num_classes, f"{what}: num_classes", 2))
 
     def is_numeric_valued(self) -> bool:
         return self.kind in _NUMERIC_VALUED
@@ -394,7 +400,7 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     return RawTable(schema, columns, rows), report
 
 
-def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> RawTable:
+def mice_impute(table: RawTable, mice_sweeps: int = 10, mice_tol: float = 1e-6) -> RawTable:
     """Fill the missing cells of the numeric-valued columns by chained regressions.
 
     Numeric, ordinal, timeseries and outcome columns are imputed, but an
@@ -412,17 +418,15 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     cells are overwritten by the fit's predictions. Centering keeps the fits
     independent of the columns' offsets: adding a constant to a column adds
     it to that column's imputed cells. Sweeps stop when the largest absolute
-    change of any imputed cell drops below ``tol`` or after ``max_sweeps``
-    sweeps. Only missing cells are written, as prediction plus column mean;
-    observed cells come back bit for bit. The chain is deterministic: a
+    change of any imputed cell drops below ``mice_tol`` or after
+    ``mice_sweeps`` sweeps. Only missing cells are written, as prediction
+    plus column mean; observed cells come back bit for bit. The chain is deterministic: a
     single run with ordinary-least-squares imputers and no posterior noise.
     A column whose centered sum of squares overflows the float range raises
     DataError.
     """
-    if max_sweeps < 1:
-        raise ConfigError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+    mice_sweeps = as_int(mice_sweeps, "mice_sweeps", 1)
+    mice_tol = as_real(mice_tol, "mice_tol", 0)
     n = table.n_rows
     numeric = [j for j, c in enumerate(table.schema) if c.is_numeric_valued()]
     observed = {j: n - int(np.isnan(table.columns[j]).sum()) for j in numeric}
@@ -468,7 +472,7 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
     # the observed rows' normal equations are the whole design's Gram matrix less
     # the missing rows' part; a link changes only its own column of the design,
     # so only that row and column of the Gram matrix are recomputed
-    for _ in range(max_sweeps):
+    for _ in range(mice_sweeps):
         max_change = 0.0
         for c, miss_rows, predictors, lhs, rhs in chain:
             d_miss = design[miss_rows]
@@ -478,7 +482,7 @@ def mice_impute(table: RawTable, max_sweeps: int = 10, tol: float = 1e-6) -> Raw
             max_change = max(max_change, float(np.max(np.abs(preds - d_miss[:, c]))))
             design[miss_rows, c] = preds
             gram[:, c] = gram[c, :] = design.T @ design[:, c]
-        if max_change < tol:
+        if max_change < mice_tol:
             break
 
     # only missing feature cells are written: (v - mean) + mean need not give back v
@@ -517,8 +521,8 @@ class OutcomeVector:
 
     def __post_init__(self):
         if self.kind == CLASSIFICATION:
-            if self.num_classes is None or self.num_classes < 2:
-                raise ConfigError(f"task {self.task_name!r}: num_classes must be >= 2")
+            object.__setattr__(self, "num_classes",
+                               as_int(self.num_classes, f"task {self.task_name!r}: num_classes", 2))
             values = class_labels(np.asarray(self.values, dtype=np.float64), self.num_classes,
                                   lambda i: f"task {self.task_name!r}, row {i}")
         elif self.kind == REGRESSION:
@@ -787,13 +791,8 @@ def preprocess_pipeline(
     Imputation runs on the numeric-valued columns (numeric, ordinal,
     timeseries, outcome) before one-hot expansion; categorical columns pass
     through and must already be complete. Outcomes are predictors only: a
-    missing outcome cell is refused by ``transform``. ``mice_sweeps`` and
-    ``mice_tol`` are checked even when no cell is missing.
+    missing outcome cell is refused by ``transform``.
     """
-    if mice_sweeps < 1:
-        raise ConfigError(f"mice_sweeps must be >= 1, got {mice_sweeps}")
-    if not (math.isfinite(mice_tol) and mice_tol >= 0.0):
-        raise ConfigError(f"mice_tol must be finite and >= 0, got {mice_tol}")
     cleaned, report = clean(raw, max_missing_frac)
     return transform(mice_impute(cleaned, mice_sweeps, mice_tol)), report
 
@@ -826,12 +825,10 @@ class FoldPlan:
 
 def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
     """Shuffle indices with the seeded PRNG, then deal them round-robin to k folds."""
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
+    k = as_int(k, "k", 2)
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of samples n={n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = as_int(seed, "seed", 0)
     perm = np.random.default_rng(seed).permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[perm] = np.arange(n) % k

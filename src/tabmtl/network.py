@@ -57,10 +57,7 @@ class HeadSpec:
 
 def _widths(widths, what: str) -> tuple[int, ...]:
     """``widths`` as a tuple of ints, each >= 1; else a ConfigError naming ``what``."""
-    widths = tuple(as_int(w, f"{what} width") for w in widths)
-    if any(w < 1 for w in widths):
-        raise ConfigError(f"{what} widths must be >= 1, got {widths}")
-    return widths
+    return tuple(as_int(w, f"{what} width", 1) for w in widths)
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,10 @@ class NetworkTopology:
     heads: tuple[HeadSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dim", as_int(self.input_dim, "topology input_dim"))
+        object.__setattr__(self, "input_dim", as_int(self.input_dim, "topology input_dim", 1))
         object.__setattr__(self, "shared_layers",
                            _widths(self.shared_layers, "topology shared_layers"))
         object.__setattr__(self, "heads", tuple(self.heads))
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.heads) < 1:
             raise ConfigError("topology needs at least one head")
 

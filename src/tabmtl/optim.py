@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import as_int, as_real
 from .errors import ConfigError
 from .network import ModelState, ParamVector
 
@@ -23,12 +24,10 @@ class ScheduleConfig:
     total_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr0) and self.lr0 >= 0):
-            raise ConfigError(f"lr0 must be finite and >= 0, got {self.lr0}")
+        object.__setattr__(self, "lr0", as_real(self.lr0, "lr0", 0))
         if not 0 <= self.lr_min <= self.lr0:
             raise ConfigError(f"need 0 <= lr_min <= lr0, got lr_min={self.lr_min}, lr0={self.lr0}")
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
+        object.__setattr__(self, "total_steps", as_int(self.total_steps, "total_steps", 1))
 
 
 def cosine_lr(t: int, cfg: ScheduleConfig) -> float:
@@ -125,8 +124,7 @@ def adam_step(
     correction m_hat = 0.5, v_hat = 0.25, and the new weight is
     0.3 - 0.1 * 0.5 / (0.5 + 1e-8) = 0.2000000020 (to ten decimals).
     """
-    if lr < 0:
-        raise ConfigError(f"lr must be >= 0, got {lr}")
+    lr, weight_decay = as_real(lr, "lr", 0), as_real(weight_decay, "weight_decay", 0)
     layout = params.params.layout
     p = params.params.flat.copy()
     g = layout.as_vector(grads).flat.copy()

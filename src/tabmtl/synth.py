@@ -48,28 +48,22 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # orthogonal task directions for 3 tasks need at least 3 informative dimensions
+        least = {"n_samples": 4, "n_informative": 3, "noise_std": 0, "seed": 0}
         for f in fields(self):  # each field is typed by its default, as the CLI options are
             convert = as_int if type(f.default) is int else as_real
-            object.__setattr__(self, f.name, convert(getattr(self, f.name), f.name))
-        if self.n_samples < 4:
-            raise ConfigError(f"n_samples must be >= 4, got {self.n_samples}")
-        if self.n_informative < 3:
-            # orthogonal task directions for 3 tasks need at least 3 dimensions
-            raise ConfigError(f"n_informative must be >= 3, got {self.n_informative}")
+            object.__setattr__(self, f.name,
+                               convert(getattr(self, f.name), f.name, least.get(f.name)))
         if self.n_features < self.n_informative:
             raise ConfigError(
                 f"n_features={self.n_features} < n_informative={self.n_informative}"
             )
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         if not 0.0 < self.class_balance < 1.0:
             raise ConfigError(f"class_balance must be in (0, 1), got {self.class_balance}")
         if not 0.0 <= self.missing_frac < 1.0:
             raise ConfigError(f"missing_frac must be in [0, 1), got {self.missing_frac}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -18,6 +18,8 @@ from .dataset import (
     CLASSIFICATION,
     Dataset,
     OutcomeVector,
+    as_int,
+    as_real,
     fit_standardizer,
     kfold_split,
     subset_rows,
@@ -85,15 +87,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("epochs", 1), ("batch_size", 1)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, least))
         ScheduleConfig(self.lr0, self.lr_min, 1)  # refuses a bad lr0 or lr_min
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "weight_decay", as_real(self.weight_decay, "weight_decay", 0))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
         n_tasks = self.topology.num_tasks
         weights = LossWeights((1.0,) * n_tasks if self.loss_weights is None else self.loss_weights)
         if len(weights) != n_tasks:
@@ -169,12 +167,15 @@ def _train_stack(jobs: list[tuple[Dataset, TrainConfig]]) -> list[TrainResult | 
     datasets, configs = zip(*jobs)
     topology, batch_size, epochs = configs[0].topology, configs[0].batch_size, configs[0].epochs
     n, n_models, n_tasks = datasets[0].n_rows, len(jobs), datasets[0].n_tasks
-    steps_per_epoch = math.ceil(n / batch_size)
-    lr = np.array([
-        [cosine_lr(t, schedule) for t in range(epochs * steps_per_epoch)]
-        for schedule in (ScheduleConfig(c.lr0, c.lr_min, epochs * steps_per_epoch)
-                         for c in configs)
-    ])
+    total_steps = epochs * math.ceil(n / batch_size)
+    try:  # each model's learning rate at each step, allocated before a step is taken
+        lr = np.empty((n_models, total_steps))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest shape
+        raise ConfigError(f"cannot allocate the {total_steps}-step learning-rate schedule "
+                          f"({exc}); lower --epochs or --epochs-values") from None
+    for row, c in zip(lr, configs):
+        schedule = ScheduleConfig(c.lr0, c.lr_min, total_steps)
+        row[:] = [cosine_lr(t, schedule) for t in range(total_steps)]
     weight_decay = np.array([c.weight_decay for c in configs])
     lam = np.array([c.loss_weights.values for c in configs])
 
@@ -494,14 +495,13 @@ class SearchSpace:
             values = tuple(getattr(self, name))
             if not values:
                 raise ConfigError(f"search space field {name} must be non-empty")
-            if name in least and min(values) < least[name]:
-                raise ConfigError(f"search space field {name} must hold values >= "
-                                  f"{least[name]}, got {values}")
+            if name in least:
+                values = tuple(as_int(v, f"search space field {name} value", least[name])
+                               for v in values)
             object.__setattr__(self, name, values)
-        if self.budget is not None and self.budget < 1:
-            raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.budget is not None:
+            object.__setattr__(self, "budget", as_int(self.budget, "budget", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
 
     def grid(self) -> list[tuple]:
         """Every combination of the axes' values, in the nested order of ``GRID_AXES``."""

@@ -5,14 +5,18 @@ exception; each well-formed one gets, bit for bit, what the unchecked
 computation gives.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabmtl.attrib import grad_cam_features
-from tabmtl.dataset import CLASSIFICATION, REGRESSION, Dataset, NormalizationStats, OutcomeVector
-from tabmtl.errors import TabmtlError
+from tabmtl.dataset import (CLASSIFICATION, REGRESSION, ColumnDescriptor, Dataset,
+                            NormalizationStats, OutcomeVector, RawTable, kfold_split, mice_impute)
+from tabmtl.errors import ConfigError, TabmtlError
 from tabmtl.network import (
     LOG_FLOOR,
     HeadSpec,
@@ -30,7 +34,9 @@ from tabmtl.network import (
     softmax,
     task_loss,
 )
-from tabmtl.train import TrainConfig
+from tabmtl.optim import ScheduleConfig, adam_step, init_adam
+from tabmtl.synth import SynthConfig
+from tabmtl.train import SearchSpace, TrainConfig
 
 # a 3-class head and a regression head on a shared trunk
 TOPOLOGY = NetworkTopology(3, (4,), (HeadSpec((), CLASSIFICATION, 3), HeadSpec((2,), REGRESSION)))
@@ -189,3 +195,73 @@ class TestTrainConfig:
         config = TrainConfig(TOPOLOGY, loss_weights=weights, lr0=lr0, lr_min=lr_min)
         assert (config.lr0, config.lr_min) == (lr0, lr_min)
         assert config.loss_weights == LossWeights((1.0, 1.0) if weights is None else weights)
+
+
+GAPPY = RawTable((ColumnDescriptor("a", "numeric"), ColumnDescriptor("b", "numeric")),
+                 ([1.0, None, 3.0, 4.0], [2.0, 4.0, 5.0, 7.0]))
+STATE = init_params(TOPOLOGY, 0)
+OUTCOME = dict(name="y", kind="outcome", task_index=0, task=CLASSIFICATION)
+# each numeric setting: its name, its type, its lower bound, and a call that
+# sets it to a value. The name is what a refusal must name.
+NUMERIC_SETTINGS = [
+    ("task_index", int, 0, lambda v: ColumnDescriptor(**{**OUTCOME, "task_index": v})),
+    ("num_classes", int, 2, lambda v: ColumnDescriptor(**OUTCOME, num_classes=v)),
+    ("mice_sweeps", int, 1, lambda v: mice_impute(GAPPY, mice_sweeps=v)),
+    ("mice_tol", float, 0, lambda v: mice_impute(GAPPY, mice_tol=v)),
+    ("num_classes", int, 2, lambda v: OutcomeVector("y", CLASSIFICATION, [0, 1, 1, 0], v)),
+    ("k", int, 2, lambda v: kfold_split(10, v, 0)),
+    ("seed", int, 0, lambda v: kfold_split(10, 2, v)),
+    ("hidden_layers", int, 1, lambda v: HeadSpec((v,), REGRESSION)),
+    ("shared_layers", int, 1, lambda v: NetworkTopology(3, (v,), TOPOLOGY.heads)),
+    ("input_dim", int, 1, lambda v: NetworkTopology(v, (), TOPOLOGY.heads)),
+    ("lr0", float, 0, lambda v: ScheduleConfig(v, 0.0, 10)),
+    ("total_steps", int, 1, lambda v: ScheduleConfig(0.1, 0.0, v)),
+    ("lr", float, 0, lambda v: adam_step(STATE, STATE.params, init_adam(STATE), v)),
+    ("weight_decay", float, 0,
+     lambda v: adam_step(STATE, STATE.params, init_adam(STATE), 0.1, weight_decay=v)),
+    ("epochs", int, 1, lambda v: TrainConfig(TOPOLOGY, epochs=v)),
+    ("batch_size", int, 1, lambda v: TrainConfig(TOPOLOGY, batch_size=v)),
+    ("weight_decay", float, 0, lambda v: TrainConfig(TOPOLOGY, weight_decay=v)),
+    ("seed", int, 0, lambda v: TrainConfig(TOPOLOGY, seed=v)),
+    *[(axis, int, least, lambda v, axis=axis: SearchSpace(**{axis: (1, v)}))
+      for axis, least in (("trunk_depths", 0), ("trunk_widths", 1), ("head_depths", 0),
+                          ("head_widths", 1))],
+    ("budget", int, 1, lambda v: SearchSpace(budget=v)),
+    ("seed", int, 0, lambda v: SearchSpace(seed=v)),
+    ("n_samples", int, 4, lambda v: SynthConfig(n_samples=v)),
+    ("n_informative", int, 3, lambda v: SynthConfig(n_informative=v)),
+    ("noise_std", float, 0, lambda v: SynthConfig(noise_std=v)),
+    ("seed", int, 0, lambda v: SynthConfig(seed=v)),
+]
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize("name, kind, least, call", NUMERIC_SETTINGS,
+                             ids=[f"{i}-{s[0]}" for i, s in enumerate(NUMERIC_SETTINGS)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_refused_naming_the_setting_or_taken(self, name, kind, least, call, data):
+        """A bool, a float for a count (integral or not), NaN or an infinity, or a
+        value below the bound is refused as a ConfigError naming the setting; a
+        numpy integer, or for a real a float, at or a little above the bound is taken."""
+        fault = data.draw(st.sampled_from([None, "bool", "non-finite", "below"]
+                                          + (["float"] if kind is int else [])))
+        if fault is None:
+            value = np.int64(least + data.draw(st.integers(0, 5)))
+            if kind is float and data.draw(st.booleans()):
+                value = data.draw(st.floats(least, least + 5.0))
+            call(value)
+            return
+        if fault == "bool":
+            value = data.draw(st.booleans())
+        elif fault == "non-finite":
+            value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif fault == "below":
+            value = data.draw(st.integers(max_value=least - 1) if kind is int else
+                              st.floats(max_value=least, exclude_max=True, allow_infinity=False))
+        else:  # a float for a count, integral or not
+            value = data.draw(st.just(float(least)) | st.floats(least, least + 5.0).filter(
+                lambda v: not v.is_integer()))
+        with pytest.raises(ConfigError) as refused:
+            call(value)
+        assert re.search(rf"\b{name}\b", str(refused.value)), str(refused.value)

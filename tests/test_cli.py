@@ -896,8 +896,8 @@ def test_fuzzed_schema_or_model_exits_0_or_2_naming_the_fault(synth_dir, trained
 
 
 RUN_LR0 = ["1e300", "1e30", "1e10", "5e-324", "0", "-1", "nan", "inf", "1e999"]
-# an epoch count with no bound runs as long as it says, so none is drawn over 3
-RUN_EPOCHS = ["0", "-1", "-" + "9" * 30, "1", "3"]
+# 10**30 epochs is refused before a step is taken, so no draw runs long
+RUN_EPOCHS = ["0", "-1", "-" + "9" * 30, "1", "3", str(10**30)]
 RUN_CELLS = ["", "NA", "nan", "-inf", "1e999", "x", "-1e308", "1e300", "0.5", "7"]
 
 
@@ -948,6 +948,21 @@ def test_fuzzed_train_or_cv_exits_0_2_or_3_naming_the_fault(synth_dir, command, 
     assert code != 2 or any(name in err for name in named), err
     assert code != 3 or err.startswith("numerical error: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["train", "--epochs"],
+                                     ["gridsearch", "--primary-task", "task_a", "--epochs-values"]])
+def test_an_epoch_count_past_any_schedule_exits_2_at_once(synth_dir, tmp_path, command):
+    """10**30 epochs is past numpy's largest array shape, so the learning-rate
+    schedule is refused before a step is taken and before any memory is used.
+    The timeout turns a run that trains instead into a failure, not a hang."""
+    result = run_cli(*command, str(10**30), "--data", synth_dir / "data.csv",
+                     "--schema", synth_dir / "schema.json", "--out", tmp_path / "o",
+                     timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: cannot allocate the ")
+    assert "lower --epochs or --epochs-values" in result.stderr
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 CSV_FAULTS = ["truncate", "drop cell", "extra cell", "invalid UTF-8", "NUL", "non-finite text",
@@ -1022,9 +1037,9 @@ def test_closed_stdout_still_exits_0(tmp_path):
 
 def test_defaults_are_the_library_dataclasses():
     """synth, train, cv and gridsearch take their defaults from SynthConfig,
-    TrainConfig and SearchSpace. The data options and ``--k`` restate the
-    defaults of preprocess_pipeline, cross_validate and grid_search, so they
-    are pinned to those signatures here."""
+    TrainConfig and SearchSpace. The data options and ``--k`` read the
+    defaults of preprocess_pipeline, cross_validate and grid_search, and are
+    pinned to those signatures here."""
     parser = build_parser()
     args = vars(parser.parse_args(["synth", "--out", "o"]))
     assert SynthConfig(**{f.name: args[f.name] for f in fields(SynthConfig)}) == SynthConfig()

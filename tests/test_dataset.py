@@ -675,7 +675,7 @@ class TestMice:
         y = 1.5 * x1 - 2.0 * x2 + 0.3 + 0.05 * rng.normal(size=n)
         miss_rows = [4, 17, 30, 42]
         table = numeric_table([x1, x2, y], {(i, 2) for i in miss_rows})
-        imputed = mice_impute(table, max_sweeps=10, tol=1e-12)
+        imputed = mice_impute(table, mice_sweeps=10, mice_tol=1e-12)
         obs = np.array([i for i in range(n) if i not in miss_rows])
         design = np.column_stack([np.ones(len(obs)), x1[obs], x2[obs]])
         beta = np.linalg.lstsq(design, y[obs], rcond=None)[0]
@@ -751,7 +751,7 @@ class TestMice:
     def test_bad_tol_rejected(self, tol):
         table = numeric_table([np.arange(6.0), np.arange(6.0) ** 2], {(2, 1)})
         with pytest.raises(ConfigError, match="tol"):
-            mice_impute(table, tol=tol)
+            mice_impute(table, mice_tol=tol)
 
     def test_categorical_and_identifier_columns_pass_through(self):
         cat = ColumnDescriptor("color", "categorical", levels=("r", "g"))
@@ -807,8 +807,8 @@ class TestMice:
         """
         shifted = x.copy()
         shifted[:, col] += shift
-        before = impute_matrix(x, tol=0.0)
-        after = impute_matrix(shifted, tol=0.0)
+        before = impute_matrix(x, mice_tol=0.0)
+        after = impute_matrix(shifted, mice_tol=0.0)
         observed = ~np.isnan(x)
         assert np.array_equal(after[observed].view(np.uint64), shifted[observed].view(np.uint64))
         filled = ~observed[:, col]
@@ -835,7 +835,7 @@ class TestMice:
     @given(st.data())
     def test_agrees_with_reference_chain(self, data):
         x = draw_incomplete_matrix(data, collinear=True)
-        got = impute_matrix(x, max_sweeps=3, tol=0.0)
+        got = impute_matrix(x, mice_sweeps=3, mice_tol=0.0)
         assert np.all(np.abs(got - reference_mice(x, 3)) <= 1e-9 * np.nanstd(x, axis=0))
 
 

@@ -1,6 +1,6 @@
 """Module boundaries: no module reaches into a sibling's private names, each
 module-level constant is assigned in one module only, one function parses
-JSON and one writes it indented."""
+JSON, one writes it indented, and one raises the lower-bound refusal."""
 
 import ast
 from collections import defaultdict
@@ -147,3 +147,29 @@ def test_the_check_sees_every_indented_dumps(tmp_path):
                      "            return dumps(s, indent=None)\n"
                      "        return inner, json.dumps(s), json.loads(s)\n")
     assert _indented_dumps_uses(probe) == ["probe", "probe.Doc.write.inner"]
+
+
+def _bound_raises(path: Path) -> list[str]:
+    """Where a module raises an error whose text (a string or an f-string's
+    literal part) says ``must be >= ``."""
+    return _uses(path, lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and "must be >= " in n.value
+        for n in ast.walk(node)))
+
+
+def test_the_lower_bound_is_refused_in_one_function():
+    # every numeric setting's bound goes through as_int or as_real, so each
+    # refusal has one wording and no bound is checked without the type
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in _bound_raises(path)]
+    assert uses == ["dataset._at_least"]
+
+
+def test_the_check_sees_every_bound_raise(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""Each count must be >= 1."""\n'
+                     "def check(n):\n    if n < 1:\n"
+                     "        raise ValueError(f'n must be >= 1, got {n}')\n"
+                     "    text = 'n must be >= 1'\n"
+                     "class Config:\n    def check(self):\n"
+                     "        raise ConfigError('seed must be >= 0')\n")
+    assert _bound_raises(probe) == ["probe.check", "probe.Config.check"]
