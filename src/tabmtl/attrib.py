@@ -58,7 +58,8 @@ class AttributionReport:
 
 
 def top_k(report: AttributionReport, k: int) -> list[tuple[str, float]]:
-    if not 1 <= k <= len(report.feature_names):
+    k = as_int(k, "k", 1)
+    if k > len(report.feature_names):
         raise ConfigError(
             f"k must be in [1, {len(report.feature_names)}], got {k}"
         )

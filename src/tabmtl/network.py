@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, class_labels,
-                      json_numbers, json_object, read_json)
+from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, as_real,
+                      class_labels, json_numbers, json_object, read_json)
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -157,9 +157,8 @@ class LossWeights:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(math.isfinite(v) and v >= 0 for v in self.values):
-            raise ConfigError(f"loss weights must be finite and non-negative, got {self.values}")
+        object.__setattr__(self, "values",
+                           tuple(as_real(v, "loss weights value", 0) for v in self.values))
         if not any(v > 0 for v in self.values):
             raise ConfigError("at least one loss weight must be positive")
 
@@ -277,7 +276,7 @@ def init_params(topology: NetworkTopology, seed: int) -> ModelState:
     in layout order, from one seeded generator. A vector too large to
     allocate raises ConfigError.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     layout = topology.param_layout
     try:
         flat = np.zeros(layout.size)
@@ -393,7 +392,12 @@ def forward(state: ModelState, batch: np.ndarray) -> tuple[list[np.ndarray], For
     """
     x = _checked_batch(state.topology, batch)
     cache = forward_pass(state.topology, state.params.arrays, x)
-    return [out[:, 0] if p is None else p for out, p in zip(cache.head_out, cache.probs)], cache
+    return _predictions(cache), cache
+
+
+def _predictions(cache: ForwardCache) -> list[np.ndarray]:
+    """Each head's probabilities, or a regression head's output column, from ``cache``."""
+    return [out[:, 0] if p is None else p for out, p in zip(cache.head_out, cache.probs)]
 
 
 # The rows of a block of predict and input_gradients, the last block taking
@@ -419,16 +423,17 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def predict(state: ModelState, batch: np.ndarray) -> list[np.ndarray]:
-    """Per-task predictions as ``forward`` gives them, one ``forward`` call a row block.
+    """Per-task predictions as ``forward`` gives them, one ``forward_pass`` a row block.
 
-    The batch is checked whole first. Only one block's activations are alive
+    The batch is checked whole, once. Only one block's activations are alive
     at once; each block's rows are written into the result arrays.
     """
-    x = _checked_batch(state.topology, batch)
+    topo, params = state.topology, state.params.arrays
+    x = _checked_batch(topo, batch)
     preds = [np.empty((len(x), h.num_classes) if h.kind == CLASSIFICATION else len(x))
-             for h in state.topology.heads]
+             for h in topo.heads]
     for rows in _row_blocks(len(x)):  # no name holds a block's cache into the next block
-        for pred, values in zip(preds, forward(state, x[rows])[0]):
+        for pred, values in zip(preds, _predictions(forward_pass(topo, params, x[rows]))):
             pred[rows] = values
     return preds
 
@@ -652,9 +657,11 @@ def input_gradients(
     elif target_class is not None:
         raise ConfigError("target_class only applies to classification heads")
     x = _checked_batch(topo, batch)
+    params = state.params.arrays
     grads = np.empty_like(x)
     for rows in _row_blocks(len(x)):  # no name holds a block's cache into the next block
-        grads[rows] = output_gradient(state, forward(state, x[rows])[1], task_index, target_class)
+        grads[rows] = output_gradient(state, forward_pass(topo, params, x[rows]),
+                                      task_index, target_class)
     return grads
 
 
@@ -683,11 +690,6 @@ def stats_record(feature_names: Sequence[str], stats: NormalizationStats) -> dic
     return {"feature_names": list(feature_names), **stats.to_dict()}
 
 
-def _encode_params(flat: np.ndarray) -> str:
-    """The base64 text of ``flat``'s little-endian float64 bytes."""
-    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
-
-
 def model_to_dict(state: ModelState, feature_names: Sequence[str],
                   stats: NormalizationStats) -> dict:
     """JSON-ready model dict; float values survive the round trip exactly.
@@ -695,15 +697,10 @@ def model_to_dict(state: ModelState, feature_names: Sequence[str],
     ``params`` is the flat vector, in ``topology.param_layout`` order, as one
     base64 string of its little-endian float64 bytes.
     """
-    return _model_doc(state, _encode_params(state.params.flat), feature_names, stats)
-
-
-def _model_doc(state: ModelState, params: str, feature_names: Sequence[str],
-               stats: NormalizationStats) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
         "topology": state.topology.to_dict(),
-        "params": params,
+        "params": base64.b64encode(state.params.flat.astype("<f8").tobytes()).decode("ascii"),
         "normalization_stats": stats_record(feature_names, stats),
     }
 
@@ -763,28 +760,13 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
             NormalizationStats(mean, std))
 
 
-# parameters encoded at once: one block's text is held, never the model's. A
-# multiple of 3 values is a multiple of 24 bytes, which base64 encodes with no
-# padding, so the blocks' texts join into the whole vector's text
-_SAVE_VALUES = 3 * 4096
-
-
 def save_model(state: ModelState, path: str | Path, feature_names: Sequence[str],
                stats: NormalizationStats) -> None:
-    """Write ``json.dumps(model_to_dict(state, feature_names, stats)) + "\\n"`` to ``path``.
-
-    The parameter text goes to the file ``_SAVE_VALUES`` values at a time,
-    so the bytes are the same without the whole text held at once.
-    """
-    # the topology holds no "params" key, so the first match is the document's own
-    doc = _model_doc(state, "", feature_names, stats)
-    head, _, tail = json.dumps(doc).partition('"params": ""')
-    flat = state.params.flat
+    """Write ``json.dumps(model_to_dict(state, feature_names, stats)) + "\\n"`` to ``path``."""
+    text = json.dumps(model_to_dict(state, feature_names, stats))
     with open(path, "w") as fh:
-        fh.write(head + '"params": "')
-        for start in range(0, flat.size, _SAVE_VALUES):
-            fh.write(_encode_params(flat[start:start + _SAVE_VALUES]))
-        fh.write('"' + tail + "\n")
+        fh.write(text)
+        fh.write("\n")  # a second write, so the text is not copied to append it
 
 
 def load_model(path: str | Path) -> tuple[ModelState, tuple[str, ...], NormalizationStats]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabmtl.attrib import grad_cam_features
+from tabmtl.attrib import AttributionReport, grad_cam_features, top_k
 from tabmtl.dataset import (CLASSIFICATION, REGRESSION, ColumnDescriptor, Dataset,
                             NormalizationStats, OutcomeVector, RawTable, kfold_split, mice_impute)
 from tabmtl.errors import ConfigError, TabmtlError
@@ -200,6 +200,7 @@ class TestTrainConfig:
 GAPPY = RawTable((ColumnDescriptor("a", "numeric"), ColumnDescriptor("b", "numeric")),
                  ([1.0, None, 3.0, 4.0], [2.0, 4.0, 5.0, 7.0]))
 STATE = init_params(TOPOLOGY, 0)
+REPORT = AttributionReport("t", 1, tuple("abcdefgh"), np.arange(8.0), 4)  # k up to 8
 OUTCOME = dict(name="y", kind="outcome", task_index=0, task=CLASSIFICATION)
 # each numeric setting: its name, its type, its lower bound, and a call that
 # sets it to a value. The name is what a refusal must name.
@@ -232,6 +233,9 @@ NUMERIC_SETTINGS = [
     ("n_informative", int, 3, lambda v: SynthConfig(n_informative=v)),
     ("noise_std", float, 0, lambda v: SynthConfig(noise_std=v)),
     ("seed", int, 0, lambda v: SynthConfig(seed=v)),
+    ("seed", int, 0, lambda v: init_params(TOPOLOGY, v)),
+    ("loss weights", float, 0, lambda v: LossWeights((1.0, v))),
+    ("k", int, 1, lambda v: top_k(REPORT, v)),
 ]
 
 
