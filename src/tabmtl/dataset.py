@@ -352,7 +352,8 @@ def clean(table: RawTable, max_missing_frac: float = 0.8) -> tuple[RawTable, Cle
     passes repeat until nothing changes, so cleaning an already-clean table
     is a no-op even when column drops expose new duplicate rows.
     """
-    if not 0.0 <= max_missing_frac <= 1.0:
+    max_missing_frac = as_real(max_missing_frac, "max_missing_frac", 0)
+    if max_missing_frac > 1.0:
         raise ConfigError(f"max_missing_frac must be in [0, 1], got {max_missing_frac}")
     schema = list(table.schema)
     columns, rows = list(table.columns), table.rows
@@ -647,9 +648,10 @@ class Dataset:
 
 def subset_rows(dataset: Dataset, indices: np.ndarray) -> Dataset:
     """A Dataset restricted to the given rows; normalization stats carry over."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ConfigError("indices must be a non-empty 1-D array")
+    idx = np.asarray(indices)  # a boolean mask or a float is not a row index
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        raise ConfigError(f"indices must be a non-empty 1-D integer array, got {idx.dtype} "
+                          f"{idx.shape}")
     if idx.min() < 0 or idx.max() >= dataset.n_rows:
         raise ConfigError(f"row indices out of range for {dataset.n_rows} rows")
     outcomes = tuple(
@@ -825,7 +827,7 @@ class FoldPlan:
 
 def kfold_split(n: int, k: int, seed: int) -> FoldPlan:
     """Shuffle indices with the seeded PRNG, then deal them round-robin to k folds."""
-    k = as_int(k, "k", 2)
+    n, k = as_int(n, "n", 0), as_int(k, "k", 2)
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of samples n={n}")
     seed = as_int(seed, "seed", 0)
@@ -850,16 +852,13 @@ def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
     if not isinstance(doc, list):
         raise ConfigError("schema document must be a JSON array")
     cols = []
-    for entry in doc:
-        if not (isinstance(entry, dict) and "name" in entry and "kind" in entry):
-            raise ConfigError(f"schema entry {entry!r} needs a 'name' and a 'kind'")
-        json_object(entry, ("name", "kind", "params"), f"schema entry {entry['name']!r}")
-        params = entry.get("params") or {}
-        if not isinstance(params, dict):
-            raise ConfigError(f"schema entry {entry['name']!r}: params must be a JSON object")
-        unknown = sorted(set(params) - {f.name for f in fields(ColumnDescriptor)[2:]})
-        if unknown:
-            raise ConfigError(f"schema entry {entry['name']!r}: unknown params {unknown}")
+    param_keys = [f.name for f in fields(ColumnDescriptor)[2:]]  # each optional
+    for i, entry in enumerate(doc):
+        name = entry.get("name", i) if isinstance(entry, dict) else i  # its position if none
+        what = f"schema entry {name!r}"
+        json_object(entry, ("name", "kind", "params"), what, optional=("params",))
+        params = json_object(entry.get("params", {}), param_keys, f"{what}: params",
+                             optional=param_keys)
         cols.append(ColumnDescriptor(entry["name"], entry["kind"], **params))
     return validate_schema(cols)
 
@@ -893,11 +892,14 @@ def read_json(path: str | Path, kind: str, parse):
         raise ConfigError(f"{kind} file {path}: {exc!r}") from None
 
 
-def json_object(doc, keys: Sequence[str], what: str) -> dict:
-    """``doc`` if it is a JSON object whose keys are all in ``keys``; else
-    ConfigError naming ``what`` and each unknown key."""
+def json_object(doc, keys: Sequence[str], what: str, optional: Sequence[str] = ()) -> dict:
+    """``doc`` if it is a JSON object holding each of ``keys`` but the ``optional`` ones and
+    no other key; else a ConfigError naming ``what`` and the missing, or else unknown, keys."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
+    missing = sorted(set(keys) - set(optional) - set(doc))
+    if missing:
+        raise ConfigError(f"{what}: missing keys {missing}")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"{what}: unknown keys {unknown}")

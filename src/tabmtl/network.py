@@ -140,11 +140,12 @@ class NetworkTopology:
         heads = []
         for h in d["heads"]:
             json_object(h, ("hidden_layers", "output"), "head")
-            output = json_object(h["output"], ("kind", "num_classes"), "head output")
-            kind = output["kind"]
-            num_classes = output.get("num_classes", 2 if kind == CLASSIFICATION else 1)
-            heads.append(HeadSpec(h.get("hidden_layers", ()), kind, num_classes))
-        return cls(d["input_dim"], d.get("shared_layers", ()), heads)
+            output = h["output"]  # a regression output may omit num_classes, as to_dict does
+            classification = isinstance(output, dict) and output.get("kind") == CLASSIFICATION
+            json_object(output, ("kind", "num_classes"), "head output",
+                        optional=() if classification else ("num_classes",))
+            heads.append(HeadSpec(h["hidden_layers"], **output))
+        return cls(d["input_dim"], d["shared_layers"], heads)
 
 
 @dataclass(frozen=True)
@@ -732,11 +733,10 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     layout, and ``normalization_stats`` holds ``input_dim`` feature names,
     means and stds, every number finite and none a boolean, every std > 0.
     """
-    json_object(d, ("version", "topology", "params", "normalization_stats"), "model document")
-    for key in ("version", "topology", "params", "normalization_stats"):
-        if key not in d:
-            raise ConfigError(f"model document has no {key!r} entry; "
-                              "retrain the model with `tabmtl train`")
+    try:
+        json_object(d, ("version", "topology", "params", "normalization_stats"), "model document")
+    except ConfigError as exc:  # not a document that this version writes
+        raise ConfigError(f"{exc}; retrain the model with `tabmtl train`") from None
     if d["version"] != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {d['version']!r}; this version "
                           f"reads only version {MODEL_FORMAT_VERSION}, so retrain the model")
@@ -748,11 +748,11 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     params = _decode_params(d["params"], layout)
     stats, n = json_object(d["normalization_stats"], ("feature_names", "mean", "std"),
                            "normalization_stats"), topo.input_dim
-    names = stats.get("feature_names")
+    names = stats["feature_names"]
     if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
         raise ConfigError(
             f"normalization_stats 'feature_names' must be a list of {n} strings")
-    mean, std = (json_numbers(stats.get(key), f"normalization_stats {key!r}", n)
+    mean, std = (json_numbers(stats[key], f"normalization_stats {key!r}", n)
                  for key in ("mean", "std"))
     if np.any(std <= 0):
         raise ConfigError("normalization_stats 'std' must be > 0")

@@ -25,14 +25,16 @@ class ScheduleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lr0", as_real(self.lr0, "lr0", 0))
-        if not 0 <= self.lr_min <= self.lr0:
+        object.__setattr__(self, "lr_min", as_real(self.lr_min, "lr_min", 0))
+        if self.lr_min > self.lr0:
             raise ConfigError(f"need 0 <= lr_min <= lr0, got lr_min={self.lr_min}, lr0={self.lr0}")
         object.__setattr__(self, "total_steps", as_int(self.total_steps, "total_steps", 1))
 
 
 def cosine_lr(t: int, cfg: ScheduleConfig) -> float:
     """Cosine decay from lr0 at t=0 down to lr_min at t=total_steps."""
-    if not 0 <= t <= cfg.total_steps:
+    t = as_int(t, "step", 0)
+    if t > cfg.total_steps:
         raise ConfigError(f"step {t} outside [0, {cfg.total_steps}]")
     return cfg.lr_min + 0.5 * (cfg.lr0 - cfg.lr_min) * (1.0 + math.cos(math.pi * t / cfg.total_steps))
 

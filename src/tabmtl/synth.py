@@ -29,7 +29,7 @@ from .dataset import (
     write_json,
 )
 from .errors import ConfigError, DataError
-from .metrics import confusion_counts, f1_score, roc_auc
+from .metrics import confusion_counts, f1_score, mse_metric, roc_auc
 
 TASK_NAMES = ("task_a", "task_b", "task_c")
 TASK_KINDS = (CLASSIFICATION, CLASSIFICATION, REGRESSION)
@@ -71,11 +71,7 @@ class SynthConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
         """The config of a truth file, which must record every field."""
-        names = [f.name for f in fields(cls)]
-        missing = [name for name in names if name not in json_object(d, names, "config")]
-        if missing:
-            raise ConfigError(f"config: missing keys {missing}")
-        return cls(**d)
+        return cls(**json_object(d, [f.name for f in fields(cls)], "config"))
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ class GroundTruth:
         if not (np.isfinite(shared).all() and np.isfinite(tasks).all()):
             raise ConfigError("shared_weights and task_weights must be finite")
         names = [name for name, kind in zip(TASK_NAMES, TASK_KINDS) if kind == CLASSIFICATION]
-        thresholds = dict(self.thresholds)
-        if set(thresholds) != set(names):
-            raise ConfigError(f"thresholds must map exactly {names}, got {thresholds!r}")
+        thresholds = json_object(self.thresholds, names, "thresholds")
         shared.setflags(write=False)
         tasks.setflags(write=False)
         object.__setattr__(self, "shared_weights", shared)
@@ -121,6 +115,7 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
+        json_object(d, ("config", "shared_weights", "task_weights", "thresholds"), "truth document")
         config = SynthConfig.from_dict(d["config"])
         return cls(
             config,
@@ -250,6 +245,5 @@ def oracle_bayes_metrics(truth: GroundTruth, dataset: Dataset) -> dict:
                 "auc": roc_auc(scores[:, j], outcome.values),
             }
         else:
-            residual = scores[:, j] - outcome.values
-            tasks[name] = {"mse": float(np.mean(residual * residual))}
+            tasks[name] = {"mse": mse_metric(scores[:, j], outcome.values)}
     return {"tasks": tasks}

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from tabmtl.attrib import AttributionReport, grad_cam_features, top_k
 from tabmtl.dataset import (CLASSIFICATION, REGRESSION, ColumnDescriptor, Dataset,
-                            NormalizationStats, OutcomeVector, RawTable, kfold_split, mice_impute)
+                            NormalizationStats, OutcomeVector, RawTable, clean, kfold_split,
+                            mice_impute)
 from tabmtl.errors import ConfigError, TabmtlError
 from tabmtl.network import (
     LOG_FLOOR,
@@ -34,7 +35,7 @@ from tabmtl.network import (
     softmax,
     task_loss,
 )
-from tabmtl.optim import ScheduleConfig, adam_step, init_adam
+from tabmtl.optim import ScheduleConfig, adam_step, cosine_lr, init_adam
 from tabmtl.synth import SynthConfig
 from tabmtl.train import SearchSpace, TrainConfig
 
@@ -236,6 +237,10 @@ NUMERIC_SETTINGS = [
     ("seed", int, 0, lambda v: init_params(TOPOLOGY, v)),
     ("loss weights", float, 0, lambda v: LossWeights((1.0, v))),
     ("k", int, 1, lambda v: top_k(REPORT, v)),
+    ("n", int, 2, lambda v: kfold_split(v, 2, 0)),  # at k=2, n's bound is 2
+    ("lr_min", float, 0, lambda v: ScheduleConfig(10.0, v, 10)),
+    ("step", int, 0, lambda v: cosine_lr(v, ScheduleConfig(0.1, 0.0, 10))),
+    ("lr_min", float, 0, lambda v: TrainConfig(TOPOLOGY, lr0=10.0, lr_min=v)),
 ]
 
 
@@ -269,3 +274,15 @@ class TestNumericSettings:
         with pytest.raises(ConfigError) as refused:
             call(value)
         assert re.search(rf"\b{name}\b", str(refused.value)), str(refused.value)
+
+
+# max_missing_frac is a fraction, so the draws above would cross its upper bound
+@pytest.mark.parametrize("value", [True, "0.5", None, math.nan, -0.1, 1.5])
+def test_max_missing_frac_refused_naming_it(value):
+    with pytest.raises(ConfigError, match=r"\bmax_missing_frac\b"):
+        clean(GAPPY, max_missing_frac=value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.25), 0.5, 1])  # "a" is 1/4 missing
+def test_max_missing_frac_taken(value):
+    assert clean(GAPPY, max_missing_frac=value)[0].schema == GAPPY.schema

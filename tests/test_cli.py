@@ -199,6 +199,21 @@ class TestPreprocess:
         assert code == 2
         assert f"schema file {schema}: schema entry 'task_a': unknown keys [{key!r}]" in err
 
+    @pytest.mark.parametrize("key, named", [("name", "schema entry 2"),
+                                            ("kind", "schema entry 'x2'")])
+    def test_missing_schema_entry_key_exits_2_naming_it(self, synth_dir, tmp_path, capsys,
+                                                        key, named):
+        # was "needs a 'name' and a 'kind'", naming the entry by its repr
+        entries = json.loads((synth_dir / "schema.json").read_text())
+        del entries[2][key]
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(entries))
+        code = main(["preprocess", "--data", str(synth_dir / "data.csv"),
+                     "--schema", str(schema), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"schema file {schema}: {named}: missing keys [{key!r}]" in err
+
     @pytest.mark.parametrize("column, params", [
         ("grade", {"mapping": {"low": 0, "high": "nan"}}),
         ("grade", {"mapping": {"low": 0, "high": "inf"}}),
@@ -595,7 +610,10 @@ class TestAttribute:
 
     @pytest.mark.parametrize("mutate", [
         "missing_file", "truncated", "not_object", "no_topology", "no_params", "no_version",
-        "version_1", "params_dict", "params_short",
+        "version_1", "params_dict", "params_short", "no_normalization_stats",
+        # a key missing below the top level: each was filled in, or a repr'd KeyError
+        "no_input_dim", "no_shared_layers", "no_heads", "no_hidden_layers", "no_output",
+        "no_kind", "no_num_classes", "no_feature_names", "no_mean", "no_std",
         # faults in the base64 text of a version-3 parameter vector
         "version_2", "params_number", "params_not_base64", "params_byte_short",
         "params_byte_long", "params_nan", "params_inf",
@@ -612,7 +630,12 @@ class TestAttribute:
         elif mutate == "not_object":
             model.write_text("[1, 2]")
         elif mutate.startswith("no_"):
-            del doc[mutate[3:]]
+            topo = doc["topology"]
+            head = next(h for h in topo["heads"] if "num_classes" in h["output"])
+            key = mutate[3:]
+            holder = next(holder for holder in (doc, topo, head, head["output"],
+                                                doc["normalization_stats"]) if key in holder)
+            del holder[key]
             model.write_text(json.dumps(doc))
         elif mutate in ("version_1", "params_dict"):
             # the layout of a version-1 file: one nested list per named array
@@ -657,8 +680,11 @@ class TestAttribute:
         assert result.returncode == 2
         assert str(model) in result.stderr
         assert "Traceback" not in result.stderr
-        if mutate.startswith("version_"):
+        if mutate.startswith("version_") or mutate[3:] in ("version", "topology", "params",
+                                                            "normalization_stats"):
             assert "retrain" in result.stderr
+        if mutate.startswith("no_"):
+            assert f"missing keys [{mutate[3:]!r}]" in result.stderr
         if mutate in ("params_nan", "params_inf"):  # the last value is the last head's bias
             assert "parameter head.2.1.b has non-finite values" in result.stderr
         elif mutate.startswith("params_"):

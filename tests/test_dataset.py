@@ -1014,6 +1014,14 @@ class TestDataset:
         assert ds.n_rows == 2
         assert ds.features[0, 0] == 5.0
         assert ds.outcomes[1].values[1] == 0.5
+        assert np.array_equal(subset_rows(self.make(), [2, 0]).features, ds.features)
+
+    @pytest.mark.parametrize("indices", [np.array([True, False, True]), [0.5, 1.0],
+                                         np.array([2.0, 0.0])])
+    def test_subset_rows_refuses_indices_that_are_not_integers(self, indices):
+        # a mask was read as rows 1, 0, 1 and a float truncated to a row
+        with pytest.raises(ConfigError, match="indices must be a non-empty 1-D integer array"):
+            subset_rows(self.make(), indices)
 
     def test_select_task(self):
         ds = select_task(self.make(), "y2")
@@ -1143,7 +1151,7 @@ class TestSchemaJson:
             ])
 
     @pytest.mark.parametrize("name, kind, params, match", [
-        ("a", "numeric", {"levelz": ["x"]}, r"schema entry 'a': unknown params \['levelz'\]"),
+        ("a", "numeric", {"levelz": ["x"]}, r"schema entry 'a': params: unknown keys \['levelz'\]"),
         ("a", "numeric", {"levels": ["x"]}, "numeric column 'a' takes no levels"),
         ("c", "categorical", {"levels": ["x"], "group": "g"}, "column 'c' takes no group"),
         ("y", "outcome", {"task_index": 0, "task": "regression", "num_classes": 2},

@@ -1,6 +1,7 @@
 """Module boundaries: no module reaches into a sibling's private names, each
 module-level constant is assigned in one module only, one function parses
-JSON, one writes it indented, and one raises the lower-bound refusal."""
+JSON, one writes it indented, one raises the lower-bound refusal, and one
+refuses a JSON object's missing or unknown keys."""
 
 import ast
 from collections import defaultdict
@@ -173,3 +174,32 @@ def test_the_check_sees_every_bound_raise(tmp_path):
                      "class Config:\n    def check(self):\n"
                      "        raise ConfigError('seed must be >= 0')\n")
     assert _bound_raises(probe) == ["probe.check", "probe.Config.check"]
+
+
+def _key_raises(path: Path, text: str) -> list[str]:
+    """Where a module raises an error whose text (a string or an f-string's
+    literal part) holds ``text``."""
+    return _uses(path, lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+        for n in ast.walk(node)))
+
+
+def test_a_key_is_refused_in_one_function():
+    # every JSON object is read through json_object, so a missing or unknown
+    # key is refused by one rule in one wording
+    for text in ("missing keys", "unknown keys"):
+        uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in _key_raises(path, text)]
+        assert uses == ["dataset.json_object"], text
+
+
+def test_the_check_sees_every_key_raise(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""A document with missing keys is refused."""\n'
+                     "def check(d):\n    if 'a' not in d:\n"
+                     "        raise ValueError(f'doc: missing keys {[\"a\"]}')\n"
+                     "    text = 'unknown keys'\n"
+                     "class Doc:\n    def check(self, extra):\n"
+                     "        raise ConfigError('doc: unknown keys ' + str(extra))\n"
+                     "raise ConfigError(f'{1}: missing keys')\n")
+    assert _key_raises(probe, "missing keys") == ["probe.check", "probe"]
+    assert _key_raises(probe, "unknown keys") == ["probe.Doc.check"]

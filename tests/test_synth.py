@@ -199,6 +199,24 @@ class TestGroundTruth:
                            match=re.escape(f"truth file {path}: config: missing keys ['{field}']")):
             load_truth(path)
 
+    @pytest.mark.parametrize("doc, named", [
+        ({**VALID_TRUTH, "zz": 1}, "truth document: unknown keys ['zz']"),
+        *[({k: v for k, v in VALID_TRUTH.items() if k != key},
+           f"truth document: missing keys [{key!r}]") for key in VALID_TRUTH],
+        ([VALID_TRUTH], "truth document must be a JSON object"),
+        ({**VALID_TRUTH, "thresholds": {"task_a": 0.0}}, "thresholds: missing keys ['task_b']"),
+        ({**VALID_TRUTH, "thresholds": [["task_a", 0.0], ["task_b", 0.0]]},
+         "thresholds must be a JSON object"),
+    ], ids=["unknown_key", *[f"no_{key}" for key in VALID_TRUTH], "array", "no_threshold",
+            "threshold_pairs"])
+    def test_each_object_holds_exactly_its_keys(self, tmp_path, doc, named):
+        # an unknown key and a list of threshold pairs loaded; a missing key and
+        # an array were a repr'd KeyError and TypeError
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=re.escape(f"truth file {path}: {named}")):
+            load_truth(path)
+
     def test_clean_scores_formula(self):
         cfg = SynthConfig(n_samples=10, n_features=6, n_informative=4, rho=0.4, seed=12)
         ds, truth = generate(cfg)
