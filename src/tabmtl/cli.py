@@ -56,17 +56,16 @@ from .train import (
 )
 
 
-def _parse_list(text: str, kind: type) -> tuple:
-    """Comma-separated ``kind`` values; an empty string or "none" is no values."""
-    text = text.strip()
+def _parse_list(args, name: str, kind: type) -> tuple:
+    """Option ``name``'s comma-separated ``kind`` values, none for "" or "none"; faults name it."""
+    text = getattr(args, name).strip()
     if not text or text.lower() == "none":
         return ()
     try:
         return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ConfigError(
-            f"expected comma-separated {kind.__name__} values, got {text!r}"
-        ) from None
+        raise ConfigError(f"--{name.replace('_', '-')}: expected comma-separated "
+                          f"{kind.__name__} values, got {text!r}") from None
 
 
 def _write_outputs(out_dir: Path, outputs: dict) -> None:
@@ -125,10 +124,9 @@ def _load_dataset(args) -> tuple[Dataset, CleaningReport]:
 
 
 def _train_config(dataset: Dataset, args) -> TrainConfig:
-    topology = build_topology(
-        dataset, _parse_list(args.trunk, int), _parse_list(args.head, int)
-    )
-    weights = _parse_list(args.loss_weights, float) if args.loss_weights else None
+    topology = build_topology(dataset, _parse_list(args, "trunk", int),
+                              _parse_list(args, "head", int))
+    weights = _parse_list(args, "loss_weights", float) if args.loss_weights else None
     return TrainConfig(topology, loss_weights=weights,
                        **{name: getattr(args, name) for name in TRAIN_OPTIONS})
 
@@ -187,7 +185,7 @@ def cmd_cv(args) -> tuple[dict, str]:
 def cmd_gridsearch(args) -> tuple[dict, str]:
     dataset, _ = _load_dataset(args)
     space = SearchSpace(
-        **{name: _parse_list(getattr(args, name), kind) for name, kind in GRID_AXES.items()},
+        **{name: _parse_list(args, name, kind) for name, kind in GRID_AXES.items()},
         primary_task=args.primary_task, budget=args.budget, seed=args.seed,
     )
     result = grid_search(dataset, space, k=args.k)

@@ -131,12 +131,15 @@ class ColumnDescriptor:
         return self.kind in _NUMERIC_VALUED
 
 
+def _distinct(names: list[str], what: str) -> None:
+    """A ConfigError ``{what}: [...]`` naming each name that ``names`` holds twice or more."""
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{what}: {sorted({n for n in names if names.count(n) > 1})}")
+
+
 def validate_schema(schema: Sequence[ColumnDescriptor]) -> tuple[ColumnDescriptor, ...]:
     cols = tuple(schema)
-    names = [c.name for c in cols]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"duplicate column names in schema: {dupes}")
+    _distinct([c.name for c in cols], "duplicate column names in schema")
     task_indices = sorted(c.task_index for c in cols if c.kind == OUTCOME)
     if task_indices and task_indices != list(range(len(task_indices))):
         raise ConfigError(f"outcome task_index values must be 0..M-1, got {task_indices}")
@@ -712,7 +715,8 @@ def transform(table: RawTable) -> Dataset:
     a declared ``num_classes`` above the row count and a class label outside
     [0, num_classes), or [0, row count) when undeclared, raise DataError. A
     missing cell (``missing outcome`` in an outcome column) or a bad class
-    label is named at its row in ``table.rows``.
+    label is named at its row in ``table.rows``. A feature or task name made
+    twice (``site=a`` by a numeric column and by a level) raises ConfigError.
     """
     n = table.n_rows
     if n == 0:
@@ -751,6 +755,8 @@ def transform(table: RawTable) -> Dataset:
         raise DataError("transform produced no feature columns")
     if not outcome_cols:
         raise DataError("table has no outcome columns")
+    _distinct([*feature_names, *(col.name for col, _ in outcome_cols.values())],
+              "the schema's feature and task names repeat")  # one CSV header holds them all
 
     raw = np.column_stack(feature_cols)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value has a non-finite mean
@@ -849,11 +855,9 @@ def schema_to_json(schema: Sequence[ColumnDescriptor]) -> list[dict]:
 
 def schema_from_json(doc: list[dict]) -> tuple[ColumnDescriptor, ...]:
     """The schema of a ``schema_to_json`` document; ``ColumnDescriptor`` checks each field."""
-    if not isinstance(doc, list):
-        raise ConfigError("schema document must be a JSON array")
     cols = []
     param_keys = [f.name for f in fields(ColumnDescriptor)[2:]]  # each optional
-    for i, entry in enumerate(doc):
+    for i, entry in enumerate(json_list(doc, "schema document")):
         name = entry.get("name", i) if isinstance(entry, dict) else i  # its position if none
         what = f"schema entry {name!r}"
         json_object(entry, ("name", "kind", "params"), what, optional=("params",))
@@ -906,21 +910,20 @@ def json_object(doc, keys: Sequence[str], what: str, optional: Sequence[str] = (
     return doc
 
 
+def json_list(value, what: str, size: int | None = None) -> list:
+    """``value`` if it is a JSON array, of ``size`` entries when given; else a
+    ConfigError naming ``what``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON array")
+    if size is not None and len(value) != size:
+        raise ConfigError(f"{what} has {len(value)} values, expected {size}")
+    return value
+
+
 def json_numbers(values, what: str, size: int) -> np.ndarray:
-    """``values`` as float64 if it is a flat list of ``size`` finite numbers, none a bool."""
-    try:
-        flat = np.array(values)
-    except ValueError:  # lists nested to unequal depths
-        flat = np.array(None)
-    # np.array reads a JSON true among numbers as 1.0: the list itself must hold no bool
-    if flat.ndim != 1 or flat.dtype.kind not in "iuf" or bool in set(map(type, values)):
-        raise ConfigError(f"{what} must be a flat list of numbers")
-    if flat.size != size:
-        raise ConfigError(f"{what} has {flat.size} values, expected {size}")
-    flat = flat.astype(np.float64, copy=False)
-    if not np.isfinite(flat).all():
-        raise ConfigError(f"{what} has non-finite values")
-    return flat
+    """``values`` as float64 if it is a JSON array of ``size`` entries, each ``as_real``."""
+    return np.array([as_real(v, f"{what}[{i}]")
+                     for i, v in enumerate(json_list(values, what, size))])
 
 
 def load_schema(path: str | Path) -> tuple[ColumnDescriptor, ...]:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (CLASSIFICATION, REGRESSION, NormalizationStats, as_int, as_real,
-                      class_labels, json_numbers, json_object, read_json)
+                      class_labels, json_list, json_numbers, json_object, read_json)
 from .errors import ConfigError, DataError
 
 LOG_FLOOR = 1e-12
@@ -138,14 +138,14 @@ class NetworkTopology:
         """The topology of a ``to_dict`` document; the constructors check every size."""
         json_object(d, ("input_dim", "shared_layers", "heads"), "topology")
         heads = []
-        for h in d["heads"]:
+        for h in json_list(d["heads"], "topology heads"):
             json_object(h, ("hidden_layers", "output"), "head")
             output = h["output"]  # a regression output may omit num_classes, as to_dict does
             classification = isinstance(output, dict) and output.get("kind") == CLASSIFICATION
             json_object(output, ("kind", "num_classes"), "head output",
                         optional=() if classification else ("num_classes",))
-            heads.append(HeadSpec(h["hidden_layers"], **output))
-        return cls(d["input_dim"], d["shared_layers"], heads)
+            heads.append(HeadSpec(json_list(h["hidden_layers"], "head hidden_layers"), **output))
+        return cls(d["input_dim"], json_list(d["shared_layers"], "topology shared_layers"), heads)
 
 
 @dataclass(frozen=True)
@@ -740,18 +740,14 @@ def model_from_dict(d: dict) -> tuple[ModelState, tuple[str, ...], Normalization
     if d["version"] != MODEL_FORMAT_VERSION:
         raise ConfigError(f"unsupported model format version {d['version']!r}; this version "
                           f"reads only version {MODEL_FORMAT_VERSION}, so retrain the model")
-    try:
-        topo = NetworkTopology.from_dict(d["topology"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed topology: {exc!r}") from None
+    topo = NetworkTopology.from_dict(d["topology"])
     layout = topo.param_layout
     params = _decode_params(d["params"], layout)
     stats, n = json_object(d["normalization_stats"], ("feature_names", "mean", "std"),
                            "normalization_stats"), topo.input_dim
-    names = stats["feature_names"]
-    if not (isinstance(names, list) and len(names) == n and all(isinstance(s, str) for s in names)):
-        raise ConfigError(
-            f"normalization_stats 'feature_names' must be a list of {n} strings")
+    names = json_list(stats["feature_names"], "normalization_stats 'feature_names'", n)
+    if not all(isinstance(s, str) for s in names):
+        raise ConfigError("normalization_stats 'feature_names' must hold only strings")
     mean, std = (json_numbers(stats[key], f"normalization_stats {key!r}", n)
                  for key in ("mean", "std"))
     if np.any(std <= 0):

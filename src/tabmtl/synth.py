@@ -23,6 +23,7 @@ from .dataset import (
     OutcomeVector,
     as_int,
     as_real,
+    json_list,
     json_numbers,
     json_object,
     read_json,
@@ -120,8 +121,8 @@ class GroundTruth:
         return cls(
             config,
             json_numbers(d["shared_weights"], "shared_weights", config.n_features),
-            np.array([json_numbers(row, f"task_weights row {i}", N_TASKS)
-                      for i, row in enumerate(d["task_weights"])]),
+            np.array([json_numbers(row, f"task_weights[{i}]", N_TASKS) for i, row in
+                      enumerate(json_list(d["task_weights"], "task_weights", config.n_features))]),
             d["thresholds"],
         )
 

@@ -376,6 +376,31 @@ class TestPreprocess:
         assert named in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    @pytest.mark.parametrize("text, entries, repeated", [
+        ("site=a,site,y\n1,a,0\n2,b,1\n3,a,2\n4,b,3\n",
+         [{"name": "site=a", "kind": "numeric"},
+          {"name": "site", "kind": "categorical", "params": {"levels": ["a", "b"]}},
+          {"name": "y", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}}],
+         "site=a"),
+        ("x1,x2,x_sum\n1,2,0\n2,1,1\n3,5,2\n4,4,3\n",
+         [{"name": "x1", "kind": "timeseries", "params": {"group": "x"}},
+          {"name": "x2", "kind": "timeseries", "params": {"group": "x"}},
+          {"name": "x_sum", "kind": "outcome", "params": {"task_index": 0, "task": "regression"}}],
+         "x_sum"),
+    ], ids=["numeric_and_level", "group_sum_and_outcome"])
+    def test_a_derived_name_made_twice_exits_2_writing_nothing(self, tmp_path, capsys, command,
+                                                                text, entries, repeated):
+        # preprocess exited 2 only after writing dataset.csv, and train exited
+        # 0 with a model of two features of one name
+        data, schema, out = tmp_path / "data.csv", tmp_path / "schema.json", tmp_path / "o"
+        data.write_text(text)
+        schema.write_text(json.dumps(entries))
+        assert main([command, "--data", str(data), "--schema", str(schema),
+                     "--out", str(out)]) == 2
+        assert f"feature and task names repeat: [{repeated!r}]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_out_is_existing_file_exits_2(self, synth_dir, tmp_path):
         out = tmp_path / "taken"
         out.write_text("")
@@ -550,6 +575,19 @@ def test_bad_numeric_option_exits_2(synth_dir, tmp_path, command, options, named
     assert result.returncode == 2, result.stderr
     assert named in result.stderr and value in result.stderr
     assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("command, option, kind", [
+    ("train", "--trunk", int), ("train", "--head", int), ("train", "--loss-weights", float),
+    *(("gridsearch", "--" + name.replace("_", "-"), kind) for name, kind in GRID_AXES.items()),
+])
+def test_a_bad_list_option_names_itself(synth_dir, tmp_path, capsys, command, option, kind):
+    # the refusal named the values but not the option they were given to
+    args = [command, "--data", str(synth_dir / "data.csv"), "--schema",
+            str(synth_dir / "schema.json"), "--out", str(tmp_path / "o"), option, "8,x"]
+    assert main(args + (["--primary-task", "task_a"] if command == "gridsearch" else [])) == 2
+    assert capsys.readouterr().err == (f"error: {option}: expected comma-separated "
+                                       f"{kind.__name__} values, got '8,x'\n")
 
 
 @pytest.mark.parametrize("command, options, code", [
@@ -872,6 +910,7 @@ JSON_FAULTS = {
     "NaN": lambda value: math.nan,
     "Infinity": lambda value: -math.inf,
     "string": lambda value: "1",
+    "number": lambda value: 5,
 }
 
 
@@ -919,6 +958,7 @@ def test_fuzzed_schema_or_model_exits_0_or_2_naming_the_fault(synth_dir, trained
     # a schema fault may surface as the CSV's, or as a column's in the table it reads
     assert code == 0 or any(name in err for name in (str(path), "data.csv", "column '")), err
     assert "Traceback" not in err
+    assert not re.search(r"\w+(Error|Exception)\(", err), err  # a value's fault is named, no repr
 
 
 RUN_LR0 = ["1e300", "1e30", "1e10", "5e-324", "0", "-1", "nan", "inf", "1e999"]
@@ -1077,7 +1117,7 @@ def test_defaults_are_the_library_dataclasses():
             assert (type(value), value) == (type(defaults[name]), defaults[name]), name
     args = parser.parse_args(["gridsearch", "--out", "o", "--data", "d", "--schema", "s",
                               "--primary-task", "t"])
-    space = SearchSpace(**{name: _parse_list(getattr(args, name), kind)
+    space = SearchSpace(**{name: _parse_list(args, name, kind)
                            for name, kind in GRID_AXES.items()})
     assert space.grid() == SearchSpace().grid()
     for name in ("budget", "seed"):

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 from unittest import mock
@@ -38,8 +39,8 @@ from tabmtl.dataset import (
     write_dataset_csv,
 )
 from tabmtl.errors import ConfigError, DataError
-from tabmtl.network import load_model
-from tabmtl.synth import load_truth
+from tabmtl.network import HeadSpec, NetworkTopology, init_params, load_model, model_to_dict
+from tabmtl.synth import SynthConfig, generate, load_truth
 
 NUM_A = ColumnDescriptor("a", "numeric")
 NUM_B = ColumnDescriptor("b", "numeric")
@@ -891,6 +892,21 @@ class TestTransform:
                 "row 0, column 'color': value 'purple' not in declared levels ['red']")):
             RawTable((cat, OUT_REG), (["purple"], [0.0]))
 
+    @pytest.mark.parametrize("schema, cells, repeated", [
+        ((ColumnDescriptor("site=a", "numeric"),
+          ColumnDescriptor("site", "categorical", levels=("a", "b")), OUT_REG),
+         ([1.0, 2.0], ["a", "b"], [0.0, 1.0]), "site=a"),
+        ((ColumnDescriptor("x1", "timeseries", group="x"),
+          ColumnDescriptor("x_sum", "outcome", task_index=0, task="regression")),
+         ([1.0, 2.0], [0.0, 1.0]), "x_sum"),
+    ], ids=["numeric_and_level", "group_sum_and_outcome"])
+    def test_a_derived_name_made_twice_is_refused(self, schema, cells, repeated):
+        # each became a Dataset, and then a CSV header or a model, with two
+        # columns of one name
+        with pytest.raises(ConfigError, match=re.escape(f"feature and task names repeat: "
+                                                        f"[{repeated!r}]")):
+            transform(RawTable(schema, cells))
+
     def test_identifier_dropped(self):
         ident = ColumnDescriptor("patient_id", "identifier")
         table = RawTable((ident, NUM_A, OUT_REG), (["p1", "p2"], [1.0, 2.0], [0.0, 1.0]))
@@ -1224,6 +1240,34 @@ def test_json_file_faults_name_the_file(tmp_path, kind, load, content):
         path.write_bytes(content)
     with pytest.raises(ConfigError, match=f"{kind} file {re.escape(str(path))}"):
         load(path)
+
+
+@pytest.mark.parametrize("value", [5, {}], ids=["number", "object"])
+@pytest.mark.parametrize("kind, key", [
+    ("model", "heads"), ("model", "shared_layers"), ("model", "hidden_layers"),
+    ("model", "feature_names"), ("model", "mean"),
+    ("truth", "task_weights"), ("truth", "shared_weights"),
+])
+def test_a_value_that_is_not_an_array_is_named(tmp_path, kind, key, value):
+    # a number was a repr'd TypeError ("'int' object is not iterable"), and an
+    # object in place of a width list was read as no widths
+    if kind == "model":
+        topology = NetworkTopology(3, (4,), (HeadSpec((2,), "classification", 2),))
+        doc = model_to_dict(init_params(topology, 0), ["a", "b", "c"],
+                            NormalizationStats.identity(3))
+        holder = {"heads": doc["topology"], "shared_layers": doc["topology"],
+                  "hidden_layers": doc["topology"]["heads"][0]}.get(key, doc["normalization_stats"])
+    else:
+        doc = holder = generate(SynthConfig(n_samples=20, seed=1))[1].to_dict()
+    holder[key] = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        {"model": load_model, "truth": load_truth}[kind](path)
+    message = str(info.value)
+    assert message.startswith(f"{kind} file {path}: ")
+    assert re.search(f"{key}'? must be a JSON array$", message), message
+    assert not re.search(r"\w+Error\(", message), message
 
 
 def reference_write_dataset_csv(dataset, path):

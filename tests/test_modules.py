@@ -203,3 +203,24 @@ def test_the_check_sees_every_key_raise(tmp_path):
                      "raise ConfigError(f'{1}: missing keys')\n")
     assert _key_raises(probe, "missing keys") == ["probe.check", "probe"]
     assert _key_raises(probe, "unknown keys") == ["probe.Doc.check"]
+
+
+def test_an_array_is_refused_in_one_function():
+    # every JSON array is read through json_list, so a value of another type
+    # where an array belongs is refused by one rule in one wording
+    uses = [use for path in sorted(PACKAGE.glob("*.py"))
+            for use in _key_raises(path, "must be a JSON array")]
+    assert uses == ["dataset.json_list"]
+
+
+def test_the_check_sees_every_array_raise(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""A widths value that is not a list must be a JSON array."""\n'
+                     "def widths(w):\n    if not isinstance(w, list):\n"
+                     "        raise ConfigError(f'{w!r} must be a JSON array')\n"
+                     "    text = 'heads must be a JSON array'\n"
+                     "class Doc:\n    def heads(self, h):\n"
+                     "        raise TypeError('heads ' + 'must be a JSON array')\n"
+                     "raise ConfigError('schema document must be a JSON array')\n")
+    assert _key_raises(probe, "must be a JSON array") == ["probe.widths", "probe.Doc.heads",
+                                                          "probe"]

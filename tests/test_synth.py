@@ -152,17 +152,19 @@ class TestGroundTruth:
             load_truth(path)
 
     @pytest.mark.parametrize("field, value, named", [
-        ("shared_weights", ["1.5", 0.0, 0.0], "shared_weights"),
-        ("shared_weights", [True, 0.0, 0.0], "shared_weights"),
-        ("task_weights", [[0.0] * 3, [0.0, "1.5", 0.0], [0.0] * 3], "task_weights row 1"),
-        ("task_weights", [[0.0] * 3, [0.0] * 3, [0.0, 0.0, True]], "task_weights row 2"),
+        ("shared_weights", ["1.5", 0.0, 0.0],
+         "shared_weights[0] must be a finite number, got '1.5'"),
+        ("shared_weights", [True, 0.0, 0.0], "shared_weights[0] must be a finite number, got True"),
+        ("task_weights", [[0.0] * 3, [0.0, "1.5", 0.0], [0.0] * 3],
+         "task_weights[1][1] must be a finite number, got '1.5'"),
+        ("task_weights", [[0.0] * 3, [0.0] * 3, [0.0, 0.0, True]],
+         "task_weights[2][2] must be a finite number, got True"),
     ], ids=["string_shared", "bool_shared", "string_task", "bool_task"])
     def test_non_number_weights_name_the_file_and_field(self, tmp_path, field, value, named):
         # each was read as a number: "1.5" as 1.5 and true as 1.0
         path = tmp_path / "truth.json"
         path.write_text(json.dumps({**VALID_TRUTH, field: value}))
-        with pytest.raises(ConfigError, match=re.escape(f"truth file {path}: {named} must be "
-                                                        "a flat list of numbers")):
+        with pytest.raises(ConfigError, match=re.escape(f"truth file {path}: {named}")):
             load_truth(path)
 
     @pytest.mark.parametrize("field, named", [
